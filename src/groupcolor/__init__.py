@@ -45,15 +45,14 @@ from .groups import (
     pairing,
 )
 from .posetlin import (
+    VARIABLE,
     PolyMatrix,
     RationalPoly,
-    evaluate,
     mobius_matrix,
     sign_diagonal,
     transfer_at,
-    transfer_matrix,
-    weighted_zeta_inverse,
-    weighted_zeta_matrix,
+    weighted_zeta_at,
+    weighted_zeta_inverse_at,
     zeta_matrix,
 )
 

@@ -10,20 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .gamma import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    METHODS,
     chromatic_via_transfer,
-    gamma_bruteforce,
     gamma_cyclespace,
-    gamma_fourier,
     hamming_k3_closed_form,
     hamming_k3_from_reciprocity,
     triangle_gamma_from_pairs,
@@ -32,10 +29,10 @@ from .gamma import (
 from .graphs import (
     EdgeSet,
     chromatic_oracle,
-    components,
     enumerate_poset,
-    girth,
     iso_class_blocks,
+    poset_rows,
+    poset_to_json,
 )
 from .groups import (
     AllowedSet,
@@ -46,21 +43,15 @@ from .groups import (
     make_group,
 )
 from .posetlin import (
+    VARIABLE,
     mobius_matrix,
     transfer_at,
-    transfer_matrix,
-    weighted_zeta_inverse,
-    weighted_zeta_matrix,
+    weighted_zeta_at,
+    weighted_zeta_inverse_at,
     zeta_matrix,
 )
 
 _GROUP_FACTOR = re.compile(r"^Z(\d+)(?:\^(\d+))?$")
-
-_GAMMA_METHODS = {
-    "brute": gamma_bruteforce,
-    "cycle": gamma_cyclespace,
-    "fourier": gamma_fourier,
-}
 
 
 def parse_group_spec(spec: str) -> FiniteAbelianGroup:
@@ -152,45 +143,6 @@ def render_allowed_spec(spec: str) -> str:
     return spec
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One command invocation; spec strings are stored canonically so the
-    parse-render round trip is the identity."""
-
-    v: int | None
-    group_spec: str | None
-    allowed_spec: str | None
-    method: str
-    output_format: str
-    budget: int
-    paper_order: bool
-
-    @classmethod
-    def from_args(cls, ns: argparse.Namespace) -> "RunConfig":
-        group_spec = getattr(ns, "group", None)
-        if group_spec is not None:
-            group_spec = render_group_spec(parse_group_spec(group_spec))
-        allowed_spec = getattr(ns, "allowed", None)
-        if allowed_spec is not None:
-            allowed_spec = render_allowed_spec(allowed_spec)
-        return cls(
-            v=getattr(ns, "v", None),
-            group_spec=group_spec,
-            allowed_spec=allowed_spec,
-            method=getattr(ns, "method", "cycle"),
-            output_format=getattr(ns, "format", "json"),
-            budget=getattr(ns, "budget", DEFAULT_BUDGET),
-            paper_order=getattr(ns, "paper_order", False),
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**data)
-
-
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -214,38 +166,22 @@ def _rational(text: str) -> Fraction:
 
 def cmd_poset(ns: argparse.Namespace) -> int:
     poset = enumerate_poset(ns.v)
-    labels = {}
-    for label, idxs in iso_class_blocks(poset):
-        for i in idxs:
-            labels[i] = label
-    rows = []
-    for i, member in enumerate(poset.members):
-        g = girth(member)
-        rows.append(
-            {
-                "index": i,
-                "mask": member.bits,
-                "edges": member.to_text(),
-                "edge_count": member.edge_count,
-                "components": components(member),
-                "girth": "inf" if g == math.inf else g,
-                "iso_class": labels[i],
-            }
-        )
     if ns.format == "tsv":
-        header = ["index", "mask", "edges", "edge_count", "components", "girth", "iso_class"]
-        _emit_tsv(header, [[row[h] for h in header] for row in rows])
+        rows = poset_rows(poset)
+        _emit_tsv(list(rows[0]), [list(row.values()) for row in rows])
     else:
-        _emit_json({"v": ns.v, "count": len(rows), "members": rows})
+        print(poset_to_json(poset))
     return 0
 
 
+# --which name -> builder(poset, r); r is VARIABLE unless --r is given. The
+# builders are looked up when called, so a patched module name takes effect.
 _MATRIX_BUILDERS = {
-    "zeta": zeta_matrix,
-    "mobius": mobius_matrix,
-    "J": weighted_zeta_matrix,
-    "Jinv": weighted_zeta_inverse,
-    "M": transfer_matrix,
+    "zeta": lambda poset, r: zeta_matrix(poset),
+    "mobius": lambda poset, r: mobius_matrix(poset),
+    "J": lambda poset, r: weighted_zeta_at(poset, r),
+    "Jinv": lambda poset, r: weighted_zeta_inverse_at(poset, r),
+    "M": lambda poset, r: transfer_at(poset, r),
 }
 
 
@@ -271,25 +207,18 @@ def _block_summary(poset, rows: list[list[str]], paper_order: bool) -> list[dict
 
 def cmd_matrix(ns: argparse.Namespace) -> int:
     poset = enumerate_poset(ns.v)
-    if ns.which not in _MATRIX_BUILDERS:
-        raise ValueError(f"unknown matrix {ns.which!r}; want zeta, mobius, J, Jinv, or M")
     r = _rational(ns.r) if ns.r is not None else None
+    cells = len(poset) ** 2
+    if cells > ns.budget:
+        raise BudgetExceededError(f"dense matrix over {len(poset)} poset members", cells, ns.budget)
     if ns.which == "M" and ns.v >= 5 and r is None:
         raise ValueError(
             "symbolic transfer matrix is only built for v <= 4; pass --r to evaluate"
         )
-    if ns.which == "M" and r is not None and ns.v >= 5:
-        values = transfer_at(poset, r)
-        order = range(len(poset) - 1, -1, -1) if ns.paper_order else range(len(poset))
-        rows = [[str(values[h][e]) for e in order] for h in order]
-    else:
-        matrix = _MATRIX_BUILDERS[ns.which](poset)
-        if r is not None:
-            values = matrix.evaluate(r)
-            order = range(len(poset) - 1, -1, -1) if ns.paper_order else range(len(poset))
-            rows = [[str(values[h][e]) for e in order] for h in order]
-        else:
-            rows = matrix.render_rows(paper_order=ns.paper_order)
+    if ns.errata and (ns.which != "M" or ns.v != 4 or r is not None):
+        raise ValueError("--errata applies to the symbolic transfer matrix at v=4")
+    matrix = _MATRIX_BUILDERS[ns.which](poset, VARIABLE if r is None else r)
+    rows = matrix.render_rows(paper_order=ns.paper_order)
     payload = {
         "v": ns.v,
         "which": ns.which,
@@ -304,9 +233,14 @@ def cmd_matrix(ns: argparse.Namespace) -> int:
     if ns.blocks:
         payload["blocks"] = _block_summary(poset, rows, ns.paper_order)
     if ns.errata:
-        if ns.which != "M" or ns.v != 4 or r is not None:
-            raise ValueError("--errata applies to the symbolic transfer matrix at v=4")
-        payload["errata"] = _transfer_v4_errata(poset)
+        # one record per class block: the last mismatching cell of each
+        blocks = {
+            (m["row_class"], m["col_class"]): m for m in example1_report()["v4"]["mismatches"]
+        }
+        payload["errata"] = [
+            {k: v for k, v in blocks[key].items() if k != "computed_matches_corrected"}
+            for key in sorted(blocks)
+        ]
     if ns.format == "tsv":
         for row in rows:
             print("\t".join(row))
@@ -319,8 +253,7 @@ def cmd_gamma(ns: argparse.Namespace) -> int:
     group = parse_group_spec(ns.group)
     allowed = parse_allowed_spec(ns.allowed, group)
     poset = enumerate_poset(ns.v)
-    method = "cycle" if ns.method == "auto" else ns.method
-    fn = _GAMMA_METHODS[method]
+    fn = METHODS[ns.method]
     rows = []
     for member in poset.members:
         t0 = time.perf_counter()
@@ -331,7 +264,7 @@ def cmd_gamma(ns: argparse.Namespace) -> int:
                 "mask": member.bits,
                 "edges": member.to_text(),
                 "value": str(value),
-                "method": method,
+                "method": ns.method,
                 "seconds": round(seconds, 6),
             }
         )
@@ -353,8 +286,6 @@ def cmd_gamma(ns: argparse.Namespace) -> int:
 def cmd_verify(ns: argparse.Namespace) -> int:
     group = parse_group_spec(ns.group)
     allowed = parse_allowed_spec(ns.allowed, group)
-    if ns.method == "fourier":
-        raise ValueError("verification needs an exact method: brute or cycle")
     poset = enumerate_poset(ns.v)
     report = verify_reciprocity(poset, allowed, ns.method, ns.budget)
     payload = {
@@ -409,29 +340,6 @@ def cmd_chromatic(ns: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-def _transfer_v4_errata(poset) -> list[dict]:
-    """The two v=4 cells where the computed transfer matrix disagrees with
-    the reference display, one record per isomorphism-class block."""
-    m = transfer_matrix(poset)
-    label = {}
-    for lbl, idxs in iso_class_blocks(poset):
-        for i in idxs:
-            label[i] = lbl
-    seen = {}
-    for h in range(len(poset)):
-        for e in range(len(poset)):
-            printed = _reference_final_entry(poset, label, h, e, printed=True)
-            computed = m.entry(h, e).render()
-            if computed != printed:
-                seen[(label[h], label[e])] = {
-                    "row_class": label[h],
-                    "col_class": label[e],
-                    "computed": computed,
-                    "reference_printed": printed,
-                }
-    return [seen[key] for key in sorted(seen)]
-
-
 # ---------------------------------------------------------------------------
 # Worked examples
 
@@ -444,11 +352,11 @@ def example1_report() -> dict:
     and chromatic cross-checks; computed values are reported alongside.
     """
     p3 = enumerate_poset(3)
-    m3 = transfer_matrix(p3).render_rows(paper_order=True)
+    m3 = transfer_at(p3, VARIABLE).render_rows(paper_order=True)
     ref3 = [["-1", "1 - 3r + 3r^2"], ["0", "1"]]
 
     p4 = enumerate_poset(4)
-    m4 = transfer_matrix(p4)
+    m4 = transfer_at(p4, VARIABLE)
     label = {}
     for lbl, idxs in iso_class_blocks(p4):
         for i in idxs:
@@ -718,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gamma", help="coloring probability per poset member")
     p.add_argument("--v", type=int, required=True)
-    p.add_argument("--method", choices=["brute", "cycle", "fourier"], default="cycle")
+    p.add_argument("--method", choices=list(METHODS), default="cycle")
     _add_common(p, group_args=True)
     p.set_defaults(func=cmd_gamma)
 

@@ -16,9 +16,17 @@ from functools import cached_property
 from itertools import product
 from math import comb
 
-from .graphs import EdgeSet, SubgraphPoset, components, girth, is_isthmus_free
+from .graphs import (
+    EdgeSet,
+    SubgraphPoset,
+    bridgeless_subsets,
+    components,
+    down_sets_of,
+    girth,
+    is_isthmus_free,
+)
 from .groups import AllowedSet, character_sum
-from .posetlin import RationalPoly, matvec_rational, mobius_table, transfer_at
+from .posetlin import RationalPoly, mobius_recursion, mobius_table, transfer_at
 
 DEFAULT_BUDGET = 10**8
 FOURIER_TOL = 1e-9
@@ -246,7 +254,8 @@ def gamma_fourier(
     return value.real
 
 
-_METHODS = {
+# per-coordinate method name -> function(edge_set, allowed, budget)
+METHODS = {
     "brute": gamma_bruteforce,
     "cycle": gamma_cyclespace,
     "fourier": gamma_fourier,
@@ -266,7 +275,7 @@ def gamma_vector(
     """
     name = "cycle" if method == "auto" else method
     try:
-        fn = _METHODS[name]
+        fn = METHODS[name]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; want brute, cycle, or fourier")
     values = tuple(fn(member, allowed, budget) for member in poset.members)
@@ -358,8 +367,7 @@ def apply_transfer(
 ) -> GammaVector:
     """Map the complement vector to the allowed vector through the transfer
     matrix evaluated at the complement density."""
-    matrix = transfer_at(poset, Fraction(alpha_bar))
-    values = matvec_rational(matrix, gamma_bar.values)
+    values = transfer_at(poset, Fraction(alpha_bar)).apply(gamma_bar.values)
     return GammaVector(poset, values, "transfer")
 
 
@@ -369,45 +377,11 @@ def apply_transfer(
 # the full ambient poset.
 
 
-def _interval_members(edge_set: EdgeSet) -> list[int]:
-    masks = []
-    sub = edge_set.bits
-    while True:
-        if is_isthmus_free(EdgeSet(edge_set.v, sub)):
-            masks.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & edge_set.bits
-    masks.sort(key=lambda m: (m.bit_count(), m))
-    return masks
-
-
-def _local_mobius(members: list[int]) -> list[dict[int, int]]:
-    # mu(E, G) per member G, keyed by member position of E; same recursion
-    # as the global table but over an arbitrary down-closed family
-    pos = {m: i for i, m in enumerate(members)}
-    downs = []
-    for m in members:
-        below = []
-        sub = m
-        while True:
-            if sub in pos:
-                below.append(pos[sub])
-            if sub == 0:
-                break
-            sub = (sub - 1) & m
-        downs.append(sorted(below))
-    table: list[dict[int, int]] = []
-    for gi, down in enumerate(downs):
-        mu_g: dict[int, int] = {gi: 1}
-        for ei in reversed(down[:-1]):
-            acc = 0
-            for hi in down:
-                if hi != ei and members[ei] & ~members[hi] == 0:
-                    acc += mu_g[hi]
-            mu_g[ei] = -acc
-        table.append(mu_g)
-    return table
+def _interval_mobius(edge_set: EdgeSet) -> tuple[list[int], tuple[dict[int, int], ...]]:
+    # the bridgeless subsets of edge_set in linear-extension order, and the
+    # Mobius function of that interval keyed by position
+    masks = bridgeless_subsets(edge_set.v, edge_set.bits)
+    return masks, mobius_recursion(down_sets_of({m: i for i, m in enumerate(masks)}))
 
 
 def main_term(edge_set: EdgeSet, alpha_bar: Fraction) -> Fraction:
@@ -419,12 +393,11 @@ def main_term(edge_set: EdgeSet, alpha_bar: Fraction) -> Fraction:
     if not is_isthmus_free(edge_set):
         raise ValueError("main term is defined on isthmus-free edge sets")
     alpha_bar = Fraction(alpha_bar)
-    members = _interval_members(edge_set)
-    mu_table = _local_mobius(members)
+    members, mu_table = _interval_mobius(edge_set)
     e_top = edge_set.edge_count
     acc = Fraction(0)
-    for gi, g_mask in enumerate(members):
-        mu = mu_table[gi].get(0, 0)
+    for g_mask, mu_g in zip(members, mu_table):
+        mu = mu_g[0]
         if mu:
             eg = g_mask.bit_count()
             acc += (1 - alpha_bar) ** (e_top - eg) * (-1) ** eg * mu * alpha_bar**eg
@@ -467,8 +440,7 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
             "use the deletion-contraction oracle instead"
         )
     v = edge_set.v
-    members = _interval_members(edge_set)
-    mu_table = _local_mobius(members)
+    members, mu_table = _interval_mobius(edge_set)
     e_top = edge_set.edge_count
     comp = {m: components(EdgeSet(v, m)) for m in members}
     laurent: dict[int, int] = {}

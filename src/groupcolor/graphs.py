@@ -229,37 +229,54 @@ class SubgraphPoset:
     @cached_property
     def down_sets(self) -> tuple[tuple[int, ...], ...]:
         """For each member, the sorted indices of all members below it."""
-        out = []
-        for member in self.members:
-            below = []
-            sub = member.bits
-            while True:
-                idx = self.index_by_mask.get(sub)
-                if idx is not None:
-                    below.append(idx)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & member.bits
-            out.append(tuple(sorted(below)))
-        return tuple(out)
+        return down_sets_of(self.index_by_mask)
 
     @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(m.edge_count for m in self.members)
 
 
+def bridgeless_subsets(v: int, bits: int) -> list[int]:
+    """Bitmasks of every bridgeless subset of the edge set ``bits`` on v
+    vertices, sorted by (edge count, mask): a linear extension of inclusion
+    with the empty set first."""
+    found = []
+    sub = bits
+    while True:
+        if is_isthmus_free(EdgeSet(v, sub)):
+            found.append(sub)
+        if sub == 0:
+            break
+        sub = (sub - 1) & bits
+    found.sort(key=lambda m: (m.bit_count(), m))
+    return found
+
+
+def down_sets_of(index: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """Down-sets of a family of edge bitmasks given as mask -> position,
+    in position order: for each member, the sorted positions of the members
+    that are subsets of it."""
+    out = []
+    for mask in index:
+        below = []
+        sub = mask
+        while True:
+            idx = index.get(sub)
+            if idx is not None:
+                below.append(idx)
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+        out.append(tuple(sorted(below)))
+    return tuple(out)
+
+
 def enumerate_poset(v: int, cap: int = DEFAULT_POSET_CAP) -> SubgraphPoset:
     """Enumerate every bridgeless edge set on v labeled vertices."""
     if not 2 <= v <= cap:
         raise ValueError(f"v must be in 2..{cap}, got {v}")
-    n_pairs = comb(v, 2)
-    found = [
-        EdgeSet(v, bits)
-        for bits in range(1 << n_pairs)
-        if is_isthmus_free(EdgeSet(v, bits))
-    ]
-    found.sort(key=lambda e: (e.edge_count, e.bits))
-    return SubgraphPoset(v, tuple(found))
+    complete = (1 << comb(v, 2)) - 1
+    return SubgraphPoset(v, tuple(EdgeSet(v, m) for m in bridgeless_subsets(v, complete)))
 
 
 @lru_cache(maxsize=None)
@@ -370,7 +387,9 @@ def chromatic_oracle(edge_set: EdgeSet) -> RationalPoly:
     return _chromatic(edge_set.v, frozenset(edge_set.edges()))
 
 
-def poset_to_json(poset: SubgraphPoset) -> str:
+def poset_rows(poset: SubgraphPoset) -> list[dict]:
+    """One record per member: its mask, edges, edge and component counts,
+    girth and isomorphism-class label."""
     labels = {}
     for label, idxs in iso_class_blocks(poset):
         for i in idxs:
@@ -389,4 +408,10 @@ def poset_to_json(poset: SubgraphPoset) -> str:
                 "iso_class": labels[i],
             }
         )
-    return json.dumps({"v": poset.v, "count": len(poset.members), "members": rows}, indent=2)
+    return rows
+
+
+def poset_to_json(poset: SubgraphPoset) -> str:
+    return json.dumps(
+        {"v": poset.v, "count": len(poset.members), "members": poset_rows(poset)}, indent=2
+    )

@@ -189,11 +189,7 @@ def pairing(p: Character, q: GroupElement) -> complex:
     """Canonical unit-modulus pairing exp(2*pi*i * sum_i p_i q_i / n_i)."""
     if p.group != q.group:
         raise ValueError("character and element belong to different groups")
-    phase = Fraction(0)
-    for pi, qi, n in zip(p.residues, q.residues, p.group.cyclic_orders):
-        phase += Fraction(pi * qi, n)
-    phase -= math.floor(phase)
-    return cmath.exp(2j * math.pi * float(phase))
+    return pairing_by_index(p.group, p.index, q.index)
 
 
 def pairing_by_index(group: FiniteAbelianGroup, p: int, q: int) -> complex:

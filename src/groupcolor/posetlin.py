@@ -2,9 +2,16 @@
 poset of bridgeless edge sets: zeta, Mobius, the edge-weighted zeta matrix
 and the reciprocity transfer matrix built from it.
 
+Each builder takes the point r as an exact rational or as a RationalPoly;
+passing VARIABLE gives the symbolic matrix, and every matrix is a PolyMatrix
+whose entries live in the ring r came from. The Mobius function has one
+recursion, mobius_recursion, which works on any down-closed family given by
+its down-sets: the whole poset (mobius_table) or one interval below a member.
+
 Matrix orientation: entry(h, e) multiplies coordinate e and contributes to
 coordinate h, so (M x)_H = sum_E entry(H, E) x_E. With the empty graph
-first in the linear extension, every matrix here is lower triangular.
+first in the linear extension, every matrix here is lower triangular, with
+support on the comparable pairs E <= H.
 """
 
 from __future__ import annotations
@@ -16,10 +23,6 @@ from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graphs import SubgraphPoset
-
-Rational = Fraction
-
-RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _as_fraction(x) -> Fraction:
@@ -76,7 +79,12 @@ class RationalPoly:
     def constant_term(self) -> Fraction:
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __add__(self, other) -> "RationalPoly":
+        if not isinstance(other, RationalPoly):
+            other = RationalPoly.constant(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -85,11 +93,16 @@ class RationalPoly:
             out[i] += c
         return RationalPoly.of(out)
 
+    __radd__ = __add__
+
     def __neg__(self) -> "RationalPoly":
         return RationalPoly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: "RationalPoly") -> "RationalPoly":
+    def __sub__(self, other) -> "RationalPoly":
         return self + (-other)
+
+    def __rsub__(self, other) -> "RationalPoly":
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -169,19 +182,26 @@ class RationalPoly:
         return f"RationalPoly({self.render()})"
 
 
-_ZERO = RationalPoly.zero()
-_ONE = RationalPoly.constant(1)
-
 # the formal variable itself
 VARIABLE = RationalPoly.monomial(1)
 
 
+def _ring_element(r):
+    """A builder's point: a RationalPoly, or an exact rational as Fraction."""
+    return r if isinstance(r, RationalPoly) else _as_fraction(r)
+
+
+def _render(x, var: str) -> str:
+    return x.render(var) if isinstance(x, RationalPoly) else str(x)
+
+
 @dataclass(frozen=True)
 class PolyMatrix:
-    """Square matrix of rational polynomials indexed by a subgraph poset."""
+    """Square matrix indexed by a subgraph poset, with entries that are all
+    Fractions or all RationalPolys, supported on the comparable pairs."""
 
     poset: "SubgraphPoset"
-    entries: tuple[tuple[RationalPoly, ...], ...]
+    entries: tuple[tuple, ...]
 
     def __post_init__(self):
         n = len(self.poset)
@@ -192,233 +212,141 @@ class PolyMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def entry(self, h: int, e: int) -> RationalPoly:
+    def entry(self, h: int, e: int):
         return self.entries[h][e]
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Product over the chains E <= G <= H; both factors must vanish off
+        the comparable pairs, as every matrix built here does."""
         if other.poset is not self.poset and other.poset != self.poset:
             raise ValueError("matrices over different posets")
-        n = self.n
+        down = self.poset.down_sets
+        zero = self.entries[0][0] * other.entries[0][0] * 0
         rows = []
-        for h in range(n):
-            row = []
-            for e in range(n):
-                acc = _ZERO
-                for g in range(n):
-                    a = self.entries[h][g]
-                    if not a.is_zero and not other.entries[g][e].is_zero:
-                        acc = acc + a * other.entries[g][e]
-                row.append(acc)
-            rows.append(tuple(row))
+        for h, a_row in enumerate(self.entries):
+            out = [zero] * self.n
+            for g in down[h]:
+                a = a_row[g]
+                if a:
+                    b_row = other.entries[g]
+                    for e in down[g]:
+                        if b_row[e]:
+                            out[e] = out[e] + a * b_row[e]
+            rows.append(tuple(out))
         return PolyMatrix(self.poset, tuple(rows))
 
-    def substitute(self, inner: RationalPoly) -> "PolyMatrix":
-        return PolyMatrix(
-            self.poset,
-            tuple(tuple(p.compose(inner) for p in row) for row in self.entries),
+    def apply(self, vector: Sequence) -> tuple:
+        """The image M x: (M x)_H = sum over E <= H of entry(H, E) x_E."""
+        down = self.poset.down_sets
+        return tuple(
+            sum(row[e] * vector[e] for e in down[h]) for h, row in enumerate(self.entries)
         )
 
-    def evaluate(self, r) -> RationalMatrix:
-        r = _as_fraction(r)
-        return tuple(tuple(p(r) for p in row) for row in self.entries)
-
     def render_rows(self, var: str = "r", paper_order: bool = False) -> list[list[str]]:
-        """Rows of polynomial strings; paper_order lists the complete graph
-        first (reversed linear extension) for side-by-side comparison."""
+        """Rows of entry strings; paper_order lists the complete graph first
+        (reversed linear extension) for side-by-side comparison."""
         idx = range(self.n - 1, -1, -1) if paper_order else range(self.n)
-        return [[self.entries[h][e].render(var) for e in idx] for h in idx]
+        return [[_render(self.entries[h][e], var) for e in idx] for h in idx]
 
     def is_identity(self) -> bool:
-        for h in range(self.n):
-            for e in range(self.n):
-                want = _ONE if h == e else _ZERO
-                if self.entries[h][e] != want:
-                    return False
-        return True
+        return not any(
+            x - 1 if h == e else x
+            for h, row in enumerate(self.entries)
+            for e, x in enumerate(row)
+        )
 
 
-def identity_matrix(poset: "SubgraphPoset") -> PolyMatrix:
-    n = len(poset)
-    return PolyMatrix(
-        poset, tuple(tuple(_ONE if h == e else _ZERO for e in range(n)) for h in range(n))
-    )
+def mobius_recursion(down_sets: Sequence[Sequence[int]]) -> tuple[dict[int, int], ...]:
+    """mu(E, H) for every pair E <= H of a down-closed family, as one dict
+    per H keyed by E.
 
-
-def zeta_matrix(poset: "SubgraphPoset") -> PolyMatrix:
-    """Containment indicator: entry(H, E) = 1 iff E is a subgraph of H."""
-    n = len(poset)
-    rows = [[_ZERO] * n for _ in range(n)]
-    for h in range(n):
-        for e in poset.down_sets[h]:
-            rows[h][e] = _ONE
-    return PolyMatrix(poset, tuple(tuple(row) for row in rows))
-
-
-@lru_cache(maxsize=None)
-def mobius_table(poset: "SubgraphPoset") -> tuple[dict[int, int], ...]:
-    """mu(E, H) for every pair E <= H, as one dict per H keyed by E index.
-
-    Uses mu(E, H) = -sum over E < G <= H of mu(G, H); iterating E downward
-    along the linear extension keeps every needed value available.
+    down_sets[h] lists the members below member h in increasing order,
+    ending with h itself, so the members are indexed along a linear
+    extension. Rota's recursion mu(E, H) = -sum over E <= G < H of mu(E, G)
+    then needs only the rows of the members G below H, and no order tests.
     """
     table: list[dict[int, int]] = []
-    for h in range(len(poset)):
-        down = poset.down_sets[h]
-        mu_h: dict[int, int] = {h: 1}
-        for e in reversed(down[:-1]):
-            acc = 0
-            for g in down:
-                if g != e and poset.leq(e, g):
-                    acc += mu_h[g]
-            mu_h[e] = -acc
+    for h, down in enumerate(down_sets):
+        mu_h: dict[int, int] = {}
+        for g in down[:-1]:
+            for e, mu in table[g].items():
+                if mu:
+                    mu_h[e] = mu_h.get(e, 0) - mu
+        mu_h[h] = 1
         table.append(mu_h)
     return tuple(table)
 
 
-def mobius_matrix(poset: "SubgraphPoset") -> PolyMatrix:
-    """Exact inverse of the zeta matrix; entries are Mobius values."""
-    n = len(poset)
-    table = mobius_table(poset)
-    rows = [[_ZERO] * n for _ in range(n)]
-    for h in range(n):
-        for e, mu in table[h].items():
-            if mu:
-                rows[h][e] = RationalPoly.constant(mu)
-    return PolyMatrix(poset, tuple(tuple(row) for row in rows))
+@lru_cache(maxsize=None)
+def mobius_table(poset: "SubgraphPoset") -> tuple[dict[int, int], ...]:
+    """mu(E, H) for every pair E <= H of the whole poset, one dict per H."""
+    return mobius_recursion(poset.down_sets)
 
 
-def weighted_zeta_matrix(poset: "SubgraphPoset") -> PolyMatrix:
-    """Edge-weighted zeta: entry(H, E) = r^(|H| - |E|) when E <= H."""
-    n = len(poset)
-    sizes = poset.sizes
-    rows = [[_ZERO] * n for _ in range(n)]
-    for h in range(n):
-        for e in poset.down_sets[h]:
-            rows[h][e] = RationalPoly.monomial(sizes[h] - sizes[e])
-    return PolyMatrix(poset, tuple(tuple(row) for row in rows))
-
-
-def weighted_zeta_inverse(poset: "SubgraphPoset") -> PolyMatrix:
-    """Inverse of the weighted zeta: entry(H, E) = mu(E, H) r^(|H| - |E|)."""
-    n = len(poset)
-    sizes = poset.sizes
-    table = mobius_table(poset)
-    rows = [[_ZERO] * n for _ in range(n)]
-    for h in range(n):
-        for e, mu in table[h].items():
-            if mu:
-                rows[h][e] = RationalPoly.monomial(sizes[h] - sizes[e], mu)
-    return PolyMatrix(poset, tuple(tuple(row) for row in rows))
-
-
-def sign_diagonal(poset: "SubgraphPoset") -> PolyMatrix:
-    """Diagonal matrix with entry (-1)^(edge count) per poset member."""
-    n = len(poset)
-    rows = [[_ZERO] * n for _ in range(n)]
-    for h in range(n):
-        rows[h][h] = RationalPoly.constant((-1) ** poset.sizes[h])
-    return PolyMatrix(poset, tuple(tuple(row) for row in rows))
-
-
-def transfer_matrix(poset: "SubgraphPoset") -> PolyMatrix:
-    """Reciprocity transfer matrix: weighted zeta at (1 - r), times the
-    parity sign diagonal, times the inverse weighted zeta at r.
-
-    Exact polynomial product throughout; intended for v <= 4 where the
-    poset is small. For larger posets evaluate at rational points with
-    transfer_at instead.
-    """
-    one_minus_r = RationalPoly.of([1, -1])
-    j_at_complement = weighted_zeta_matrix(poset).substitute(one_minus_r)
-    return j_at_complement @ sign_diagonal(poset) @ weighted_zeta_inverse(poset)
-
-
-def evaluate(matrix: PolyMatrix, r) -> RationalMatrix:
-    """Entrywise exact evaluation at a rational point."""
-    return matrix.evaluate(r)
-
-
-# ---------------------------------------------------------------------------
-# Evaluated (rational, not symbolic) fast paths. These only touch chains
-# E <= G <= H of the poset, which keeps v = 5 runs quick.
-
-
-def _power_table(x: Fraction, max_power: int) -> list[Fraction]:
-    out = [Fraction(1)]
+def _power_table(x, max_power: int) -> list:
+    out = [x**0]
     for _ in range(max_power):
         out.append(out[-1] * x)
     return out
 
 
-def weighted_zeta_at(poset: "SubgraphPoset", r) -> RationalMatrix:
-    r = _as_fraction(r)
+def weighted_zeta_at(poset: "SubgraphPoset", r) -> PolyMatrix:
+    """Edge-weighted zeta J(r): entry(H, E) = r^(|H| - |E|) when E <= H."""
+    r = _ring_element(r)
     n = len(poset)
     sizes = poset.sizes
-    powers = _power_table(r, max(sizes, default=0))
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    powers = _power_table(r, max(sizes))
+    rows = [[r * 0] * n for _ in range(n)]
     for h in range(n):
         for e in poset.down_sets[h]:
             rows[h][e] = powers[sizes[h] - sizes[e]]
-    return tuple(tuple(row) for row in rows)
+    return PolyMatrix(poset, tuple(map(tuple, rows)))
 
 
-def weighted_zeta_inverse_at(poset: "SubgraphPoset", r) -> RationalMatrix:
-    r = _as_fraction(r)
+def weighted_zeta_inverse_at(poset: "SubgraphPoset", r) -> PolyMatrix:
+    """Inverse of J(r): entry(H, E) = mu(E, H) r^(|H| - |E|)."""
+    r = _ring_element(r)
     n = len(poset)
     sizes = poset.sizes
     table = mobius_table(poset)
-    powers = _power_table(r, max(sizes, default=0))
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    powers = _power_table(r, max(sizes))
+    rows = [[r * 0] * n for _ in range(n)]
     for h in range(n):
         for e, mu in table[h].items():
-            rows[h][e] = mu * powers[sizes[h] - sizes[e]]
-    return tuple(tuple(row) for row in rows)
+            rows[h][e] = powers[sizes[h] - sizes[e]] * mu
+    return PolyMatrix(poset, tuple(map(tuple, rows)))
 
 
-def transfer_at(poset: "SubgraphPoset", r) -> RationalMatrix:
-    """Transfer matrix evaluated exactly at a rational point via chain sums."""
-    r = _as_fraction(r)
-    n = len(poset)
-    sizes = poset.sizes
-    table = mobius_table(poset)
-    max_e = max(sizes, default=0)
-    r_pow = _power_table(r, max_e)
-    s_pow = _power_table(1 - r, max_e)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for h in range(n):
-        for g in poset.down_sets[h]:
-            weight = s_pow[sizes[h] - sizes[g]] * (-1) ** sizes[g]
-            for e, mu in table[g].items():
-                if mu:
-                    rows[h][e] += weight * mu * r_pow[sizes[g] - sizes[e]]
-    return tuple(tuple(row) for row in rows)
+def zeta_matrix(poset: "SubgraphPoset") -> PolyMatrix:
+    """Containment indicator: entry(H, E) = 1 iff E is a subgraph of H; J(1)."""
+    return weighted_zeta_at(poset, 1)
 
 
-def matmul_rational(poset: "SubgraphPoset", a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Product of two poset-supported rational matrices (lower triangular
-    with support on comparable pairs); iterates only over chains."""
+def mobius_matrix(poset: "SubgraphPoset") -> PolyMatrix:
+    """Exact inverse of the zeta matrix; entries are Mobius values."""
+    return weighted_zeta_inverse_at(poset, 1)
+
+
+def _diagonal(poset: "SubgraphPoset", values) -> PolyMatrix:
     n = len(poset)
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for h in range(n):
-        a_row = a[h]
-        for g in poset.down_sets[h]:
-            coeff = a_row[g]
-            if coeff:
-                b_row = b[g]
-                out = rows[h]
-                for e in poset.down_sets[g]:
-                    if b_row[e]:
-                        out[e] += coeff * b_row[e]
-    return tuple(tuple(row) for row in rows)
+    for h, x in enumerate(values):
+        rows[h][h] = Fraction(x)
+    return PolyMatrix(poset, tuple(map(tuple, rows)))
 
 
-def matvec_rational(matrix: RationalMatrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(sum(row[e] * vec[e] for e in range(len(vec))) for row in matrix)
+def identity_matrix(poset: "SubgraphPoset") -> PolyMatrix:
+    return _diagonal(poset, [1] * len(poset))
 
 
-def is_identity_rational(matrix: RationalMatrix) -> bool:
-    return all(
-        matrix[h][e] == (1 if h == e else 0)
-        for h in range(len(matrix))
-        for e in range(len(matrix))
-    )
+def sign_diagonal(poset: "SubgraphPoset") -> PolyMatrix:
+    """Diagonal matrix with entry (-1)^(edge count) per poset member."""
+    return _diagonal(poset, [(-1) ** size for size in poset.sizes])
+
+
+def transfer_at(poset: "SubgraphPoset", r) -> PolyMatrix:
+    """Reciprocity transfer matrix M(r) = J(1 - r) * (-1)^e * J(r)^(-1), as
+    a sum over the chains E <= G <= H of the poset."""
+    r = _ring_element(r)
+    signed_inverse = sign_diagonal(poset) @ weighted_zeta_inverse_at(poset, r)
+    return weighted_zeta_at(poset, 1 - r) @ signed_inverse

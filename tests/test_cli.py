@@ -1,14 +1,14 @@
 """Command-line surface: spec parsing, output shapes, exit codes, and
 determinism of the emitted JSON."""
 
+import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from groupcolor.cli import (
-    RunConfig,
-    build_parser,
     example1_report,
     example2_report,
     example3_report,
@@ -77,16 +77,6 @@ def test_allowed_spec_canonical_render():
     assert render_allowed_spec(" interval:2 ") == "interval:2"
     assert render_allowed_spec("set:{3,0}") == "set:{0,3}"
     assert render_allowed_spec("nonzero") == "nonzero"
-
-
-def test_run_config_round_trip():
-    ns = build_parser().parse_args(
-        ["gamma", "--v", "3", "--group", "Z2xZ2xZ2", "--allowed", "set:{3,0}", "--method", "brute"]
-    )
-    cfg = RunConfig.from_args(ns)
-    assert cfg.group_spec == "Z2^3"
-    assert cfg.allowed_spec == "set:{0,3}"
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +152,36 @@ def test_cmd_matrix_errata(capsys):
     ]
     code, _ = _run(capsys, ["matrix", "--v", "3", "--which", "M", "--errata"])
     assert code == 2
+
+
+def test_cmd_matrix_budget_exceeded(capsys):
+    # a dense matrix on P_6 has 13,667^2 cells, over the default budget
+    start = time.perf_counter()
+    assert main(["matrix", "--v", "6", "--which", "M", "--r", "1/2"]) == 3
+    assert time.perf_counter() - start < 30
+    assert main(["matrix", "--v", "4", "--which", "zeta", "--budget", "224"]) == 3
+    assert main(["matrix", "--v", "4", "--which", "zeta", "--budget", "225"]) == 0
+    capsys.readouterr()
+
+
+# sha256 of the exact stdout of each pinned command; a new hash here is a
+# change of the CLI's output
+GOLDEN_STDOUT = {
+    "matrix --v 4 --which M --paper-order --blocks": "8b9581eb292e30ab352c59cc42e7376314d2a4b7808565c4aa3e50d424587fe7",
+    "matrix --v 4 --which M --errata": "041643a6c3ae7fd8f9e95cbc1b77cfdc99c0a90f15800a61c8e04f9fbce5ed96",
+    "matrix --v 4 --which Jinv --r 1/3": "4bff5fcd88cf105035c3ff444bcadde48b6bb99c2af9425a9f2feef946589c76",
+    "matrix --v 5 --which M --r 2/3": "d415b4d0a6066999662aa7705ec2f96aa0ba3c7be6de8f2085809050a1000601",
+    "poset --v 4 --format tsv": "5575f2d8780fbe9cdd10d781aa5eae27bda8389e95e425577a8e6a4813d70a04",
+    "chromatic --v 5": "eedfe0874b95720db72ec0c554ca8544c68d905963a8b2efe79c5ba40b299a3c",
+    "examples --which all": "39c10a7fffd69886a24167f486f72b0812eed1013f167d04d850272f14255598",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, command):
+    code, out = _run(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
 def test_cmd_gamma_values(capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from groupcolor.graphs import (
     EdgeSet,
+    bridgeless_subsets,
     canonical_bits,
     chromatic_oracle,
     components,
@@ -107,6 +108,19 @@ def test_poset_matches_networkx_bridge_filter(v):
         assert is_isthmus_free(es) == bridge_free
         expected += bridge_free
     assert len(enumerate_poset(v, cap=6)) == expected
+
+
+@pytest.mark.parametrize("v", [2, 3, 4, 5])
+def test_bridgeless_subsets_of_complete_graph_is_the_poset(v):
+    complete = (1 << comb(v, 2)) - 1
+    assert bridgeless_subsets(v, complete) == [m.bits for m in enumerate_poset(v)]
+
+
+def test_bridgeless_subsets_of_a_member_is_its_down_set(p4, p5):
+    for poset in (p4, p5):
+        for h in range(0, len(poset), 7 if poset.v == 5 else 1):
+            below = [poset.members[e].bits for e in poset.down_sets[h]]
+            assert bridgeless_subsets(poset.v, poset.members[h].bits) == below
 
 
 def test_linear_extension_property(p4, p5):

@@ -7,24 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcolor.graphs import EdgeSet
+from groupcolor.graphs import (
+    EdgeSet,
+    SubgraphPoset,
+    bridgeless_subsets,
+    down_sets_of,
+)
 from groupcolor.posetlin import (
+    VARIABLE,
     PolyMatrix,
     RationalPoly,
-    evaluate,
     identity_matrix,
-    is_identity_rational,
-    matmul_rational,
-    matvec_rational,
     mobius_matrix,
+    mobius_recursion,
     mobius_table,
     sign_diagonal,
     transfer_at,
-    transfer_matrix,
     weighted_zeta_at,
-    weighted_zeta_inverse,
     weighted_zeta_inverse_at,
-    weighted_zeta_matrix,
     zeta_matrix,
 )
 
@@ -60,6 +60,10 @@ def test_arithmetic():
     assert (p**3) == _vals(1, -3, 3, -1)
     assert 2 * q == _vals(0, 2)
     assert q.scale(Fraction(1, 2)) == RationalPoly.of([0, Fraction(1, 2)])
+    # rationals mix in as constants, and only the zero polynomial is falsy
+    assert 1 - q == p == q * -1 + 1
+    assert Fraction(1, 2) + q - Fraction(1, 2) == q
+    assert not RationalPoly.zero() and q
 
 
 def test_evaluation_is_horner_of_coefficients():
@@ -106,17 +110,44 @@ def test_product_degree_and_evaluation_hom(a, b, x):
 # zeta / Mobius
 
 
+def _mobius_oracle(poset):
+    """The quadratic recursion mu(E, H) = -sum over E < G <= H of mu(G, H),
+    with an order test per pair: the reference for mobius_recursion."""
+    table = []
+    for h in range(len(poset)):
+        down = poset.down_sets[h]
+        mu_h = {h: 1}
+        for e in reversed(down[:-1]):
+            acc = 0
+            for g in down:
+                if g != e and poset.leq(e, g):
+                    acc += mu_h[g]
+            mu_h[e] = -acc
+        table.append(mu_h)
+    return table
+
+
+# Members of P_6 with at most 10 edges: K5, the wheel on five spokes, K3,3
+# and the triangular prism.
+_V6_MEMBERS = (
+    [(a, b) for a in range(5) for b in range(a + 1, 5)],
+    [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)] + [(u, 5) for u in range(5)],
+    [(a, b) for a in range(3) for b in range(3, 6)],
+    [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)],
+)
+
+
 def test_zeta_v3(p3):
     z = zeta_matrix(p3)
-    assert [[p.render() for p in row] for row in z.entries] == [["1", "0"], ["1", "1"]]
+    assert z.render_rows() == [["1", "0"], ["1", "1"]]
 
 
 def test_zeta_diagonal_and_k4_row(p4):
     z = zeta_matrix(p4)
     for i in range(len(p4)):
-        assert z.entry(i, i) == RationalPoly.constant(1)
+        assert z.entry(i, i) == 1
     k4_row = z.entries[len(p4) - 1]
-    assert sum(p(0) for p in k4_row) == 15  # every member sits inside K4
+    assert sum(k4_row) == 15  # every member sits inside K4
 
 
 def test_mobius_values(p3, p4):
@@ -135,14 +166,46 @@ def test_mobius_values(p3, p4):
     assert mu4[diamond][empty] == 2
 
 
+def test_mobius_table_matches_quadratic_oracle(p3, p4, p5):
+    for poset in (p3, p4, p5):
+        assert list(mobius_table(poset)) == _mobius_oracle(poset)
+
+
+def test_interval_mobius_matches_quadratic_oracle():
+    for edges in _V6_MEMBERS:
+        member = EdgeSet.from_edges(6, edges)
+        assert member.edge_count <= 10
+        masks = bridgeless_subsets(6, member.bits)
+        interval = SubgraphPoset(6, tuple(EdgeSet(6, m) for m in masks))
+        table = mobius_recursion(down_sets_of({m: i for i, m in enumerate(masks)}))
+        assert list(table) == _mobius_oracle(interval)
+
+
 def test_zeta_times_mobius_is_identity(p3, p4, p5):
     for poset in (p3, p4):
         assert (zeta_matrix(poset) @ mobius_matrix(poset)).is_identity()
         assert (mobius_matrix(poset) @ zeta_matrix(poset)).is_identity()
-    # v = 5 through the rational fast path
     z = weighted_zeta_at(p5, 1)
     w = weighted_zeta_inverse_at(p5, 1)
-    assert is_identity_rational(matmul_rational(p5, z, w))
+    assert (z @ w).is_identity()
+
+
+def test_builders_vanish_off_comparable_pairs(p3, p4, p5):
+    # PolyMatrix @ walks only the chains E <= G <= H, which is the full
+    # product exactly when both factors vanish off the comparable pairs
+    r = Fraction(2, 7)
+    for poset in (p3, p4, p5):
+        matrices = [zeta_matrix(poset), mobius_matrix(poset), sign_diagonal(poset)]
+        for x in (r, VARIABLE) if poset.v <= 4 else (r,):
+            matrices += [
+                weighted_zeta_at(poset, x),
+                weighted_zeta_inverse_at(poset, x),
+                transfer_at(poset, x),
+            ]
+        for m in matrices:
+            for h, row in enumerate(m.entries):
+                below = set(poset.down_sets[h])
+                assert not any(cell for e, cell in enumerate(row) if e not in below)
 
 
 # ---------------------------------------------------------------------------
@@ -150,24 +213,27 @@ def test_zeta_times_mobius_is_identity(p3, p4, p5):
 
 
 def test_weighted_zeta_entries(p3, p4):
-    j3 = weighted_zeta_matrix(p3)
+    j3 = weighted_zeta_at(p3, VARIABLE)
     assert j3.entry(1, 0) == RationalPoly.monomial(3)
 
-    j4 = weighted_zeta_matrix(p4)
+    j4 = weighted_zeta_at(p4, VARIABLE)
     top = len(p4) - 1
     tri = p4.index_of(EdgeSet.from_edges(4, [(0, 1), (0, 2), (1, 2)]))
     assert j4.entry(top, tri) == RationalPoly.monomial(3)
 
 
 def test_weighted_zeta_at_zero_is_identity(p4):
-    assert is_identity_rational(weighted_zeta_at(p4, 0))
-    assert is_identity_rational(evaluate(weighted_zeta_matrix(p4), 0))
+    assert weighted_zeta_at(p4, 0).is_identity()
+    symbolic = weighted_zeta_at(p4, VARIABLE)
+    assert [[x(0) for x in row] for row in symbolic.entries] == [
+        list(row) for row in identity_matrix(p4).entries
+    ]
 
 
 def test_weighted_zeta_inverse_is_polynomial_inverse(p3, p4):
     for poset in (p3, p4):
-        j = weighted_zeta_matrix(poset)
-        jinv = weighted_zeta_inverse(poset)
+        j = weighted_zeta_at(poset, VARIABLE)
+        jinv = weighted_zeta_inverse_at(poset, VARIABLE)
         assert (j @ jinv).is_identity()
         assert (jinv @ j).is_identity()
 
@@ -175,8 +241,8 @@ def test_weighted_zeta_inverse_is_polynomial_inverse(p3, p4):
 @given(rationals)
 @settings(max_examples=40, deadline=None)
 def test_weighted_zeta_inverse_at_points(p4, r):
-    prod = matmul_rational(p4, weighted_zeta_at(p4, r), weighted_zeta_inverse_at(p4, r))
-    assert is_identity_rational(prod)
+    prod = weighted_zeta_at(p4, r) @ weighted_zeta_inverse_at(p4, r)
+    assert prod.is_identity()
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +250,7 @@ def test_weighted_zeta_inverse_at_points(p4, r):
 
 
 def test_transfer_v3_matches_reference(p3):
-    m = transfer_matrix(p3)
+    m = transfer_at(p3, VARIABLE)
     assert m.entries == (
         (RationalPoly.constant(1), RationalPoly.zero()),
         (_vals(1, -3, 3), RationalPoly.constant(-1)),
@@ -193,7 +259,7 @@ def test_transfer_v3_matches_reference(p3):
 
 
 def test_transfer_v4_key_entries(p4, k4_v4):
-    m = transfer_matrix(p4)
+    m = transfer_at(p4, VARIABLE)
     top = p4.index_of(k4_v4)
     tri = p4.index_of(EdgeSet.from_edges(4, [(0, 1), (0, 2), (1, 2)]))
     c4 = p4.index_of(EdgeSet.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
@@ -207,7 +273,7 @@ def test_transfer_v4_key_entries(p4, k4_v4):
 
 
 def test_transfer_row_at_empty_is_unit_row(p4):
-    m = transfer_matrix(p4)
+    m = transfer_at(p4, VARIABLE)
     assert m.entry(0, 0) == RationalPoly.constant(1)
     for e in range(1, len(p4)):
         assert m.entry(0, e).is_zero
@@ -216,14 +282,14 @@ def test_transfer_row_at_empty_is_unit_row(p4):
 def test_transfer_row_sums_at_one(p3, p4):
     # row sums at r=1: 1 for the empty row, 0 for every other row
     for poset in (p3, p4):
-        m = transfer_matrix(poset)
+        m = transfer_at(poset, VARIABLE)
         for h in range(len(poset)):
             total = sum(m.entry(h, e)(1) for e in range(len(poset)))
             assert total == (1 if h == 0 else 0)
 
 
 def test_transfer_empty_column_degree_and_constant_term(p4, k4_v4, c4_v4):
-    m = transfer_matrix(p4)
+    m = transfer_at(p4, VARIABLE)
     for es in (EdgeSet.from_edges(4, [(0, 1), (0, 2), (1, 2)]), c4_v4, k4_v4):
         p = m.entry(p4.index_of(es), 0)
         assert p.constant_term() == 1
@@ -233,41 +299,43 @@ def test_transfer_empty_column_degree_and_constant_term(p4, k4_v4, c4_v4):
 def test_transfer_involution_symbolic(p3, p4):
     flip = _vals(1, -1)
     for poset in (p3, p4):
-        m = transfer_matrix(poset)
-        assert (m @ m.substitute(flip)).is_identity()
+        m = transfer_at(poset, VARIABLE)
+        m_flipped = transfer_at(poset, flip)
+        assert m_flipped.entries == tuple(tuple(x.compose(flip) for x in row) for row in m.entries)
+        assert (m @ m_flipped).is_identity()
 
 
 def test_transfer_at_zero_and_half(p4):
     m0 = transfer_at(p4, 0)
-    j1_signed = (weighted_zeta_matrix(p4) @ sign_diagonal(p4)).evaluate(1)
-    assert m0 == j1_signed
+    j1_signed = weighted_zeta_at(p4, 1) @ sign_diagonal(p4)
+    assert m0.entries == j1_signed.entries
 
     ones = [Fraction(1)] * len(p4)
-    image = matvec_rational(transfer_at(p4, Fraction(1, 2)), ones)
+    image = transfer_at(p4, Fraction(1, 2)).apply(ones)
     assert image[0] == 1
 
 
 def test_transfer_v3_row_sum_at_one(p3):
     m1 = transfer_at(p3, 1)
-    assert sum(m1[1]) == 0
+    assert sum(m1.entries[1]) == 0
 
 
 @given(rationals)
 @settings(max_examples=30, deadline=None)
 def test_transfer_at_agrees_with_symbolic(p4, r):
-    assert transfer_at(p4, r) == transfer_matrix(p4).evaluate(r)
+    symbolic = transfer_at(p4, VARIABLE)
+    assert transfer_at(p4, r).entries == tuple(tuple(x(r) for x in row) for row in symbolic.entries)
 
 
 @given(rationals)
 @settings(max_examples=30, deadline=None)
 def test_transfer_involution_at_points(p4, r):
-    prod = matmul_rational(p4, transfer_at(p4, r), transfer_at(p4, 1 - r))
-    assert is_identity_rational(prod)
+    assert (transfer_at(p4, r) @ transfer_at(p4, 1 - r)).is_identity()
 
 
 def test_identity_matrix_and_render_order(p3):
     assert identity_matrix(p3).is_identity()
-    m = transfer_matrix(p3)
+    m = transfer_at(p3, VARIABLE)
     normal = m.render_rows()
     flipped = m.render_rows(paper_order=True)
     assert normal[0][0] == flipped[1][1] == "1"
