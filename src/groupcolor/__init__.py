@@ -3,7 +3,6 @@ poset of bridgeless subgraphs, with reciprocity verification tooling."""
 
 from .gamma import (
     BudgetExceededError,
-    CoboundaryContext,
     GammaVector,
     ReciprocityReport,
     apply_transfer,
@@ -26,6 +25,7 @@ from .graphs import (
     SubgraphPoset,
     chromatic_oracle,
     components,
+    cycle_basis,
     enumerate_poset,
     girth,
     is_isthmus_free,

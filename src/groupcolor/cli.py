@@ -315,6 +315,12 @@ def cmd_chromatic(ns: argparse.Namespace) -> int:
         poset = enumerate_poset(ns.v)
         members = list(poset.members)
         v = ns.v
+    # the interval Mobius walk of an edge set E visits at most 4^|E| chains S <= T <= U <= E
+    work = sum(4**member.edge_count for member in members)
+    if work > ns.budget:
+        raise BudgetExceededError(
+            f"chromatic specialization of {len(members)} edge sets", work, ns.budget
+        )
     rows = []
     all_ok = True
     for member in members:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from math import comb
 
@@ -21,6 +20,7 @@ from .graphs import (
     SubgraphPoset,
     bridgeless_subsets,
     components,
+    cycle_basis,
     down_sets_of,
     girth,
     is_isthmus_free,
@@ -56,151 +56,16 @@ class GammaVector:
         return self.values[self.poset.index_of(edge_set)]
 
 
-@dataclass(frozen=True)
-class CoboundaryContext:
-    """Oriented edges (low to high vertex), one root per component, and the
-    fundamental cycles of a spanning forest.
-
-    The coboundary of a coloring X assigns X_j - X_i to each edge (i, j)
-    with i < j; its image has exactly f^(v - c) elements, parametrized by
-    the colorings that fix every root to the identity.
-    """
-
-    edge_set: EdgeSet
-
-    @cached_property
-    def oriented_edges(self) -> tuple[tuple[int, int], ...]:
-        return self.edge_set.edges()
-
-    @cached_property
-    def _forest(self):
-        v = self.edge_set.v
-        adj: dict[int, list[tuple[int, int]]] = {u: [] for u in range(v)}
-        for pos, (a, b) in enumerate(self.oriented_edges):
-            adj[a].append((b, pos))
-            adj[b].append((a, pos))
-        parent: list[tuple[int, int] | None] = [None] * v
-        roots: list[int] = []
-        seen = [False] * v
-        tree_edges: set[int] = set()
-        for start in range(v):
-            if seen[start]:
-                continue
-            roots.append(start)
-            seen[start] = True
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w, pos in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        parent[w] = (u, pos)
-                        tree_edges.add(pos)
-                        stack.append(w)
-        return roots, parent, tree_edges
-
-    @property
-    def roots(self) -> list[int]:
-        return self._forest[0]
-
-    @property
-    def tree_edges(self) -> set[int]:
-        return self._forest[2]
-
-    @cached_property
-    def nontree_edges(self) -> tuple[int, ...]:
-        tree = self.tree_edges
-        return tuple(
-            pos for pos in range(len(self.oriented_edges)) if pos not in tree
-        )
-
-    def _steps_to_root(self, u: int) -> list[tuple[int, int, int]]:
-        # (from_vertex, to_vertex, edge_pos) walking up the forest
-        _, parent, _ = self._forest
-        out = []
-        while parent[u] is not None:
-            p, pos = parent[u]
-            out.append((u, p, pos))
-            u = p
-        return out
-
-    @cached_property
-    def fundamental_cycles(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """One signed edge-coefficient list per non-tree edge.
-
-        Each entry is ((edge_pos, sign), ...) describing a closed walk; the
-        signed sums at every vertex cancel, so these span the cycle space.
-        """
-        cycles = []
-        for pos in self.nontree_edges:
-            a, b = self.oriented_edges[pos]
-            coeffs: dict[int, int] = {pos: 1}  # step a -> b along (a, b)
-            up_b = self._steps_to_root(b)
-            up_a = self._steps_to_root(a)
-            while up_b and up_a and up_b[-1] == up_a[-1]:
-                up_b.pop()
-                up_a.pop()
-            steps = list(up_b) + [(y, x, m) for (x, y, m) in reversed(up_a)]
-            for x, y, m in steps:
-                lo, hi = self.oriented_edges[m]
-                coeffs[m] = coeffs.get(m, 0) + (1 if (x, y) == (lo, hi) else -1)
-            cycles.append(tuple((m, s) for m, s in sorted(coeffs.items()) if s))
-        return tuple(cycles)
-
-    @cached_property
-    def edge_cycle_incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """For each edge position in the set, the (cycle index, sign) pairs."""
-        inc: dict[int, list[tuple[int, int]]] = {
-            pos: [] for pos in range(len(self.oriented_edges))
-        }
-        for ci, cycle in enumerate(self.fundamental_cycles):
-            for pos, sign in cycle:
-                inc[pos].append((ci, sign))
-        return tuple(tuple(inc[pos]) for pos in range(len(self.oriented_edges)))
-
-    def coboundary(self, group, coloring) -> tuple[int, ...]:
-        """Edge differences X_j - X_i (element indices) for a coloring."""
-        return tuple(
-            group.sub(coloring[j], coloring[i]) for i, j in self.oriented_edges
-        )
-
-    def image_size(self, group) -> int:
-        return group.order ** (self.edge_set.v - len(self.roots))
-
-
-def gamma_bruteforce(
-    edge_set: EdgeSet, allowed: AllowedSet, budget: int = DEFAULT_BUDGET
+def _count_colorings(
+    edge_set: EdgeSet, allowed: AllowedSet, free, budget: int, message: str
 ) -> Fraction:
-    """Count all f^v colorings directly. The defining formula, and the
-    oracle the other methods are checked against."""
+    # share of the colorings of the free vertices, every other vertex fixed
+    # to the identity, with every edge difference allowed
     group = allowed.group
     f = group.order
-    v = edge_set.v
-    if f**v > budget:
-        raise BudgetExceededError(
-            "vertex enumeration too large; use gamma_cyclespace", f**v, budget
-        )
-    edges = edge_set.edges()
-    contains = allowed.contains_index
-    sub = group.sub
-    count = 0
-    for coloring in product(range(f), repeat=v):
-        if all(contains(sub(coloring[j], coloring[i])) for i, j in edges):
-            count += 1
-    return Fraction(count, f**v)
-
-
-def gamma_cyclespace(
-    edge_set: EdgeSet, allowed: AllowedSet, budget: int = DEFAULT_BUDGET
-) -> Fraction:
-    """Enumerate the coboundary image only: fix one root color per component
-    and sweep the remaining f^(v - c) colorings."""
-    group = allowed.group
-    f = group.order
-    ctx = CoboundaryContext(edge_set)
-    free = [u for u in range(edge_set.v) if u not in ctx.roots]
-    if f ** len(free) > budget:
-        raise BudgetExceededError("coboundary image too large", f ** len(free), budget)
+    total = f ** len(free)
+    if total > budget:
+        raise BudgetExceededError(message, total, budget)
     edges = edge_set.edges()
     contains = allowed.contains_index
     sub = group.sub
@@ -211,7 +76,31 @@ def gamma_cyclespace(
             coloring[u] = assignment[slot]
         if all(contains(sub(coloring[j], coloring[i])) for i, j in edges):
             count += 1
-    return Fraction(count, f ** len(free))
+    return Fraction(count, total)
+
+
+def gamma_bruteforce(
+    edge_set: EdgeSet, allowed: AllowedSet, budget: int = DEFAULT_BUDGET
+) -> Fraction:
+    """Count all f^v colorings directly. The defining formula, and the
+    oracle the other methods are checked against."""
+    return _count_colorings(
+        edge_set,
+        allowed,
+        range(edge_set.v),
+        budget,
+        "vertex enumeration too large; use gamma_cyclespace",
+    )
+
+
+def gamma_cyclespace(
+    edge_set: EdgeSet, allowed: AllowedSet, budget: int = DEFAULT_BUDGET
+) -> Fraction:
+    """Enumerate the coboundary image only: fix one root color per component
+    and sweep the remaining f^(v - c) colorings."""
+    roots, _ = cycle_basis(edge_set)
+    free = [u for u in range(edge_set.v) if u not in roots]
+    return _count_colorings(edge_set, allowed, free, budget, "coboundary image too large")
 
 
 def gamma_fourier(
@@ -228,12 +117,16 @@ def gamma_fourier(
     """
     group = allowed.group
     f = group.order
-    ctx = CoboundaryContext(edge_set)
-    m = len(ctx.nontree_edges)
+    _, cycles = cycle_basis(edge_set)
+    m = len(cycles)
     if f**m > budget:
         raise BudgetExceededError("dual cycle space too large", f**m, budget)
     char_sums = [character_sum(allowed, p) for p in range(f)]
-    incidence = ctx.edge_cycle_incidence
+    # for each edge position, the (cycle index, sign) pairs through it
+    incidence: list[list[tuple[int, int]]] = [[] for _ in range(edge_set.edge_count)]
+    for ci, cycle in enumerate(cycles):
+        for pos, sign in cycle:
+            incidence[pos].append((ci, sign))
     add = group.add
     neg = group.neg
     total = 0j

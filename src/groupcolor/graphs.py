@@ -109,85 +109,115 @@ class EdgeSet:
         return f"EdgeSet({self.to_text()})"
 
 
-def components(edge_set: EdgeSet) -> int:
-    """Number of connected components, isolated vertices included."""
-    adj = edge_set.adjacency
-    seen = [False] * edge_set.v
-    count = 0
-    for start in range(edge_set.v):
-        if seen[start]:
+@lru_cache(maxsize=None)
+def _incident(v: int) -> tuple[int, ...]:
+    # per vertex, the mask of the vertex pairs that touch it
+    masks = [0] * v
+    for n, (a, b) in enumerate(vertex_pairs(v)):
+        masks[a] |= 1 << n
+        masks[b] |= 1 << n
+    return tuple(masks)
+
+
+def _spanning_forest(v: int, bits: int) -> tuple[list[int], int]:
+    """One DFS over the edge bitmask: for each vertex the edge mask of its
+    forest path to its component root (0 exactly at a root, the lowest
+    vertex of its component), and the mask of the forest edges."""
+    pairs = vertex_pairs(v)
+    incident = _incident(v)
+    path: list[int] = [-1] * v
+    tree = 0
+    for root in range(v):
+        if path[root] >= 0:
             continue
-        count += 1
-        stack = [start]
-        seen[start] = True
+        path[root] = 0
+        stack = [root]
         while stack:
             u = stack.pop()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
+            out = incident[u] & bits & ~tree
+            while out:
+                low = out & -out
+                out ^= low
+                a, b = pairs[low.bit_length() - 1]
+                w = b if a == u else a
+                if path[w] < 0:
+                    path[w] = path[u] | low
+                    tree |= low
                     stack.append(w)
-    return count
+    return path, tree
 
 
-def _connected_avoiding(edge_set: EdgeSet, src: int, dst: int, skip: int) -> bool:
-    # is dst reachable from src without using edge index `skip`?
-    pairs = vertex_pairs(edge_set.v)
-    adj: list[list[int]] = [[] for _ in range(edge_set.v)]
-    for n in range(len(pairs)):
-        if n != skip and (edge_set.bits >> n) & 1:
-            a, b = pairs[n]
-            adj[a].append(b)
-            adj[b].append(a)
-    seen = [False] * edge_set.v
-    seen[src] = True
-    stack = [src]
-    while stack:
-        u = stack.pop()
-        if u == dst:
-            return True
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return False
+def components(edge_set: EdgeSet) -> int:
+    """Number of connected components, isolated vertices included."""
+    path, _ = _spanning_forest(edge_set.v, edge_set.bits)
+    return path.count(0)
 
 
 def is_isthmus_free(edge_set: EdgeSet) -> bool:
-    """True iff removing any single edge keeps the component count, i.e.
-    every edge lies on a cycle."""
+    """True iff every edge lies on a cycle: the fundamental cycles of a
+    spanning forest cover the edge set."""
+    path, tree = _spanning_forest(edge_set.v, edge_set.bits)
     pairs = vertex_pairs(edge_set.v)
-    for n in range(len(pairs)):
-        if (edge_set.bits >> n) & 1:
-            a, b = pairs[n]
-            if not _connected_avoiding(edge_set, a, b, n):
-                return False
-    return True
+    covered = rest = edge_set.bits & ~tree
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a, b = pairs[low.bit_length() - 1]
+        covered |= path[a] ^ path[b]
+    return covered == edge_set.bits
+
+
+def cycle_basis(
+    edge_set: EdgeSet,
+) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """Component roots and the fundamental cycles of a spanning forest.
+
+    Each cycle belongs to one non-tree edge (a, b), a < b, and is the closed
+    walk a -> b along it, then back to a along the forest. It is listed as
+    ((position in edges(), sign), ...) in position order, with sign +1 where
+    the walk runs from the lower to the higher end of the edge; the signed
+    sums at every vertex cancel, so the cycles span the cycle space.
+    """
+    v, bits = edge_set.v, edge_set.bits
+    path, tree = _spanning_forest(v, bits)
+    pairs = vertex_pairs(v)
+    indices = [n for n in range(len(pairs)) if (bits >> n) & 1]
+    cycles = []
+    for n in indices:
+        if (tree >> n) & 1:
+            continue
+        a, b = pairs[n]
+        back = path[a] ^ path[b]
+        cycle = []
+        for pos, m in enumerate(indices):
+            edge = 1 << m
+            if m == n:
+                cycle.append((pos, 1))
+            elif back & edge:
+                # the walk climbs from b and descends to a; it climbs an
+                # edge from its child end, the end whose path holds it
+                sign = 1 if path[pairs[m][0]] & edge else -1
+                cycle.append((pos, -sign if path[a] & edge else sign))
+        cycles.append(tuple(cycle))
+    roots = tuple(u for u in range(v) if not path[u])
+    return roots, tuple(cycles)
 
 
 def girth(edge_set: EdgeSet):
     """Length of the shortest cycle; math.inf for forests."""
-    pairs = vertex_pairs(edge_set.v)
+    adj = edge_set.adjacency
     best = math.inf
-    for n in range(len(pairs)):
-        if not (edge_set.bits >> n) & 1:
-            continue
-        a, b = pairs[n]
+    for a, b in edge_set.edges():
         # BFS distance a -> b avoiding the edge itself
         dist = {a: 0}
         frontier = [a]
         while frontier and b not in dist:
             nxt = []
             for u in frontier:
-                for m in range(len(pairs)):
-                    if m == n or not (edge_set.bits >> m) & 1:
-                        continue
-                    x, y = pairs[m]
-                    if x == u and y not in dist:
-                        dist[y] = dist[u] + 1
-                        nxt.append(y)
-                    elif y == u and x not in dist:
-                        dist[x] = dist[u] + 1
-                        nxt.append(x)
+                for w in adj[u]:
+                    if w not in dist and (u, w) != (a, b):
+                        dist[w] = dist[u] + 1
+                        nxt.append(w)
             frontier = nxt
         if b in dist:
             best = min(best, dist[b] + 1)

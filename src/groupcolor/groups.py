@@ -125,10 +125,9 @@ class FiniteAbelianGroup:
         if isinstance(spec, int):
             return GroupElement(self, self.residues_of(spec))
         if isinstance(spec, (tuple, list)):
-            residues = tuple(r % n for r, n in zip(spec, self.cyclic_orders))
-            if len(residues) != len(self.cyclic_orders):
+            if len(spec) != len(self.cyclic_orders):
                 raise ValueError("residue tuple has wrong length for this group")
-            return GroupElement(self, residues)
+            return GroupElement(self, tuple(r % n for r, n in zip(spec, self.cyclic_orders)))
         raise TypeError(f"cannot interpret {spec!r} as a group element")
 
     def elements(self):

@@ -71,6 +71,9 @@ def test_allowed_spec_rejects():
         parse_allowed_spec("prime:3", g5)
     with pytest.raises(ValueError):
         parse_allowed_spec("set:{1,2}", g5)  # not symmetric
+    # a residue tuple longer than the group's factor list is rejected, not cut
+    argv = ["gamma", "--v", "3", "--group", "Z2^3", "--allowed", "set:{(1,0,0,1)}"]
+    assert main(argv) == 2
 
 
 def test_allowed_spec_canonical_render():
@@ -161,6 +164,17 @@ def test_cmd_matrix_budget_exceeded(capsys):
     assert time.perf_counter() - start < 30
     assert main(["matrix", "--v", "4", "--which", "zeta", "--budget", "224"]) == 3
     assert main(["matrix", "--v", "4", "--which", "zeta", "--budget", "225"]) == 0
+    capsys.readouterr()
+
+
+def test_cmd_chromatic_budget_exceeded(capsys):
+    # 4^|E| summed over P_6 is 29,400,885,761 chains, over the default budget
+    start = time.perf_counter()
+    assert main(["chromatic", "--v", "6"]) == 3
+    assert time.perf_counter() - start < 30
+    # over P_4: 1 + 4 * 4^3 + 3 * 4^4 + 6 * 4^5 + 4^6 = 11,265
+    assert main(["chromatic", "--v", "4", "--budget", "11264"]) == 3
+    assert main(["chromatic", "--v", "4", "--budget", "11265"]) == 0
     capsys.readouterr()
 
 

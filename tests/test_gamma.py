@@ -13,7 +13,6 @@ import pytest
 
 from groupcolor.gamma import (
     BudgetExceededError,
-    CoboundaryContext,
     apply_transfer,
     chromatic_via_transfer,
     gamma_bruteforce,
@@ -28,7 +27,7 @@ from groupcolor.gamma import (
     triangle_gamma_from_pairs,
     verify_reciprocity,
 )
-from groupcolor.graphs import EdgeSet, chromatic_oracle
+from groupcolor.graphs import EdgeSet, chromatic_oracle, components, cycle_basis
 from groupcolor.groups import (
     AllowedSet,
     allowed_complement_identity,
@@ -115,12 +114,27 @@ def test_fourier_c4_proper_three_colorings(c4_v4):
         ([5], lambda g: allowed_interval(g, 1)),
         ([2, 2, 2], lambda g: AllowedSet(g, allowed_hamming(3, 1).mask)),
         ([6], lambda g: allowed_explicit(g, [0, 3])),
+        # here the Fourier sum on P_4 depends on the signs of the cycles
+        ([7], lambda g: allowed_explicit(g, [1, 2, 5, 6])),
     ],
 )
 def test_methods_agree_on_p4(p4, orders, build):
+    # brute and cycle share one coloring loop, so the reference count is
+    # written out here on residue tuples
     allowed = build(make_group(orders))
+    colors = list(product(*[range(n) for n in orders]))
+    inside = _residue_set(allowed)
+
+    def diff(a, b):
+        return tuple((x - y) % n for x, y, n in zip(a, b, orders))
+
     for member in p4.members:
-        exact = gamma_bruteforce(member, allowed)
+        count = sum(
+            all(diff(c[j], c[i]) in inside for i, j in member.edges())
+            for c in product(colors, repeat=member.v)
+        )
+        exact = Fraction(count, len(colors) ** member.v)
+        assert gamma_bruteforce(member, allowed) == exact
         assert gamma_cyclespace(member, allowed) == exact
         assert gamma_fourier(member, allowed) == pytest.approx(float(exact), abs=1e-9)
 
@@ -139,15 +153,14 @@ def test_orientation_flip_gives_same_probability(k3_v3, c4_v4):
 
 
 # ---------------------------------------------------------------------------
-# coboundary context and kernel enumeration
+# cycle basis and kernel enumeration
 
 
 def test_cycle_count_matches_nullity(p4):
     for member in p4.members:
-        ctx = CoboundaryContext(member)
-        from groupcolor.graphs import components
-
-        assert len(ctx.nontree_edges) == member.edge_count - member.v + components(member)
+        roots, cycles = cycle_basis(member)
+        assert len(roots) == components(member)
+        assert len(cycles) == member.edge_count - member.v + components(member)
 
 
 def test_fundamental_cycles_have_zero_boundary(p4):
@@ -156,23 +169,21 @@ def test_fundamental_cycles_have_zero_boundary(p4):
     for member in p4.members:
         if member.edge_count == 0:
             continue
-        ctx = CoboundaryContext(member)
-        m = len(ctx.nontree_edges)
+        edges = member.edges()
+        _, cycles = cycle_basis(member)
+        m = len(cycles)
         kernel = set()
         for assignment in product(range(f), repeat=m):
-            p_vec = []
-            for inc in ctx.edge_cycle_incidence:
-                val = 0
-                for ci, sign in inc:
-                    g = assignment[ci]
-                    val = group.add(val, g if sign > 0 else group.neg(g))
-                p_vec.append(val)
+            p_vec = [0] * len(edges)
+            for g, cycle in zip(assignment, cycles):
+                for pos, sign in cycle:
+                    p_vec[pos] = group.add(p_vec[pos], g if sign > 0 else group.neg(g))
             p_vec = tuple(p_vec)
             kernel.add(p_vec)
             # boundary at each vertex: sum of incoming minus outgoing labels
             for u in range(member.v):
                 acc = 0
-                for pos, (i, j) in enumerate(ctx.oriented_edges):
+                for pos, (i, j) in enumerate(edges):
                     if j == u:
                         acc = group.add(acc, p_vec[pos])
                     if i == u:
@@ -181,14 +192,17 @@ def test_fundamental_cycles_have_zero_boundary(p4):
         assert len(kernel) == f**m
 
 
-def test_coboundary_image_size(c4_v4):
+def test_coboundary_image_size(p4):
+    # the coboundary of X assigns X_j - X_i to each edge (i, j), i < j; its
+    # image has one element per coloring with every root fixed
     group = make_group([3])
-    ctx = CoboundaryContext(c4_v4)
-    images = {
-        ctx.coboundary(group, coloring)
-        for coloring in product(range(group.order), repeat=c4_v4.v)
-    }
-    assert len(images) == group.order ** (c4_v4.v - 1) == ctx.image_size(group)
+    for member in p4.members:
+        roots, _ = cycle_basis(member)
+        images = {
+            tuple(group.sub(coloring[j], coloring[i]) for i, j in member.edges())
+            for coloring in product(range(group.order), repeat=member.v)
+        }
+        assert len(images) == group.order ** (member.v - len(roots))
 
 
 def test_budget_errors(k4_v4):
@@ -382,8 +396,6 @@ def test_probability_bounds_and_forest_bound(p4):
     ):
         vec = gamma_vector(p4, allowed)
         beta = allowed.alpha
-        from groupcolor.graphs import components
-
         for i, member in enumerate(p4.members):
             assert 0 <= vec.values[i] <= 1
             assert vec.values[i] <= beta ** (member.v - components(member))

@@ -84,6 +84,7 @@ def test_poset_counts(p3, p4):
     assert len(p3) == 2
     assert len(p4) == 15
     assert len(enumerate_poset(2)) == 1
+    assert len(enumerate_poset(6)) == 13667
     assert p3.members[0].bits == 0
     assert p4.members[0].bits == 0
 
@@ -218,7 +219,7 @@ def test_poset_json_shape(p4):
     )
 
 
-@given(st.integers(min_value=2, max_value=5), st.data())
+@given(st.integers(min_value=2, max_value=6), st.data())
 @settings(max_examples=80, deadline=None)
 def test_bridge_detection_matches_networkx(v, data):
     bits = data.draw(st.integers(min_value=0, max_value=(1 << comb(v, 2)) - 1))

@@ -89,6 +89,14 @@ def test_element_arithmetic():
     assert (-g.element(0)).residues == (0,)
 
 
+def test_element_rejects_wrong_tuple_length():
+    g = make_group([2, 2, 2])
+    assert g.element((1, 0, 1)).index == 5
+    for spec in ((1, 0, 0, 1), (1, 0), []):
+        with pytest.raises(ValueError):
+            g.element(spec)
+
+
 def test_allowed_interval_examples():
     g5 = make_group([5])
     a = allowed_interval(g5, 1)
