@@ -638,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="check the reciprocity identity exactly")
     p.add_argument("--v", type=int, required=True)
-    p.add_argument("--method", choices=["brute", "cycle"], default="cycle")
+    p.add_argument("--method", choices=["auto", "brute", "cycle"], default="auto")
     _add_common(p, group_args=True)
     p.set_defaults(func=cmd_verify)
 

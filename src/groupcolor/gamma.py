@@ -1,6 +1,7 @@
 """Coloring probability vectors over the bridgeless subgraph poset, computed
-by three independent routes, plus the reciprocity identity, its transfer
-form, girth-order main terms, and the chromatic specialization.
+in one histogram pass or by three independent per-member routes, plus the
+reciprocity identity, its transfer form, girth-order main terms, and the
+chromatic specialization.
 
 For an edge set E and a symmetric allowed set A, the E coordinate is the
 probability that a uniformly random coloring of the vertices has every edge
@@ -13,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
+from numbers import Rational
 
 from .graphs import (
     EdgeSet,
@@ -24,9 +26,16 @@ from .graphs import (
     down_sets_of,
     girth,
     is_isthmus_free,
+    vertex_pairs,
 )
 from .groups import AllowedSet, character_sum
-from .posetlin import RationalPoly, mobius_recursion, mobius_table, transfer_at
+from .posetlin import (
+    RationalPoly,
+    mobius_recursion,
+    mobius_steps,
+    mobius_table,
+    transfer_at,
+)
 
 DEFAULT_BUDGET = 10**8
 FOURIER_TOL = 1e-9
@@ -155,40 +164,104 @@ METHODS = {
 }
 
 
+def _superset_sums(hist: list[int], bits: int) -> None:
+    # in place: hist[M] becomes the sum of hist[N] over every N containing
+    # M, one pass per bit (Yates' fast zeta transform)
+    for k in range(bits):
+        step = 1 << k
+        for block in range(0, len(hist), 2 * step):
+            for m in range(block, block + step):
+                hist[m] += hist[m + step]
+
+
+def _difference_histogram(v: int, allowed: AllowedSet, budget: int) -> list[int]:
+    # hist[M]: colorings of vertices 1..v-1, vertex 0 fixed to the
+    # identity, whose allowed-difference pairs are exactly the mask M
+    group = allowed.group
+    f = group.order
+    total = f ** (v - 1)
+    if total > budget:
+        raise BudgetExceededError("coloring histogram too large", total, budget)
+    sub = group.sub
+    contains = allowed.contains_index
+    ok = [[contains(sub(b, a)) for b in range(f)] for a in range(f)]
+    pairs = [(1 << n, i, j) for n, (i, j) in enumerate(vertex_pairs(v))]
+    hist = [0] * (1 << len(pairs))
+    for rest in product(range(f), repeat=v - 1):
+        coloring = (0, *rest)
+        mask = 0
+        for bit, i, j in pairs:
+            if ok[coloring[i]][coloring[j]]:
+                mask |= bit
+        hist[mask] += 1
+    return hist
+
+
 def gamma_vector(
     poset: SubgraphPoset,
     allowed: AllowedSet,
     method: str = "auto",
     budget: int = DEFAULT_BUDGET,
 ) -> GammaVector:
-    """Apply one per-coordinate method to every poset member.
+    """The vector of coordinates over the poset.
 
-    "auto" picks the cycle-space enumeration, which is never more work
-    than the vertex brute force.
+    "auto" gets every coordinate from one sweep of f^(v - 1) colorings.
+    Gamma is translation-invariant, so vertex 0 is fixed. Each coloring adds
+    one to the histogram entry of its allowed-difference mask over the
+    vertex pairs; the superset sum at E then counts the colorings with every
+    edge of E allowed. That transform is the fast zeta transform of Yates
+    (1937) and of Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets
+    Mobius" (STOC 2007, arXiv:cs/0611101). The result is tagged
+    "histogram". A name from METHODS applies that per-member method to
+    every member instead.
     """
-    name = "cycle" if method == "auto" else method
+    if method == "auto":
+        v = poset.v
+        hist = _difference_histogram(v, allowed, budget)
+        _superset_sums(hist, comb(v, 2))
+        total = allowed.group.order ** (v - 1)
+        values = tuple(Fraction(hist[member.bits], total) for member in poset.members)
+        return GammaVector(poset, values, "histogram")
     try:
-        fn = METHODS[name]
+        fn = METHODS[method]
     except KeyError:
-        raise ValueError(f"unknown method {method!r}; want brute, cycle, or fourier")
+        raise ValueError(f"unknown method {method!r}; want auto, brute, cycle, or fourier")
     values = tuple(fn(member, allowed, budget) for member in poset.members)
-    return GammaVector(poset, values, name)
+    return GammaVector(poset, values, method)
 
 
 def gamma_plus(gamma: GammaVector, alpha: Fraction) -> GammaVector:
     """Mobius-invert the weighted zeta expansion: the inverse weighted zeta
-    at alpha applied to the vector, exactly."""
+    at alpha applied to the vector, exactly.
+
+    With alpha = p/q and every value n_E / L over one common denominator L,
+    row H is the integer sum of mu(E, H) p^(|H| - |E|) q^|E| n_E over
+    L q^|H|, so only one Fraction is built per coordinate.
+    """
+    for x in gamma.values:
+        if not isinstance(x, Rational):
+            raise TypeError(f"gamma_plus needs exact rational values, got {x!r}")
     poset = gamma.poset
     table = mobius_table(poset)
     sizes = poset.sizes
     alpha = Fraction(alpha)
+    p, q = alpha.numerator, alpha.denominator
+    top = max(sizes)
+    p_pow = [p**k for k in range(top + 1)]
+    q_pow = [q**k for k in range(top + 1)]
+    common = lcm(*(x.denominator for x in gamma.values))
+    weights = [
+        x.numerator * (common // x.denominator) * q_pow[size]
+        for x, size in zip(gamma.values, sizes)
+    ]
     values = []
-    for h in range(len(poset)):
-        acc = Fraction(0)
-        for e, mu in table[h].items():
+    for h, row in enumerate(table):
+        size_h = sizes[h]
+        acc = 0
+        for e, mu in row.items():
             if mu:
-                acc += mu * alpha ** (sizes[h] - sizes[e]) * gamma.values[e]
-        values.append(acc)
+                acc += mu * p_pow[size_h - sizes[e]] * weights[e]
+        values.append(Fraction(acc, common * q_pow[size_h]))
     return GammaVector(poset, tuple(values), gamma.method + "+mobius")
 
 
@@ -243,8 +316,17 @@ def verify_reciprocity(
     """Check that Mobius inversion at alpha of the allowed vector equals the
     parity-signed Mobius inversion at 1 - alpha of the complement vector.
 
-    Exact rational comparison; a mismatch is reported, never raised.
+    Exact rational comparison; a mismatch is reported, never raised. The
+    Fourier method is refused because its values are floats, and the Mobius
+    recursion's step count is checked against budget before any work.
     """
+    if method == "fourier":
+        raise ValueError("reciprocity needs exact values; the fourier method is floating point")
+    steps = mobius_steps(poset.down_sets)
+    if steps > budget:
+        raise BudgetExceededError(
+            f"Mobius recursion over {len(poset)} poset members", steps, budget
+        )
     g_a = gamma_vector(poset, allowed, method, budget)
     g_bar = gamma_vector(poset, allowed.complement(), method, budget)
     plus_a = gamma_plus(g_a, allowed.alpha)

@@ -277,6 +277,13 @@ def mobius_recursion(down_sets: Sequence[Sequence[int]]) -> tuple[dict[int, int]
     return tuple(table)
 
 
+def mobius_steps(down_sets: Sequence[Sequence[int]]) -> int:
+    """The row entries mobius_recursion walks on these down-sets, known
+    before it runs: over each H and each G < H, one per member below G."""
+    sizes = [len(down) for down in down_sets]
+    return sum(sizes[g] for down in down_sets for g in down[:-1])
+
+
 @lru_cache(maxsize=None)
 def mobius_table(poset: "SubgraphPoset") -> tuple[dict[int, int], ...]:
     """mu(E, H) for every pair E <= H of the whole poset, one dict per H."""

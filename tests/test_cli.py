@@ -188,6 +188,7 @@ GOLDEN_STDOUT = {
     "poset --v 4 --format tsv": "5575f2d8780fbe9cdd10d781aa5eae27bda8389e95e425577a8e6a4813d70a04",
     "chromatic --v 5": "eedfe0874b95720db72ec0c554ca8544c68d905963a8b2efe79c5ba40b299a3c",
     "examples --which all": "39c10a7fffd69886a24167f486f72b0812eed1013f167d04d850272f14255598",
+    "verify --v 4 --group Z2^3 --allowed hamming:1 --format tsv": "f891e755040c9ad7ae835f743fb2a442536ab5bc0abd3ac1e2a9c95a0f5005cb",
 }
 
 
@@ -252,6 +253,21 @@ def test_cmd_verify_cases(capsys):
         assert code == 0
         assert data["ok"] is True
         assert data["summary"].startswith("PASS")
+
+
+def test_cmd_verify_methods_print_the_same(capsys):
+    args = ["verify", "--v", "4", "--group", "Z7", "--allowed", "interval:1"]
+    outputs = {_run(capsys, args + ["--method", m]) for m in ("auto", "brute", "cycle")}
+    assert outputs == {_run(capsys, args)}
+
+
+def test_cmd_verify_budget_exceeded(capsys):
+    # the Mobius recursion on P_6 takes 38,085,928 steps
+    start = time.perf_counter()
+    args = ["verify", "--v", "6", "--group", "Z7", "--allowed", "interval:1"]
+    assert main(args + ["--budget", "1000000"]) == 3
+    assert time.perf_counter() - start < 30
+    capsys.readouterr()
 
 
 def test_cmd_verify_failure_exit_code(capsys, monkeypatch):

@@ -6,6 +6,7 @@ enumeration oracle (_triangle_value) or by hand from the closed forms; the
 oracle shares no code with the library paths it checks.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,7 @@ import pytest
 
 from groupcolor.gamma import (
     BudgetExceededError,
+    GammaVector,
     apply_transfer,
     chromatic_via_transfer,
     gamma_bruteforce,
@@ -27,7 +29,7 @@ from groupcolor.gamma import (
     triangle_gamma_from_pairs,
     verify_reciprocity,
 )
-from groupcolor.graphs import EdgeSet, chromatic_oracle, components, cycle_basis
+from groupcolor.graphs import EdgeSet, chromatic_oracle, components, cycle_basis, enumerate_poset
 from groupcolor.groups import (
     AllowedSet,
     allowed_complement_identity,
@@ -36,7 +38,7 @@ from groupcolor.groups import (
     allowed_interval,
     make_group,
 )
-from groupcolor.posetlin import weighted_zeta_at
+from groupcolor.posetlin import mobius_steps, mobius_table, weighted_zeta_at
 
 
 def _triangle_value(orders, allowed_residues) -> Fraction:
@@ -238,16 +240,103 @@ def test_gamma_vector_interval_z5(p3, k3_v3):
     assert vec_bar.values == (Fraction(1), Fraction(7, 25))
     vec = gamma_vector(p3, allowed)
     assert vec.values == (Fraction(1), Fraction(0))
-    assert vec.method == "cycle"
+    assert vec.method == "histogram"
     assert vec.value_at(k3_v3) == 0
 
 
 def test_gamma_vector_methods_and_errors(p3):
     allowed = allowed_interval(make_group([5]), 1)
     assert gamma_vector(p3, allowed, "brute").method == "brute"
-    assert gamma_vector(p3, allowed, "auto").method == "cycle"
+    assert gamma_vector(p3, allowed, "auto").method == "histogram"
     with pytest.raises(ValueError, match="unknown method"):
         gamma_vector(p3, allowed, "newton")
+
+
+# the three group-law modes, each with the empty set, the full group and
+# one symmetric set of size 4
+HISTOGRAM_GROUPS = {
+    "Z7": ([7], [1, 2, 5, 6]),
+    "Z2^3": ([2, 2, 2], [1, 2, 4, 7]),
+    "Z2xZ4": ([2, 4], [(0, 1), (0, 3), (1, 0), (1, 2)]),
+}
+
+
+def _histogram_sets(name):
+    orders, members = HISTOGRAM_GROUPS[name]
+    group = make_group(orders)
+    return (
+        AllowedSet(group, 0),
+        AllowedSet(group, (1 << group.order) - 1),
+        allowed_explicit(group, members),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(HISTOGRAM_GROUPS))
+def test_histogram_matches_per_member_methods(p3, p4, p5, name):
+    nothing, everything, allowed = _histogram_sets(name)
+    for poset in (p3, p4):
+        for a in (nothing, everything, allowed):
+            auto = gamma_vector(poset, a)
+            assert auto.values == gamma_vector(poset, a, "cycle").values
+            assert auto.values == gamma_vector(poset, a, "brute").values
+    assert gamma_vector(p5, nothing).values == (1,) + (0,) * (len(p5) - 1)
+    assert gamma_vector(p5, everything).values == (1,) * len(p5)
+    auto = gamma_vector(p5, allowed)
+    assert auto.values == gamma_vector(p5, allowed, "cycle").values
+    for i in random.Random(5).sample(range(len(p5)), 8):
+        assert auto.values[i] == gamma_bruteforce(p5.members[i], allowed)
+
+
+def test_histogram_budget(p4):
+    allowed = allowed_interval(make_group([7]), 1)
+    with pytest.raises(BudgetExceededError, match="histogram"):
+        gamma_vector(p4, allowed, budget=7**3 - 1)
+    assert gamma_vector(p4, allowed, budget=7**3).method == "histogram"
+
+
+def _gamma_plus_oracle(gamma, alpha):
+    # the Fraction loop that gamma_plus replaced
+    poset = gamma.poset
+    sizes = poset.sizes
+    out = []
+    for h, row in enumerate(mobius_table(poset)):
+        acc = Fraction(0)
+        for e, mu in row.items():
+            if mu:
+                acc += mu * alpha ** (sizes[h] - sizes[e]) * gamma.values[e]
+        out.append(acc)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 3), Fraction(1)])
+def test_gamma_plus_matches_fraction_loop(p4, p5, alpha):
+    allowed = allowed_interval(make_group([7]), 1)
+    for poset in (p4, p5):
+        for a in (allowed, allowed.complement()):
+            vec = gamma_vector(poset, a)
+            assert gamma_plus(vec, alpha).values == _gamma_plus_oracle(vec, alpha)
+    # values over unlike denominators, and plain ints
+    mixed = GammaVector(p4, tuple(Fraction(1, k + 1) for k in range(len(p4))), "test")
+    assert gamma_plus(mixed, alpha).values == _gamma_plus_oracle(mixed, alpha)
+    ints = GammaVector(p4, (1,) * len(p4), "test")
+    assert gamma_plus(ints, alpha).values == _gamma_plus_oracle(ints, alpha)
+
+
+def test_exact_input_guards(p3):
+    allowed = allowed_interval(make_group([5]), 1)
+    with pytest.raises(ValueError, match="fourier"):
+        verify_reciprocity(p3, allowed, "fourier")
+    with pytest.raises(TypeError, match="rational"):
+        gamma_plus(gamma_vector(p3, allowed, "fourier"), allowed.alpha)
+
+
+def test_reciprocity_mobius_budget(p5):
+    # 30,297 inner steps of the Mobius recursion on P_5
+    allowed = allowed_interval(make_group([7]), 1)
+    assert mobius_steps(p5.down_sets) == 30297
+    with pytest.raises(BudgetExceededError, match="Mobius"):
+        verify_reciprocity(p5, allowed, budget=30296)
+    assert verify_reciprocity(p5, allowed, budget=30297).ok
 
 
 def test_gamma_plus_full_group_is_indicator(p4):
@@ -290,6 +379,33 @@ def test_reciprocity_holds_exactly(p3, p4, v, orders, build):
     assert report.ok
     assert report.failing_indices() == ()
     assert len(report.per_coordinate) == len(poset)
+
+
+@pytest.fixture(scope="module")
+def p6():
+    return enumerate_poset(6)
+
+
+V6_SETS = {
+    "Z7 interval:1": lambda: allowed_interval(make_group([7]), 1),
+    "Z2^3 hamming:1": lambda: allowed_hamming(3, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(V6_SETS))
+def test_histogram_matches_cyclespace_on_p6_sample(p6, name):
+    allowed = V6_SETS[name]()
+    auto = gamma_vector(p6, allowed)
+    for i in random.Random(6).sample(range(len(p6)), 10):
+        assert auto.values[i] == gamma_cyclespace(p6.members[i], allowed)
+
+
+@pytest.mark.parametrize("name", sorted(V6_SETS))
+def test_reciprocity_holds_exactly_at_v6(p6, name):
+    assert mobius_steps(p6.down_sets) == 38085928
+    report = verify_reciprocity(p6, V6_SETS[name]())
+    assert len(report.lhs) == len(p6) == 13667
+    assert report.ok
 
 
 def test_reciprocity_report_dict(p3):
