@@ -19,6 +19,7 @@ from .gamma import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     METHODS,
+    check_method_budget,
     chromatic_via_transfer,
     gamma_cyclespace,
     hamming_k3_closed_form,
@@ -253,6 +254,7 @@ def cmd_gamma(ns: argparse.Namespace) -> int:
     group = parse_group_spec(ns.group)
     allowed = parse_allowed_spec(ns.allowed, group)
     poset = enumerate_poset(ns.v)
+    check_method_budget(poset.members, allowed, ns.method, ns.budget)
     fn = METHODS[ns.method]
     rows = []
     for member in poset.members:
@@ -315,7 +317,8 @@ def cmd_chromatic(ns: argparse.Namespace) -> int:
         poset = enumerate_poset(ns.v)
         members = list(poset.members)
         v = ns.v
-    # the interval Mobius walk of an edge set E visits at most 4^|E| chains S <= T <= U <= E
+    # 4^|E| counts the chains S <= T <= U <= E; chromatic_via_transfer walks
+    # at most the 3^|E| pairs S <= T <= E, so the sum stays an upper bound
     work = sum(4**member.edge_count for member in members)
     if work > ns.budget:
         raise BudgetExceededError(

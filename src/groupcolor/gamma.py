@@ -29,13 +29,7 @@ from .graphs import (
     vertex_pairs,
 )
 from .groups import AllowedSet, character_sum
-from .posetlin import (
-    RationalPoly,
-    mobius_recursion,
-    mobius_steps,
-    mobius_table,
-    transfer_at,
-)
+from .posetlin import RationalPoly
 
 DEFAULT_BUDGET = 10**8
 FOURIER_TOL = 1e-9
@@ -76,14 +70,13 @@ def _count_colorings(
     if total > budget:
         raise BudgetExceededError(message, total, budget)
     edges = edge_set.edges()
-    contains = allowed.contains_index
-    sub = group.sub
+    ok = allowed.difference_table
     coloring = [0] * edge_set.v
     count = 0
     for assignment in product(range(f), repeat=len(free)):
         for slot, u in enumerate(free):
             coloring[u] = assignment[slot]
-        if all(contains(sub(coloring[j], coloring[i])) for i, j in edges):
+        if all(ok[coloring[i]][coloring[j]] for i, j in edges):
             count += 1
     return Fraction(count, total)
 
@@ -182,9 +175,7 @@ def _difference_histogram(v: int, allowed: AllowedSet, budget: int) -> list[int]
     total = f ** (v - 1)
     if total > budget:
         raise BudgetExceededError("coloring histogram too large", total, budget)
-    sub = group.sub
-    contains = allowed.contains_index
-    ok = [[contains(sub(b, a)) for b in range(f)] for a in range(f)]
+    ok = allowed.difference_table
     pairs = [(1 << n, i, j) for n, (i, j) in enumerate(vertex_pairs(v))]
     hist = [0] * (1 << len(pairs))
     for rest in product(range(f), repeat=v - 1):
@@ -195,6 +186,26 @@ def _difference_histogram(v: int, allowed: AllowedSet, budget: int) -> list[int]
                 mask |= bit
         hist[mask] += 1
     return hist
+
+
+def check_method_budget(members, allowed: AllowedSet, method: str, budget: int) -> None:
+    """Raise BudgetExceededError, before any coloring, when a per-member
+    method's work summed over the members is over budget: f^v colorings per
+    member for brute, f^(v - c) for cycle, and f^(e - v + c) character
+    terms for fourier, with c the member's component count."""
+    f = allowed.group.order
+    if method == "brute":
+        work = sum(f**member.v for member in members)
+    elif method == "cycle":
+        work = sum(f ** (member.v - components(member)) for member in members)
+    elif method == "fourier":
+        work = sum(
+            f ** (member.edge_count - member.v + components(member)) for member in members
+        )
+    else:
+        raise ValueError(f"unknown method {method!r}; want auto, brute, cycle, or fourier")
+    if work > budget:
+        raise BudgetExceededError(f"{method} method over {len(members)} edge sets", work, budget)
 
 
 def gamma_vector(
@@ -213,7 +224,7 @@ def gamma_vector(
     (1937) and of Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets
     Mobius" (STOC 2007, arXiv:cs/0611101). The result is tagged
     "histogram". A name from METHODS applies that per-member method to
-    every member instead.
+    every member instead, after checking its summed work against budget.
     """
     if method == "auto":
         v = poset.v
@@ -222,47 +233,66 @@ def gamma_vector(
         total = allowed.group.order ** (v - 1)
         values = tuple(Fraction(hist[member.bits], total) for member in poset.members)
         return GammaVector(poset, values, "histogram")
-    try:
-        fn = METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}; want auto, brute, cycle, or fourier")
+    check_method_budget(poset.members, allowed, method, budget)
+    fn = METHODS[method]
     values = tuple(fn(member, allowed, budget) for member in poset.members)
     return GammaVector(poset, values, method)
+
+
+# ---------------------------------------------------------------------------
+# Triangular solves. J(r) is unitriangular along the linear extension, so
+# J(r)^-1 x is forward substitution over the down-sets, one step per
+# comparable pair, with no Mobius table. With r = p/q and x = n / L over one
+# common denominator L, the scaled unknowns Y_H = L q^|H| y_H are integers.
+
+
+def _scaled_numerators(gamma: GammaVector, q: int) -> tuple[int, list[int]]:
+    # the common denominator L of the values, and n_H q^|H| per coordinate
+    for x in gamma.values:
+        if not isinstance(x, Rational):
+            raise TypeError(f"exact rational values needed, got {x!r}")
+    common = lcm(*(x.denominator for x in gamma.values))
+    sizes = gamma.poset.sizes
+    return common, [
+        x.numerator * (common // x.denominator) * q**size
+        for x, size in zip(gamma.values, sizes)
+    ]
+
+
+def _solve(poset: SubgraphPoset, rhs: list[int], p: int) -> list[int]:
+    # Y_H = rhs_H - sum over E < H of p^(|H| - |E|) Y_E
+    sizes = poset.sizes
+    p_pow = [p**k for k in range(max(sizes) + 1)]
+    out: list[int] = []
+    for h, down in enumerate(poset.down_sets):
+        size_h = sizes[h]
+        acc = rhs[h]
+        for e in down[:-1]:
+            acc -= p_pow[size_h - sizes[e]] * out[e]
+        out.append(acc)
+    return out
+
+
+def _fractions(poset: SubgraphPoset, numerators: list[int], common: int, q: int) -> tuple:
+    # one Fraction(Y_H, L q^|H|) per coordinate
+    return tuple(Fraction(y, common * q**size) for y, size in zip(numerators, poset.sizes))
 
 
 def gamma_plus(gamma: GammaVector, alpha: Fraction) -> GammaVector:
     """Mobius-invert the weighted zeta expansion: the inverse weighted zeta
     at alpha applied to the vector, exactly.
 
-    With alpha = p/q and every value n_E / L over one common denominator L,
-    row H is the integer sum of mu(E, H) p^(|H| - |E|) q^|E| n_E over
-    L q^|H|, so only one Fraction is built per coordinate.
+    The inverse is applied by forward substitution, not built: with
+    alpha = p/q and every value n_E / L over one common denominator L, the
+    integers Y_H = n_H q^|H| - sum over E < H of p^(|H| - |E|) Y_E give
+    coordinate H as Y_H / (L q^|H|), one Fraction per coordinate.
     """
-    for x in gamma.values:
-        if not isinstance(x, Rational):
-            raise TypeError(f"gamma_plus needs exact rational values, got {x!r}")
-    poset = gamma.poset
-    table = mobius_table(poset)
-    sizes = poset.sizes
     alpha = Fraction(alpha)
     p, q = alpha.numerator, alpha.denominator
-    top = max(sizes)
-    p_pow = [p**k for k in range(top + 1)]
-    q_pow = [q**k for k in range(top + 1)]
-    common = lcm(*(x.denominator for x in gamma.values))
-    weights = [
-        x.numerator * (common // x.denominator) * q_pow[size]
-        for x, size in zip(gamma.values, sizes)
-    ]
-    values = []
-    for h, row in enumerate(table):
-        size_h = sizes[h]
-        acc = 0
-        for e, mu in row.items():
-            if mu:
-                acc += mu * p_pow[size_h - sizes[e]] * weights[e]
-        values.append(Fraction(acc, common * q_pow[size_h]))
-    return GammaVector(poset, tuple(values), gamma.method + "+mobius")
+    common, weights = _scaled_numerators(gamma, q)
+    poset = gamma.poset
+    values = _fractions(poset, _solve(poset, weights, p), common, q)
+    return GammaVector(poset, values, gamma.method + "+mobius")
 
 
 @dataclass(frozen=True)
@@ -317,15 +347,16 @@ def verify_reciprocity(
     parity-signed Mobius inversion at 1 - alpha of the complement vector.
 
     Exact rational comparison; a mismatch is reported, never raised. The
-    Fourier method is refused because its values are floats, and the Mobius
-    recursion's step count is checked against budget before any work.
+    Fourier method is refused because its values are floats. The solves'
+    step count, the comparable pairs of the poset, is checked against
+    budget before any gamma work, and the gamma method checks its own.
     """
     if method == "fourier":
         raise ValueError("reciprocity needs exact values; the fourier method is floating point")
-    steps = mobius_steps(poset.down_sets)
-    if steps > budget:
+    pairs = sum(map(len, poset.down_sets))
+    if pairs > budget:
         raise BudgetExceededError(
-            f"Mobius recursion over {len(poset)} poset members", steps, budget
+            f"triangular solve over {len(poset)} poset members", pairs, budget
         )
     g_a = gamma_vector(poset, allowed, method, budget)
     g_bar = gamma_vector(poset, allowed.complement(), method, budget)
@@ -341,22 +372,50 @@ def apply_transfer(
     poset: SubgraphPoset, alpha_bar: Fraction, gamma_bar: GammaVector
 ) -> GammaVector:
     """Map the complement vector to the allowed vector through the transfer
-    matrix evaluated at the complement density."""
-    values = transfer_at(poset, Fraction(alpha_bar)).apply(gamma_bar.values)
-    return GammaVector(poset, values, "transfer")
+    matrix M(r) = J(1 - r) (-1)^e J(r)^-1 at r = alpha_bar, applied and
+    never built.
+
+    With r = p/q, the solve gives Y = L q^|E| J(r)^-1 x as integers; after
+    the sign, coordinate H of J(1 - r) is the sum over E <= H of
+    (q - p)^(|H| - |E|) (-1)^|E| Y_E over L q^|H|.
+    """
+    r = Fraction(alpha_bar)
+    p, q = r.numerator, r.denominator
+    common, weights = _scaled_numerators(gamma_bar, q)
+    sizes = poset.sizes
+    signed = [
+        -y if size & 1 else y for y, size in zip(_solve(poset, weights, p), sizes)
+    ]
+    up_pow = [(q - p) ** k for k in range(max(sizes) + 1)]
+    images = []
+    for h, down in enumerate(poset.down_sets):
+        size_h = sizes[h]
+        images.append(sum(up_pow[size_h - sizes[e]] * signed[e] for e in down))
+    return GammaVector(poset, _fractions(poset, images, common, q), "transfer")
 
 
 # ---------------------------------------------------------------------------
-# Local interval computations. The transfer row of an edge set E against the
-# empty column only involves bridgeless subsets of E, so these avoid building
-# the full ambient poset.
+# Local computations. The transfer row of an edge set E only involves
+# subsets of E, so these avoid building the full ambient poset.
 
 
-def _interval_mobius(edge_set: EdgeSet) -> tuple[list[int], tuple[dict[int, int], ...]]:
-    # the bridgeless subsets of edge_set in linear-extension order, and the
-    # Mobius function of that interval keyed by position
-    masks = bridgeless_subsets(edge_set.v, edge_set.bits)
-    return masks, mobius_recursion(down_sets_of({m: i for i, m in enumerate(masks)}))
+def _forest_counts(edge_set: EdgeSet) -> list[int]:
+    # counts[k]: the forests of k edges inside edge_set. A depth-first walk
+    # adds edges in increasing position, each only when it joins two
+    # components, so every forest is reached once.
+    edges = edge_set.edges()
+    counts = [0] * (min(edge_set.v - 1, len(edges)) + 1)
+
+    def grow(start: int, label: tuple[int, ...], k: int) -> None:
+        counts[k] += 1
+        for pos in range(start, len(edges)):
+            a, b = edges[pos]
+            keep, drop = label[a], label[b]
+            if keep != drop:
+                grow(pos + 1, tuple(keep if x == drop else x for x in label), k + 1)
+
+    grow(0, tuple(range(edge_set.v)), 0)
+    return counts
 
 
 def main_term(edge_set: EdgeSet, alpha_bar: Fraction) -> Fraction:
@@ -364,19 +423,26 @@ def main_term(edge_set: EdgeSet, alpha_bar: Fraction) -> Fraction:
 
     This is the group-independent approximation of the allowed probability;
     the neglected part has order alpha_bar^(girth - 1).
+
+    The entry is the sum over bridgeless G <= E of
+    (1 - alpha_bar)^(|E| - |G|) (-1)^|G| mu(0, G) alpha_bar^|G|, and it
+    equals the forest sum: the sum over the forests F inside E of
+    (-alpha_bar)^|F|. On a bridgeless G, mu(0, G) is the sum over the forests
+    F <= G of (-1)^(|G| - |F|), because the largest bridgeless subset of an
+    edge set S is empty exactly when S is a forest. Exchanging the sums, the
+    binomial sum over F <= G <= E collapses to (-alpha_bar)^|F|. So with
+    alpha_bar = p/q and n_k forests of k edges, the entry is the sum of
+    n_k (-p)^k q^(|E| - k) over q^|E|.
     """
     if not is_isthmus_free(edge_set):
         raise ValueError("main term is defined on isthmus-free edge sets")
     alpha_bar = Fraction(alpha_bar)
-    members, mu_table = _interval_mobius(edge_set)
+    p, q = alpha_bar.numerator, alpha_bar.denominator
     e_top = edge_set.edge_count
-    acc = Fraction(0)
-    for g_mask, mu_g in zip(members, mu_table):
-        mu = mu_g[0]
-        if mu:
-            eg = g_mask.bit_count()
-            acc += (1 - alpha_bar) ** (e_top - eg) * (-1) ** eg * mu * alpha_bar**eg
-    return acc
+    acc = sum(
+        n_k * (-p) ** k * q ** (e_top - k) for k, n_k in enumerate(_forest_counts(edge_set))
+    )
+    return Fraction(acc, q**e_top)
 
 
 def residual(
@@ -406,8 +472,18 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
     """Chromatic polynomial of an isthmus-free edge set from the transfer
     matrix at r = 1/f applied to the component-count weights f^c.
 
-    All negative powers of f must cancel and every coefficient must be an
-    integer; anything else signals a transfer matrix bug.
+    The interval below E is built once and J(1/f) y = f^c is solved by
+    forward substitution: Y_G = f^|G| y_G satisfies
+    Y_G = f^(|G| + c(G)) - sum over H < G of Y_H, and then
+    f^|E| P(f) = sum over G of (f - 1)^(|E| - |G|) (-1)^|G| Y_G. Each
+    polynomial is held as its value at f = 2^B (Kronecker substitution) and
+    the result is read back as signed base-2^B digits. B = |E| + 2 is wide
+    enough: every coefficient of f^|E| P(f) has magnitude at most 2^|E|,
+    since the coefficients of a chromatic polynomial are bounded by binomial
+    coefficients of |E| (Whitney's broken-circuit theorem).
+
+    The low |E| digits, the negative powers of f, must cancel; anything else
+    signals a transfer bug.
     """
     if not is_isthmus_free(edge_set):
         raise ValueError(
@@ -415,29 +491,35 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
             "use the deletion-contraction oracle instead"
         )
     v = edge_set.v
-    members, mu_table = _interval_mobius(edge_set)
     e_top = edge_set.edge_count
-    comp = {m: components(EdgeSet(v, m)) for m in members}
-    laurent: dict[int, int] = {}
-    for gi, g_mask in enumerate(members):
-        eg = g_mask.bit_count()
-        sign = (-1) ** eg
-        spread = e_top - eg  # (1 - 1/f)^spread
-        for hi, mu in mu_table[gi].items():
-            if not mu:
-                continue
-            h_mask = members[hi]
-            eh = h_mask.bit_count()
-            base = comp[h_mask] - (eg - eh)
-            for i in range(spread + 1):
-                key = base - i
-                laurent[key] = laurent.get(key, 0) + sign * mu * comb(spread, i) * (-1) ** i
-    bad = {k: c for k, c in laurent.items() if c and k < 0}
+    masks = bridgeless_subsets(v, edge_set.bits)
+    width = e_top + 2
+    f = 1 << width
+    spread_pow = [1]  # (f - 1)^k
+    for _ in range(e_top):
+        spread_pow.append(spread_pow[-1] * (f - 1))
+    ys: list[int] = []
+    total = 0
+    for mask, down in zip(masks, down_sets_of({m: i for i, m in enumerate(masks)})):
+        size = mask.bit_count()
+        y = (1 << width * (size + components(EdgeSet(v, mask)))) - sum(
+            ys[h] for h in down[:-1]
+        )
+        ys.append(y)
+        term = spread_pow[e_top - size] * y
+        total += -term if size & 1 else term
+    digits = []
+    half = f >> 1
+    while total:
+        d = total & (f - 1)
+        if d >= half:
+            d -= f
+        digits.append(d)
+        total = (total - d) >> width
+    bad = {k - e_top: c for k, c in enumerate(digits[:e_top]) if c}
     if bad:
         raise ArithmeticError(f"negative powers survive in chromatic specialization: {bad}")
-    top = max((k for k, c in laurent.items() if c), default=0)
-    return RationalPoly.of([laurent.get(k, 0) for k in range(top + 1)])
-
+    return RationalPoly.of(digits[e_top:])
 
 # ---------------------------------------------------------------------------
 # Worked-example closed forms.

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import comb
+from operator import itemgetter
 
 from .posetlin import RationalPoly
 
@@ -270,11 +271,16 @@ def bridgeless_subsets(v: int, bits: int) -> list[int]:
     """Bitmasks of every bridgeless subset of the edge set ``bits`` on v
     vertices, sorted by (edge count, mask): a linear extension of inclusion
     with the empty set first."""
+    incident = _incident(v)
     found = []
     sub = bits
     while True:
-        if is_isthmus_free(EdgeSet(v, sub)):
-            found.append(sub)
+        for m in incident:
+            if (sub & m).bit_count() == 1:
+                break  # a vertex of degree 1 carries a bridge
+        else:
+            if is_isthmus_free(EdgeSet(v, sub)):
+                found.append(sub)
         if sub == 0:
             break
         sub = (sub - 1) & bits
@@ -310,20 +316,24 @@ def enumerate_poset(v: int, cap: int = DEFAULT_POSET_CAP) -> SubgraphPoset:
 
 
 @lru_cache(maxsize=None)
+def _relabelings(v: int) -> tuple[tuple[int, ...], ...]:
+    # one table per vertex permutation: the bit of each edge position's image
+    pairs = vertex_pairs(v)
+    bit = {p: 1 << n for n, p in enumerate(pairs)}
+    return tuple(
+        tuple(bit[(min(perm[a], perm[b]), max(perm[a], perm[b]))] for a, b in pairs)
+        for perm in permutations(range(v))
+    )
+
+
+@lru_cache(maxsize=None)
 def canonical_bits(v: int, bits: int) -> int:
     """Minimum bitmask over all vertex relabelings; class representative."""
-    pairs = vertex_pairs(v)
-    index = {p: n for n, p in enumerate(pairs)}
-    edges = [pairs[n] for n in range(len(pairs)) if (bits >> n) & 1]
-    best = bits
-    for perm in permutations(range(v)):
-        relabeled = 0
-        for a, b in edges:
-            x, y = perm[a], perm[b]
-            relabeled |= 1 << index[(min(x, y), max(x, y))]
-        if relabeled < best:
-            best = relabeled
-    return best
+    positions = [n for n in range(comb(v, 2)) if (bits >> n) & 1]
+    if len(positions) < 2:
+        return min(bits, 1)  # no edge, or one edge relabeled onto (0, 1)
+    # the image bits are distinct, so their sum is their OR
+    return min(map(sum, map(itemgetter(*positions), _relabelings(v))))
 
 
 def _cycle_lengths(edge_set: EdgeSet) -> list[int] | None:

@@ -238,6 +238,16 @@ class AllowedSet:
     def contains_index(self, i: int) -> bool:
         return bool((self.mask >> i) & 1)
 
+    @cached_property
+    def difference_table(self) -> tuple[tuple[bool, ...], ...]:
+        """table[a][b] says whether the difference b - a is allowed: the
+        edge check of a coloring with colors a and b at its ends."""
+        f = self.group.order
+        sub = self.group.sub
+        return tuple(
+            tuple(self.contains_index(sub(b, a)) for b in range(f)) for a in range(f)
+        )
+
     def __contains__(self, item) -> bool:
         if isinstance(item, GroupElement):
             return self.contains_index(item.index)

@@ -7,6 +7,8 @@ passing VARIABLE gives the symbolic matrix, and every matrix is a PolyMatrix
 whose entries live in the ring r came from. The Mobius function has one
 recursion, mobius_recursion, which works on any down-closed family given by
 its down-sets: the whole poset (mobius_table) or one interval below a member.
+Only the explicit matrices need it; the vector paths in gamma apply J(r)^-1
+by forward substitution instead.
 
 Matrix orientation: entry(h, e) multiplies coordinate e and contributes to
 coordinate h, so (M x)_H = sum_E entry(H, E) x_E. With the empty graph
@@ -275,13 +277,6 @@ def mobius_recursion(down_sets: Sequence[Sequence[int]]) -> tuple[dict[int, int]
         mu_h[h] = 1
         table.append(mu_h)
     return tuple(table)
-
-
-def mobius_steps(down_sets: Sequence[Sequence[int]]) -> int:
-    """The row entries mobius_recursion walks on these down-sets, known
-    before it runs: over each H and each G < H, one per member below G."""
-    sizes = [len(down) for down in down_sets]
-    return sum(sizes[g] for down in down_sets for g in down[:-1])
 
 
 @lru_cache(maxsize=None)

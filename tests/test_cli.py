@@ -262,11 +262,30 @@ def test_cmd_verify_methods_print_the_same(capsys):
 
 
 def test_cmd_verify_budget_exceeded(capsys):
-    # the Mobius recursion on P_6 takes 38,085,928 steps
+    # the triangular solves walk the 1,614,537 comparable pairs of P_6
     start = time.perf_counter()
     args = ["verify", "--v", "6", "--group", "Z7", "--allowed", "interval:1"]
     assert main(args + ["--budget", "1000000"]) == 3
     assert time.perf_counter() - start < 30
+    capsys.readouterr()
+
+
+def test_per_member_commands_check_the_whole_command_budget(capsys):
+    # the cycle method sums 7^(6 - c) over the 13,667 members of P_6
+    for argv in (
+        ["verify", "--v", "6", "--group", "Z7", "--allowed", "interval:1", "--method", "cycle"],
+        ["gamma", "--v", "6", "--group", "Z7", "--allowed", "interval:1"],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 30
+    # over P_4 with f = 3: 1 + 4 * 3^2 + 3 * 3^3 + 6 * 3^3 + 3^3 = 307
+    for argv in (
+        ["verify", "--v", "4", "--group", "Z3", "--allowed", "nonzero", "--method", "cycle"],
+        ["gamma", "--v", "4", "--group", "Z3", "--allowed", "nonzero"],
+    ):
+        assert main(argv + ["--budget", "306"]) == 3
+        assert main(argv + ["--budget", "307"]) == 0
     capsys.readouterr()
 
 

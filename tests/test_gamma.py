@@ -29,7 +29,15 @@ from groupcolor.gamma import (
     triangle_gamma_from_pairs,
     verify_reciprocity,
 )
-from groupcolor.graphs import EdgeSet, chromatic_oracle, components, cycle_basis, enumerate_poset
+from groupcolor.graphs import (
+    EdgeSet,
+    bridgeless_subsets,
+    chromatic_oracle,
+    components,
+    cycle_basis,
+    down_sets_of,
+    enumerate_poset,
+)
 from groupcolor.groups import (
     AllowedSet,
     allowed_complement_identity,
@@ -38,7 +46,7 @@ from groupcolor.groups import (
     allowed_interval,
     make_group,
 )
-from groupcolor.posetlin import mobius_steps, mobius_table, weighted_zeta_at
+from groupcolor.posetlin import mobius_recursion, mobius_table, weighted_zeta_at
 
 
 def _triangle_value(orders, allowed_residues) -> Fraction:
@@ -331,12 +339,26 @@ def test_exact_input_guards(p3):
 
 
 def test_reciprocity_mobius_budget(p5):
-    # 30,297 inner steps of the Mobius recursion on P_5
+    # the triangular solves walk the 5,299 comparable pairs of P_5
     allowed = allowed_interval(make_group([7]), 1)
-    assert mobius_steps(p5.down_sets) == 30297
-    with pytest.raises(BudgetExceededError, match="Mobius"):
-        verify_reciprocity(p5, allowed, budget=30296)
-    assert verify_reciprocity(p5, allowed, budget=30297).ok
+    assert sum(map(len, p5.down_sets)) == 5299
+    with pytest.raises(BudgetExceededError, match="solve"):
+        verify_reciprocity(p5, allowed, budget=5298)
+    assert verify_reciprocity(p5, allowed, budget=5299).ok
+
+
+# work of each per-member method over P_4 with f = 3, summed by hand over
+# the empty set, 4 triangles, 3 four-cycles, 6 diamonds and K4
+P4_METHOD_WORK = {"brute": 15 * 3**4, "cycle": 307, "fourier": 103}
+
+
+@pytest.mark.parametrize("method", sorted(P4_METHOD_WORK))
+def test_per_member_methods_check_the_summed_budget(p4, method):
+    allowed = allowed_complement_identity(make_group([3]))
+    work = P4_METHOD_WORK[method]
+    with pytest.raises(BudgetExceededError, match=f"{method} method over 15"):
+        gamma_vector(p4, allowed, method, budget=work - 1)
+    assert gamma_vector(p4, allowed, method, budget=work).method == method
 
 
 def test_gamma_plus_full_group_is_indicator(p4):
@@ -402,10 +424,18 @@ def test_histogram_matches_cyclespace_on_p6_sample(p6, name):
 
 @pytest.mark.parametrize("name", sorted(V6_SETS))
 def test_reciprocity_holds_exactly_at_v6(p6, name):
-    assert mobius_steps(p6.down_sets) == 38085928
     report = verify_reciprocity(p6, V6_SETS[name]())
     assert len(report.lhs) == len(p6) == 13667
     assert report.ok
+
+
+@pytest.mark.parametrize("name", sorted(V6_SETS))
+def test_transfer_law_holds_exactly_at_v6(p6, name):
+    # M(alpha_bar) maps the complement vector onto the allowed vector
+    allowed = V6_SETS[name]()
+    vec_bar = gamma_vector(p6, allowed.complement())
+    vec = apply_transfer(p6, allowed.alpha_bar, vec_bar)
+    assert vec.values == gamma_vector(p6, allowed).values
 
 
 def test_reciprocity_report_dict(p3):
@@ -445,6 +475,36 @@ def test_apply_transfer_reproduces_chromatic_scaling(p3):
 
 # ---------------------------------------------------------------------------
 # main term, residual, chromatic specialization
+
+
+def _main_term_oracle(edge_set, alpha_bar):
+    # the interval-Mobius sum that main_term replaced
+    members = bridgeless_subsets(edge_set.v, edge_set.bits)
+    mu_table = mobius_recursion(down_sets_of({m: i for i, m in enumerate(members)}))
+    e_top = edge_set.edge_count
+    acc = Fraction(0)
+    for g_mask, mu_g in zip(members, mu_table):
+        mu = mu_g[0]
+        if mu:
+            eg = g_mask.bit_count()
+            acc += (1 - alpha_bar) ** (e_top - eg) * (-1) ** eg * mu * alpha_bar**eg
+    return acc
+
+
+MAIN_TERM_POINTS = (Fraction(0), Fraction(1, 3), Fraction(5, 7), Fraction(1))
+
+
+def test_main_term_matches_interval_mobius(p5):
+    for member in p5.members:
+        for ab in MAIN_TERM_POINTS:
+            assert main_term(member, ab) == _main_term_oracle(member, ab)
+    p6 = enumerate_poset(6)
+    sample = [p6.members[i] for i in random.Random(6).sample(range(len(p6)), 12)]
+    sample = [m for m in sample if m.edge_count <= 10] + [p6.members[-1]]  # K6 last
+    for member in sample:
+        main = main_term(member, Fraction(2, 7))
+        assert isinstance(main, Fraction)
+        assert main == _main_term_oracle(member, Fraction(2, 7))
 
 
 def test_main_term_spec_values(k3_v3, c4_v4):
@@ -494,10 +554,13 @@ def test_chromatic_via_transfer_on_all_p4_members(p4):
         assert chromatic_via_transfer(member) == chromatic_oracle(member)
 
 
-def test_chromatic_via_transfer_spot_checks_p5(p5):
-    # ten members spread over the poset, isolated-vertex factors included
-    picks = [p5.members[i] for i in range(0, len(p5), max(1, len(p5) // 10))][:10]
-    for member in picks:
+def test_chromatic_via_transfer_on_p5_and_a_p6_sample(p5):
+    # isolated-vertex factors included
+    for member in p5.members:
+        assert chromatic_via_transfer(member) == chromatic_oracle(member)
+    p6 = enumerate_poset(6)
+    for i in random.Random(6).sample(range(len(p6)), 10):
+        member = p6.members[i]
         assert chromatic_via_transfer(member) == chromatic_oracle(member)
 
 

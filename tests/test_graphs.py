@@ -2,6 +2,8 @@
 deletion-contraction chromatic oracle, cross-checked against networkx."""
 
 import math
+import random
+from itertools import permutations
 from math import comb
 
 import networkx as nx
@@ -111,10 +113,14 @@ def test_poset_matches_networkx_bridge_filter(v):
     assert len(enumerate_poset(v, cap=6)) == expected
 
 
-@pytest.mark.parametrize("v", [2, 3, 4, 5])
+@pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
 def test_bridgeless_subsets_of_complete_graph_is_the_poset(v):
     complete = (1 << comb(v, 2)) - 1
-    assert bridgeless_subsets(v, complete) == [m.bits for m in enumerate_poset(v)]
+    # the plain filter: the full bridge test on every mask, no degree shortcut
+    plain = [m for m in range(complete + 1) if is_isthmus_free(EdgeSet(v, m))]
+    plain.sort(key=lambda m: (m.bit_count(), m))
+    assert bridgeless_subsets(v, complete) == plain
+    assert [m.bits for m in enumerate_poset(v)] == plain
 
 
 def test_bridgeless_subsets_of_a_member_is_its_down_set(p4, p5):
@@ -176,6 +182,34 @@ def test_canonical_bits_is_relabeling_invariant():
     es = EdgeSet.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     relabeled = EdgeSet.from_edges(4, [(2, 0), (0, 3), (3, 1), (2, 1)])
     assert canonical_bits(4, es.bits) == canonical_bits(4, relabeled.bits)
+
+
+def _canonical_oracle(v, bits):
+    """The permutation loop canonical_bits replaced: relabel every edge under
+    every vertex permutation and keep the smallest mask."""
+    pairs = vertex_pairs(v)
+    index = {p: n for n, p in enumerate(pairs)}
+    edges = [pairs[n] for n in range(len(pairs)) if (bits >> n) & 1]
+    best = bits
+    for perm in permutations(range(v)):
+        relabeled = 0
+        for a, b in edges:
+            x, y = perm[a], perm[b]
+            relabeled |= 1 << index[(min(x, y), max(x, y))]
+        best = min(best, relabeled)
+    return best
+
+
+def test_canonical_bits_matches_permutation_loop(p5):
+    for member in p5.members:
+        assert canonical_bits(5, member.bits) == _canonical_oracle(5, member.bits)
+    p6 = enumerate_poset(6)
+    for i in random.Random(6).sample(range(len(p6)), 40):
+        bits = p6.members[i].bits
+        assert canonical_bits(6, bits) == _canonical_oracle(6, bits)
+    # edge sets with bridges, and with fewer than two edges
+    for bits in (0, 1, 1 << 14, 0b111, 0b100000000000011):
+        assert canonical_bits(6, bits) == _canonical_oracle(6, bits)
 
 
 def test_chromatic_oracle_classics(k3_v3, k4_v4, c4_v4):

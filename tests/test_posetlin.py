@@ -20,7 +20,6 @@ from groupcolor.posetlin import (
     identity_matrix,
     mobius_matrix,
     mobius_recursion,
-    mobius_steps,
     mobius_table,
     sign_diagonal,
     transfer_at,
@@ -170,15 +169,6 @@ def test_mobius_values(p3, p4):
 def test_mobius_table_matches_quadratic_oracle(p3, p4, p5):
     for poset in (p3, p4, p5):
         assert list(mobius_table(poset)) == _mobius_oracle(poset)
-
-
-def test_mobius_steps_counts_the_recursion(p3, p4, p5):
-    # every row of the table has one key per member below, so the steps are
-    # the lengths of the rows the recursion walks
-    for poset in (p3, p4, p5):
-        table = mobius_table(poset)
-        walked = sum(len(table[g]) for down in poset.down_sets for g in down[:-1])
-        assert mobius_steps(poset.down_sets) == walked
 
 
 def test_interval_mobius_matches_quadratic_oracle():
