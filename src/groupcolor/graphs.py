@@ -291,19 +291,59 @@ def bridgeless_subsets(v: int, bits: int) -> list[int]:
 def down_sets_of(index: dict[int, int]) -> tuple[tuple[int, ...], ...]:
     """Down-sets of a family of edge bitmasks given as mask -> position,
     in position order: for each member, the sorted positions of the members
-    that are subsets of it."""
-    out = []
+    that are subsets of it.
+
+    The positions must be 0, 1, ... in iteration order and form a linear
+    extension of inclusion: a subset comes no later than its supersets.
+
+    Each member E, in position order, walks up: over the supersets of E
+    inside the OR of all the masks, adding E's position to the row of every
+    superset that is a member. That visits the comparable pairs plus the
+    non-member supersets (1.8M probes for the 1.6M pairs of P_6, against
+    11.4M for a walk over the submasks of every member). Positions arrive
+    in increasing order, so every row comes out sorted, and by the linear
+    extension a row is complete once its own member has been walked. Row
+    lengths come first from subset sums over the masks (Yates' transform),
+    so every row is written into a list of its exact size, then kept as a
+    tuple; the masks are first squeezed onto the edge positions in use.
+    """
+    top = 0
     for mask in index:
-        below = []
-        sub = mask
+        top |= mask
+    places = [1 << n for n in range(top.bit_length()) if (top >> n) & 1]
+    if top & (top + 1):  # squeeze out the edge positions no member uses
+        masks = [sum(1 << k for k, bit in enumerate(places) if mask & bit) for mask in index]
+    else:
+        masks = list(index)
+    size = 1 << len(places)
+    position: list[int | None] = [None] * size
+    below = [0] * size  # becomes the number of members inside each mask
+    for mask, pos in zip(masks, index.values()):
+        position[mask] = pos
+        below[mask] = 1
+    for k in range(len(places)):
+        step = 1 << k
+        for block in range(0, size, 2 * step):
+            for m in range(block + step, block + 2 * step):
+                below[m] += below[m - step]
+    rows = [[0] * below[mask] for mask in masks]
+    del below
+    fill = [0] * len(masks)
+    full = size - 1
+    out = []
+    for mask, pos in zip(masks, index.values()):
+        rest = full ^ mask
+        extra = rest
         while True:
-            idx = index.get(sub)
-            if idx is not None:
-                below.append(idx)
-            if sub == 0:
+            j = position[mask | extra]
+            if j is not None:
+                rows[j][fill[j]] = pos
+                fill[j] += 1
+            if not extra:
                 break
-            sub = (sub - 1) & mask
-        out.append(tuple(sorted(below)))
+            extra = (extra - 1) & rest
+        out.append(tuple(rows[pos]))
+        rows[pos] = None
     return tuple(out)
 
 

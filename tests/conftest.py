@@ -19,6 +19,12 @@ def p5():
 
 
 @pytest.fixture(scope="session")
+def p6():
+    # the one P_6 of the session: 13,667 members, 1,614,537 comparable pairs
+    return enumerate_poset(6)
+
+
+@pytest.fixture(scope="session")
 def k3_v3():
     return EdgeSet.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 

@@ -7,8 +7,9 @@ oracle shares no code with the library paths it checks.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -36,7 +37,6 @@ from groupcolor.graphs import (
     components,
     cycle_basis,
     down_sets_of,
-    enumerate_poset,
 )
 from groupcolor.groups import (
     AllowedSet,
@@ -225,6 +225,68 @@ def test_budget_errors(k4_v4):
         gamma_fourier(k4_v4, allowed, budget=100)
 
 
+# the per-member coloring count against a plain product loop
+COUNT_SETS = {
+    "Z5 interval:1": lambda: allowed_interval(make_group([5]), 1),
+    "Z7 {1,2,5,6}": lambda: allowed_explicit(make_group([7]), [1, 2, 5, 6]),
+    "Z2^3 hamming:1": lambda: allowed_hamming(3, 1),
+    "Z2xZ4 coset": lambda: allowed_explicit(
+        make_group([2, 4]), [(0, 1), (0, 3), (1, 0), (1, 2)]
+    ),
+    "Z5 empty": lambda: AllowedSet(make_group([5]), 0),
+    "Z5 full": lambda: AllowedSet(make_group([5]), 0b11111),
+}
+
+# off the poset: one vertex, a bridged path, and sets with isolated vertices
+COUNT_EXTRAS = (
+    EdgeSet(1, 0),
+    EdgeSet.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+    EdgeSet.from_edges(5, [(1, 2), (2, 4), (1, 4)]),
+    EdgeSet.from_edges(6, [(1, 3), (3, 5), (1, 5), (5, 2)]),
+    EdgeSet(6, 0),
+)
+
+
+def _product_tally(v, allowed):
+    # colorings of v vertices, vertex 0 fixed to the identity, counted by
+    # their mask of allowed-difference vertex pairs; differences are taken
+    # on residue tuples. Adding one color to every vertex changes no
+    # difference, so the share of these colorings is the share of all f^v.
+    orders = allowed.group.cyclic_orders
+    colors = [allowed.group.residues_of(i) for i in range(allowed.group.order)]
+    inside = _residue_set(allowed)
+    ok = [
+        [tuple((y - x) % n for x, y, n in zip(a, b, orders)) in inside for b in colors]
+        for a in colors
+    ]
+    pairs = list(enumerate(combinations(range(v), 2)))
+    tally = Counter()
+    for rest in product(range(len(colors)), repeat=v - 1):
+        coloring = (0, *rest)
+        tally[sum(1 << n for n, (i, j) in pairs if ok[coloring[i]][coloring[j]])] += 1
+    return tally
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_SETS))
+def test_coloring_count_matches_product_loop(p4, p5, p6, name):
+    allowed = COUNT_SETS[name]()
+    f = allowed.group.order
+    sample = [p6.members[i] for i in random.Random(7).sample(range(len(p6)), 12)]
+    tallies = {}
+    for edge_set in (*p4.members, *p5.members, *sample, *COUNT_EXTRAS):
+        v, bits = edge_set.v, edge_set.bits
+        if v not in tallies:
+            tallies[v] = _product_tally(v, allowed)
+        hits = sum(n for mask, n in tallies[v].items() if mask & bits == bits)
+        exact = Fraction(hits, f ** (v - 1))
+        assert gamma_bruteforce(edge_set, allowed) == exact
+        assert gamma_cyclespace(edge_set, allowed) == exact
+        if allowed.size == 0:
+            assert exact == (bits == 0)
+        if allowed.size == f:
+            assert exact == 1
+
+
 # ---------------------------------------------------------------------------
 # vectors, Mobius inversion, reciprocity
 
@@ -403,11 +465,6 @@ def test_reciprocity_holds_exactly(p3, p4, v, orders, build):
     assert len(report.per_coordinate) == len(poset)
 
 
-@pytest.fixture(scope="module")
-def p6():
-    return enumerate_poset(6)
-
-
 V6_SETS = {
     "Z7 interval:1": lambda: allowed_interval(make_group([7]), 1),
     "Z2^3 hamming:1": lambda: allowed_hamming(3, 1),
@@ -494,11 +551,10 @@ def _main_term_oracle(edge_set, alpha_bar):
 MAIN_TERM_POINTS = (Fraction(0), Fraction(1, 3), Fraction(5, 7), Fraction(1))
 
 
-def test_main_term_matches_interval_mobius(p5):
+def test_main_term_matches_interval_mobius(p5, p6):
     for member in p5.members:
         for ab in MAIN_TERM_POINTS:
             assert main_term(member, ab) == _main_term_oracle(member, ab)
-    p6 = enumerate_poset(6)
     sample = [p6.members[i] for i in random.Random(6).sample(range(len(p6)), 12)]
     sample = [m for m in sample if m.edge_count <= 10] + [p6.members[-1]]  # K6 last
     for member in sample:
@@ -554,11 +610,10 @@ def test_chromatic_via_transfer_on_all_p4_members(p4):
         assert chromatic_via_transfer(member) == chromatic_oracle(member)
 
 
-def test_chromatic_via_transfer_on_p5_and_a_p6_sample(p5):
+def test_chromatic_via_transfer_on_p5_and_a_p6_sample(p5, p6):
     # isolated-vertex factors included
     for member in p5.members:
         assert chromatic_via_transfer(member) == chromatic_oracle(member)
-    p6 = enumerate_poset(6)
     for i in random.Random(6).sample(range(len(p6)), 10):
         member = p6.members[i]
         assert chromatic_via_transfer(member) == chromatic_oracle(member)

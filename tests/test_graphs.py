@@ -3,7 +3,7 @@ deletion-contraction chromatic oracle, cross-checked against networkx."""
 
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import networkx as nx
@@ -18,6 +18,7 @@ from groupcolor.graphs import (
     chromatic_oracle,
     components,
     containment_count,
+    down_sets_of,
     enumerate_poset,
     girth,
     is_isthmus_free,
@@ -138,6 +139,56 @@ def test_linear_extension_property(p4, p5):
                     assert i <= j
 
 
+def _down_sets_oracle(index):
+    # the submask walk: every submask of every member, looked up
+    out = []
+    for mask in index:
+        below = []
+        sub = mask
+        while True:
+            if sub in index:
+                below.append(index[sub])
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+        out.append(tuple(sorted(below)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
+def test_down_sets_match_the_submask_walk(request, v):
+    poset = request.getfixturevalue(f"p{v}") if v > 2 else enumerate_poset(2)
+    assert poset.down_sets == _down_sets_oracle(poset.index_by_mask)
+    if v == 6:
+        assert sum(map(len, poset.down_sets)) == 1_614_537
+
+
+# members of P_6 whose edges leave gaps in the edge positions, so the walk
+# runs over a compressed lattice
+V6_TOPS = {
+    "K5": list(combinations(range(5), 2)),
+    "wheel W5": [(0, k) for k in range(1, 6)] + [(k, k % 5 + 1) for k in range(1, 6)],
+    "K3,3": [(a, b) for a in range(3) for b in range(3, 6)],
+    "prism": [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(V6_TOPS))
+def test_down_sets_of_intervals_match_the_submask_walk(name):
+    masks = bridgeless_subsets(6, EdgeSet.from_edges(6, V6_TOPS[name]).bits)
+    index = {m: i for i, m in enumerate(masks)}
+    assert down_sets_of(index) == _down_sets_oracle(index)
+
+
+def test_down_sets_in_plain_mask_order(p5):
+    # increasing mask value is another linear extension of inclusion
+    index = {m: i for i, m in enumerate(sorted(m.bits for m in p5.members))}
+    rows = down_sets_of(index)
+    assert rows == _down_sets_oracle(index)
+    assert rows != p5.down_sets
+    assert down_sets_of({}) == ()
+
+
 def test_sorted_by_edge_count_then_mask(p5):
     keys = [(m.edge_count, m.bits) for m in p5.members]
     assert keys == sorted(keys)
@@ -200,10 +251,9 @@ def _canonical_oracle(v, bits):
     return best
 
 
-def test_canonical_bits_matches_permutation_loop(p5):
+def test_canonical_bits_matches_permutation_loop(p5, p6):
     for member in p5.members:
         assert canonical_bits(5, member.bits) == _canonical_oracle(5, member.bits)
-    p6 = enumerate_poset(6)
     for i in random.Random(6).sample(range(len(p6)), 40):
         bits = p6.members[i].bits
         assert canonical_bits(6, bits) == _canonical_oracle(6, bits)
