@@ -317,9 +317,9 @@ def cmd_chromatic(ns: argparse.Namespace) -> int:
         poset = enumerate_poset(ns.v)
         members = list(poset.members)
         v = ns.v
-    # 4^|E| counts the chains S <= T <= U <= E; chromatic_via_transfer walks
-    # at most the 3^|E| pairs S <= T <= E, so the sum stays an upper bound
-    work = sum(4**member.edge_count for member in members)
+    # chromatic_via_transfer walks the 2^|E| subsets of E in each of its
+    # lattice passes, so the sum of 2^|E| counts the subsets per pass
+    work = sum(2**member.edge_count for member in members)
     if work > ns.budget:
         raise BudgetExceededError(
             f"chromatic specialization of {len(members)} edge sets", work, ns.budget

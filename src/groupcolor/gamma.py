@@ -16,14 +16,15 @@ from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 from numbers import Rational
+from operator import add, sub
 
 from .graphs import (
     EdgeSet,
     SubgraphPoset,
-    bridgeless_subsets,
+    _lattice_pass,
+    bridgeless_cores,
     components,
     cycle_basis,
-    down_sets_of,
     girth,
     is_isthmus_free,
     vertex_pairs,
@@ -186,12 +187,10 @@ METHODS = {
 
 def _superset_sums(hist: list[int], bits: int) -> None:
     # in place: hist[M] becomes the sum of hist[N] over every N containing
-    # M, one pass per bit (Yates' fast zeta transform)
-    for k in range(bits):
-        step = 1 << k
-        for block in range(0, len(hist), 2 * step):
-            for m in range(block, block + step):
-                hist[m] += hist[m + step]
+    # M (Yates' fast zeta transform); reversed, supersets become subsets
+    hist.reverse()
+    _lattice_pass(hist, bits, add)
+    hist.reverse()
 
 
 def _difference_histogram(v: int, allowed: AllowedSet, budget: int) -> list[int]:
@@ -501,18 +500,32 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
     """Chromatic polynomial of an isthmus-free edge set from the transfer
     matrix at r = 1/f applied to the component-count weights f^c.
 
-    The interval below E is built once and J(1/f) y = f^c is solved by
-    forward substitution: Y_G = f^|G| y_G satisfies
-    Y_G = f^(|G| + c(G)) - sum over H < G of Y_H, and then
-    f^|E| P(f) = sum over G of (f - 1)^(|E| - |G|) (-1)^|G| Y_G. Each
-    polynomial is held as its value at f = 2^B (Kronecker substitution) and
-    the result is read back as signed base-2^B digits. B = |E| + 2 is wide
-    enough: every coefficient of f^|E| P(f) has magnitude at most 2^|E|,
-    since the coefficients of a chromatic polynomial are bounded by binomial
-    coefficients of |E| (Whitney's broken-circuit theorem).
+    On the interval below E, J(1/f) y = f^c asks for Y_G = f^|G| y_G with
+    f^(|G| + c(G)) = sum over bridgeless H <= G of Y_H, and then
+    f^|E| P(f) = sum over G of (f - 1)^(|E| - |G|) (-1)^|G| Y_G.
 
-    The low |E| digits, the negative powers of f, must cancel; anything else
-    signals a transfer bug.
+    The solve runs on the Boolean lattice of E's edges, not on the
+    interval. For every mask M, |M| + c(M) = v + nullity(M), and dropping a
+    bridge changes neither the nullity nor the bridgeless subsets: those of
+    M are exactly those of its bridgeless core (``bridgeless_cores``), since
+    a bridgeless H is a union of cycles and every cycle inside M lies in
+    the core. So the vector equal to Y on bridgeless masks and 0 elsewhere
+    has subset sums f^(v + nullity(M)) at every M, and by uniqueness of
+    Mobius inversion it is the subset-Mobius transform of f^(v + nullity):
+    one Yates pass over all 2^|E| masks. The nullity itself takes one pass:
+    removing the lowest edge k of M lowers it by one exactly when k lies on
+    a cycle of M, that is, in core[M].
+
+    Each polynomial is held as its value at f = 2^B (Kronecker
+    substitution) and the result is read back as signed base-2^B digits.
+    B = |E| + 2 is wide enough: every coefficient of f^|E| P(f) has
+    magnitude at most 2^|E|, since the coefficients of a chromatic
+    polynomial are bounded by binomial coefficients of |E| (Whitney's
+    broken-circuit theorem).
+
+    The transform must vanish on every bridged mask, and the low |E|
+    digits, the negative powers of f, must cancel; anything else signals a
+    transfer bug.
     """
     if not is_isthmus_free(edge_set):
         raise ValueError(
@@ -521,22 +534,33 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
         )
     v = edge_set.v
     e_top = edge_set.edge_count
-    masks = bridgeless_subsets(v, edge_set.bits)
     width = e_top + 2
     f = 1 << width
-    spread_pow = [1]  # (f - 1)^k
-    for _ in range(e_top):
-        spread_pow.append(spread_pow[-1] * (f - 1))
-    ys: list[int] = []
-    total = 0
-    for mask, down in zip(masks, down_sets_of({m: i for i, m in enumerate(masks)})):
-        size = mask.bit_count()
-        y = (1 << width * (size + components(EdgeSet(v, mask)))) - sum(
-            ys[h] for h in down[:-1]
+    places, core = bridgeless_cores(v, edge_set.bits)
+    # nullity[M] = nullity[M - k] + (k in core[M]), k the lowest bit of M:
+    # the masks with lowest bit k come from masks above k, done first
+    nullity = [0] * len(core)
+    for k in reversed(range(e_top)):
+        step = 1 << k
+        nullity[step :: 2 * step] = map(
+            add, nullity[:: 2 * step], map(bool, map(step.__and__, core[step :: 2 * step]))
         )
-        ys.append(y)
-        term = spread_pow[e_top - size] * y
+    power = [1 << width * (v + n) for n in range(e_top + 1)]
+    ys = list(map(power.__getitem__, nullity))
+    _lattice_pass(ys, e_top, sub)
+    by_size = [0] * (e_top + 1)
+    for mask, (y, kept) in enumerate(zip(ys, core)):
+        if kept == mask:
+            by_size[mask.bit_count()] += y
+        elif y:
+            bridged = EdgeSet(v, sum(1 << n for k, n in enumerate(places) if (mask >> k) & 1))
+            raise ArithmeticError(f"transfer solve is nonzero on the bridged {bridged!r}")
+    total = 0
+    spread = 1  # (f - 1)^(|E| - |G|)
+    for size in reversed(range(e_top + 1)):
+        term = spread * by_size[size]
         total += -term if size & 1 else term
+        spread *= f - 1
     digits = []
     half = f >> 1
     while total:

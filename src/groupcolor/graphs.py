@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import comb
-from operator import itemgetter
+from operator import add, itemgetter, or_
 
 from .posetlin import RationalPoly
 
@@ -267,23 +267,95 @@ class SubgraphPoset:
         return tuple(m.edge_count for m in self.members)
 
 
+def _lattice_pass(values: list, bits: int, op) -> None:
+    """One Yates pass over the Boolean lattice, in place: for each bit k
+    below ``bits`` in turn, values[M] = op(values[M], values[M - k]) at every
+    M holding bit k (``len(values)`` is 2^bits). With ``add`` it makes subset
+    sums, with ``sub`` subset Mobius inversion, with ``or_`` subset ORs.
+
+    The masks holding bit k are updated from masks without it, so each step
+    is a ``map`` over list slices: one slice per block of 2^(k+1) masks when
+    the blocks are fewer than the offsets inside one, else one strided
+    slice per offset.
+    """
+    size = len(values)
+    for k in range(bits):
+        step = 1 << k
+        span = 2 * step
+        if step <= size // span:
+            for j in range(step):
+                values[step + j :: span] = map(op, values[step + j :: span], values[j::span])
+        else:
+            for block in range(step, size, span):
+                values[block : block + step] = map(
+                    op, values[block : block + step], values[block - step : block]
+                )
+
+
+def _circuits(v: int, bits: int) -> list[int]:
+    """Every cycle of the edge set ``bits`` on v vertices, once, as an edge
+    mask. A cycle is found from its lowest vertex s by a DFS over simple
+    paths through higher vertices; of its two directions only the one
+    whose first vertex after s is lower than its last is kept."""
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(v)]
+    for n, (a, b) in enumerate(vertex_pairs(v)):
+        if (bits >> n) & 1:
+            nbrs[a].append((b, 1 << n))
+            nbrs[b].append((a, 1 << n))
+    found = []
+    for s in range(v):
+        for first, edge in nbrs[s]:
+            if first < s:
+                continue
+            stack = [(first, edge, 1 << first)]
+            while stack:
+                u, path, seen = stack.pop()
+                for w, e in nbrs[u]:
+                    if w == s:
+                        if u > first:
+                            found.append(path | e)
+                    elif w > s and not (seen >> w) & 1:
+                        stack.append((w, path | e, seen | 1 << w))
+    return found
+
+
+def bridgeless_cores(v: int, bits: int) -> tuple[list[int], list[int]]:
+    """The bridgeless core of every subset of the edge set ``bits``: the
+    union of the cycles inside it, which is the subset minus its bridges.
+
+    Masks are local: bit k stands for edge position ``places[k]``, the k-th
+    edge of ``bits``. ``core`` is seeded with C at every cycle C (from
+    ``_circuits``) and then ORed over subsets in one Yates pass, so
+    ``core[M]`` is the OR of the cycles inside M, and M is bridgeless iff
+    ``core[M] == M``.
+    """
+    places = [n for n in range(bits.bit_length()) if (bits >> n) & 1]
+    local = {1 << n: 1 << k for k, n in enumerate(places)}
+    core = [0] * (1 << len(places))
+    for cycle in _circuits(v, bits):
+        mask = 0
+        while cycle:
+            low = cycle & -cycle
+            cycle ^= low
+            mask |= local[low]
+        core[mask] = mask
+    _lattice_pass(core, len(places), or_)
+    return places, core
+
+
 def bridgeless_subsets(v: int, bits: int) -> list[int]:
     """Bitmasks of every bridgeless subset of the edge set ``bits`` on v
     vertices, sorted by (edge count, mask): a linear extension of inclusion
-    with the empty set first."""
-    incident = _incident(v)
-    found = []
-    sub = bits
-    while True:
-        for m in incident:
-            if (sub & m).bit_count() == 1:
-                break  # a vertex of degree 1 carries a bridge
-        else:
-            if is_isthmus_free(EdgeSet(v, sub)):
-                found.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & bits
+    with the empty set first. They are the masks equal to their
+    ``bridgeless_cores``, spread back onto the edge positions."""
+    places, core = bridgeless_cores(v, bits)
+    found = [mask for mask, kept in enumerate(core) if kept == mask]
+    if bits & (bits + 1):  # not the lowest positions: spread the local masks
+        spread = [0] * len(core)
+        for k, n in enumerate(places):
+            spread[1 << k] = 1 << n
+        _lattice_pass(spread, len(places), or_)
+        found = [spread[mask] for mask in found]
     found.sort(key=lambda m: (m.bit_count(), m))
     return found
 
@@ -321,11 +393,7 @@ def down_sets_of(index: dict[int, int]) -> tuple[tuple[int, ...], ...]:
     for mask, pos in zip(masks, index.values()):
         position[mask] = pos
         below[mask] = 1
-    for k in range(len(places)):
-        step = 1 << k
-        for block in range(0, size, 2 * step):
-            for m in range(block + step, block + 2 * step):
-                below[m] += below[m - step]
+    _lattice_pass(below, len(places), add)
     rows = [[0] * below[mask] for mask in masks]
     del below
     fill = [0] * len(masks)

@@ -168,13 +168,14 @@ def test_cmd_matrix_budget_exceeded(capsys):
 
 
 def test_cmd_chromatic_budget_exceeded(capsys):
-    # 4^|E| summed over P_6 is 29,400,885,761 chains, over the default budget
+    # 2^|E| summed over P_6 is 3^15 = 11,399,025 subsets, under the default
+    # budget; one less is refused before any polynomial is computed
     start = time.perf_counter()
-    assert main(["chromatic", "--v", "6"]) == 3
+    assert main(["chromatic", "--v", "6", "--budget", "11399024"]) == 3
     assert time.perf_counter() - start < 30
-    # over P_4: 1 + 4 * 4^3 + 3 * 4^4 + 6 * 4^5 + 4^6 = 11,265
-    assert main(["chromatic", "--v", "4", "--budget", "11264"]) == 3
-    assert main(["chromatic", "--v", "4", "--budget", "11265"]) == 0
+    # over P_4: 1 + 4 * 2^3 + 3 * 2^4 + 6 * 2^5 + 2^6 = 337
+    assert main(["chromatic", "--v", "4", "--budget", "336"]) == 3
+    assert main(["chromatic", "--v", "4", "--budget", "337"]) == 0
     capsys.readouterr()
 
 

@@ -13,9 +13,11 @@ from itertools import combinations, product
 
 import pytest
 
+import groupcolor.gamma as gamma_module
 from groupcolor.gamma import (
     BudgetExceededError,
     GammaVector,
+    _superset_sums,
     apply_transfer,
     chromatic_via_transfer,
     gamma_bruteforce,
@@ -46,7 +48,7 @@ from groupcolor.groups import (
     allowed_interval,
     make_group,
 )
-from groupcolor.posetlin import mobius_recursion, mobius_table, weighted_zeta_at
+from groupcolor.posetlin import RationalPoly, mobius_recursion, mobius_table, weighted_zeta_at
 
 
 def _triangle_value(orders, allowed_residues) -> Fraction:
@@ -357,6 +359,17 @@ def test_histogram_matches_per_member_methods(p3, p4, p5, name):
         assert auto.values[i] == gamma_bruteforce(p5.members[i], allowed)
 
 
+def test_superset_sums_match_the_direct_sum():
+    rng = random.Random(9)
+    for bits in range(7):
+        hist = [rng.randrange(100) for _ in range(1 << bits)]
+        summed = list(hist)
+        _superset_sums(summed, bits)
+        assert summed == [
+            sum(hist[n] for n in range(len(hist)) if n & m == m) for m in range(len(hist))
+        ]
+
+
 def test_histogram_budget(p4):
     allowed = allowed_interval(make_group([7]), 1)
     with pytest.raises(BudgetExceededError, match="histogram"):
@@ -617,6 +630,64 @@ def test_chromatic_via_transfer_on_p5_and_a_p6_sample(p5, p6):
     for i in random.Random(6).sample(range(len(p6)), 10):
         member = p6.members[i]
         assert chromatic_via_transfer(member) == chromatic_oracle(member)
+
+
+def _chromatic_interval_oracle(edge_set):
+    # the interval solve that the Boolean-lattice solve replaced: the
+    # bridgeless subsets, their down-sets, and forward substitution of
+    # J(1/f) y = f^c with polynomials packed at f = 2^(|E| + 2)
+    v, e_top = edge_set.v, edge_set.edge_count
+    masks = bridgeless_subsets(v, edge_set.bits)
+    width = e_top + 2
+    f = 1 << width
+    ys, total = [], 0
+    for mask, down in zip(masks, down_sets_of({m: i for i, m in enumerate(masks)})):
+        size = mask.bit_count()
+        y = (1 << width * (size + components(EdgeSet(v, mask)))) - sum(ys[h] for h in down[:-1])
+        ys.append(y)
+        total += (-1) ** size * (f - 1) ** (e_top - size) * y
+    digits = []
+    while total:
+        d = total & (f - 1)
+        if d >= f >> 1:
+            d -= f
+        digits.append(d)
+        total = (total - d) >> width
+    assert not any(digits[:e_top])
+    return RationalPoly.of(digits[e_top:])
+
+
+def test_chromatic_via_transfer_matches_the_interval_solve(p5, p6):
+    for member in p5.members:
+        assert chromatic_via_transfer(member) == _chromatic_interval_oracle(member)
+    rng = random.Random(8)
+    dense = [i for i in range(len(p6)) if p6.members[i].edge_count >= 12]
+    picks = rng.sample(range(len(p6)), 8) + rng.sample(dense, 3) + [len(p6) - 1]  # K6 last
+    assert p6.members[picks[-1]].edge_count == 15
+    # the empty set, and sets with isolated vertices
+    extra = [
+        EdgeSet(1, 0),
+        EdgeSet(6, 0),
+        EdgeSet.from_edges(5, [(0, 1), (1, 2), (0, 2)]),
+        EdgeSet.from_edges(6, [(1, 2), (2, 4), (4, 5), (1, 5), (2, 5)]),
+    ]
+    for member in [p6.members[i] for i in picks] + extra:
+        assert chromatic_via_transfer(member) == _chromatic_interval_oracle(member)
+
+
+def test_chromatic_via_transfer_checks_the_bridged_masks_vanish(k4_v4, monkeypatch):
+    # a core that calls K4 bridged, keeping its lowest edge so the nullity
+    # is unchanged, leaves a nonzero value on a "bridged" mask
+    real = gamma_module.bridgeless_cores
+
+    def broken(v, bits):
+        places, core = real(v, bits)
+        core[-1] ^= 1 << (len(places) - 1)
+        return places, core
+
+    monkeypatch.setattr(gamma_module, "bridgeless_cores", broken)
+    with pytest.raises(ArithmeticError, match="bridged"):
+        chromatic_via_transfer(k4_v4)
 
 
 # ---------------------------------------------------------------------------

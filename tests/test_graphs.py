@@ -5,6 +5,7 @@ import math
 import random
 from itertools import combinations, permutations
 from math import comb
+from operator import add, or_, sub
 
 import networkx as nx
 import pytest
@@ -13,6 +14,9 @@ from hypothesis import strategies as st
 
 from groupcolor.graphs import (
     EdgeSet,
+    _circuits,
+    _lattice_pass,
+    bridgeless_cores,
     bridgeless_subsets,
     canonical_bits,
     chromatic_oracle,
@@ -178,6 +182,77 @@ def test_down_sets_of_intervals_match_the_submask_walk(name):
     masks = bridgeless_subsets(6, EdgeSet.from_edges(6, V6_TOPS[name]).bits)
     index = {m: i for i, m in enumerate(masks)}
     assert down_sets_of(index) == _down_sets_oracle(index)
+
+
+def _complete(v):
+    return (1 << comb(v, 2)) - 1
+
+
+CIRCUIT_COUNTS = {
+    "K4": (4, _complete(4), 7),
+    "K5": (5, _complete(5), 37),
+    "K6": (6, _complete(6), 197),
+    "C5": (5, EdgeSet.from_edges(5, [(k, (k + 1) % 5) for k in range(5)]).bits, 1),
+    "forest": (6, EdgeSet.from_edges(6, [(0, 1), (0, 2), (2, 3), (4, 5)]).bits, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUIT_COUNTS))
+def test_circuits_lists_every_cycle_once(name):
+    v, bits, count = CIRCUIT_COUNTS[name]
+    cycles = _circuits(v, bits)
+    assert len(cycles) == len(set(cycles)) == count
+    for cycle in cycles:
+        graph = _nx_graph(EdgeSet(v, cycle))
+        graph.remove_nodes_from([u for u in range(v) if graph.degree(u) == 0])
+        assert cycle & ~bits == 0
+        assert all(d == 2 for _, d in graph.degree()) and nx.is_connected(graph)
+
+
+# the bridged set: a triangle with a pendant path of three edges
+CORE_TOPS = {
+    **{name: V6_TOPS[name] for name in ("wheel W5", "K3,3", "prism")},
+    "triangle and path": [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORE_TOPS))
+def test_bridgeless_cores_match_the_bridge_test(name):
+    bits = EdgeSet.from_edges(6, CORE_TOPS[name]).bits
+    places, core = bridgeless_cores(6, bits)
+    assert len(core) == 1 << len(places) == 1 << bits.bit_count()
+
+    def spread(local):
+        return sum(1 << n for k, n in enumerate(places) if (local >> k) & 1)
+
+    pairs = vertex_pairs(6)
+    for mask in range(len(core)):
+        edge_set = EdgeSet(6, spread(mask))
+        assert (core[mask] == mask) == is_isthmus_free(edge_set)
+        bridges = {tuple(sorted(e)) for e in nx.bridges(_nx_graph(edge_set))}
+        kept = [pairs[n] for n in range(len(pairs)) if (spread(core[mask]) >> n) & 1]
+        assert kept == [e for e in edge_set.edges() if e not in bridges]
+
+
+def _per_bit_loop(values, bits, op):
+    values = list(values)
+    for k in range(bits):
+        for mask in range(len(values)):
+            if (mask >> k) & 1:
+                values[mask] = op(values[mask], values[mask ^ (1 << k)])
+    return values
+
+
+@pytest.mark.parametrize("op", [or_, add, sub], ids=["or", "add", "sub"])
+def test_lattice_pass_matches_a_per_bit_loop(op):
+    rng = random.Random(8)
+    for bits in range(7):
+        values = [rng.randrange(-50, 1000) for _ in range(1 << bits)]
+        if op is or_:
+            values = [abs(x) for x in values]
+        passed = list(values)
+        _lattice_pass(passed, bits, op)
+        assert passed == _per_bit_loop(values, bits, op)
 
 
 def test_down_sets_in_plain_mask_order(p5):
