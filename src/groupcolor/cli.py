@@ -22,6 +22,7 @@ from .gamma import (
     check_method_budget,
     chromatic_via_transfer,
     gamma_cyclespace,
+    gamma_vector,
     hamming_k3_closed_form,
     hamming_k3_from_reciprocity,
     triangle_gamma_from_pairs,
@@ -254,22 +255,30 @@ def cmd_gamma(ns: argparse.Namespace) -> int:
     group = parse_group_spec(ns.group)
     allowed = parse_allowed_spec(ns.allowed, group)
     poset = enumerate_poset(ns.v)
-    check_method_budget(poset.members, allowed, ns.method, ns.budget)
-    fn = METHODS[ns.method]
-    rows = []
-    for member in poset.members:
+    if ns.method == "auto":
+        # one sweep gives every value; each row gets an equal share of it
         t0 = time.perf_counter()
-        value = fn(member, allowed, ns.budget)
-        seconds = time.perf_counter() - t0
-        rows.append(
-            {
-                "mask": member.bits,
-                "edges": member.to_text(),
-                "value": str(value),
-                "method": ns.method,
-                "seconds": round(seconds, 6),
-            }
-        )
+        values = gamma_vector(poset, allowed, "auto", ns.budget).values
+        share = (time.perf_counter() - t0) / len(poset)
+        timed = [(value, share) for value in values]
+    else:
+        check_method_budget(poset.members, allowed, ns.method, ns.budget)
+        fn = METHODS[ns.method]
+        timed = []
+        for member in poset.members:
+            t0 = time.perf_counter()
+            value = fn(member, allowed, ns.budget)
+            timed.append((value, time.perf_counter() - t0))
+    rows = [
+        {
+            "mask": member.bits,
+            "edges": member.to_text(),
+            "value": str(value),
+            "method": ns.method,
+            "seconds": round(seconds, 6),
+        }
+        for member, (value, seconds) in zip(poset.members, timed)
+    ]
     payload = {
         "v": ns.v,
         "group": render_group_spec(group),
@@ -635,7 +644,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gamma", help="coloring probability per poset member")
     p.add_argument("--v", type=int, required=True)
-    p.add_argument("--method", choices=list(METHODS), default="cycle")
+    p.add_argument(
+        "--method",
+        choices=["auto", *METHODS],
+        default="cycle",
+        help=(
+            "auto: one histogram sweep of f^(v-1) colorings for all members, "
+            "each row's seconds the sweep time over the member count; "
+            "brute, cycle, fourier: per member, each row timed on its own"
+        ),
+    )
     _add_common(p, group_args=True)
     p.set_defaults(func=cmd_gamma)
 

@@ -11,9 +11,10 @@ Fourier cross-check, which is floating point by design.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
 from math import comb, lcm
 from numbers import Rational
 from operator import add, sub
@@ -34,6 +35,9 @@ from .posetlin import RationalPoly
 
 DEFAULT_BUDGET = 10**8
 FOURIER_TOL = 1e-9
+# chromatic_via_transfer holds lists of 2^|E| entries: about 150 MiB at 20
+# edges and four times that per two more, so one edge set is capped at K7
+MAX_CHROMATIC_EDGES = 21
 
 
 class BudgetExceededError(Exception):
@@ -75,9 +79,7 @@ def _count_colorings(
     # lower neighbour already colored; a vertex with no higher neighbour
     # constrains nothing later, so its candidates are counted, not tried.
     v = edge_set.v
-    allows = [
-        sum(1 << y for y, good in enumerate(row) if good) for row in allowed.difference_table
-    ]
+    allows = allowed.rows
     free = set(free)
     start = [(1 << f) - 1 if u in free else 1 for u in range(v)]
     lower: list[list[int]] = [[] for _ in range(v)]
@@ -196,21 +198,75 @@ def _superset_sums(hist: list[int], bits: int) -> None:
 def _difference_histogram(v: int, allowed: AllowedSet, budget: int) -> list[int]:
     # hist[M]: colorings of vertices 1..v-1, vertex 0 fixed to the
     # identity, whose allowed-difference pairs are exactly the mask M
-    group = allowed.group
-    f = group.order
+    f = allowed.group.order
     total = f ** (v - 1)
     if total > budget:
         raise BudgetExceededError("coloring histogram too large", total, budget)
-    ok = allowed.difference_table
-    pairs = [(1 << n, i, j) for n, (i, j) in enumerate(vertex_pairs(v))]
-    hist = [0] * (1 << len(pairs))
-    for rest in product(range(f), repeat=v - 1):
-        coloring = (0, *rest)
-        mask = 0
-        for bit, i, j in pairs:
-            if ok[coloring[i]][coloring[j]]:
-                mask |= bit
-        hist[mask] += 1
+    pairs = comb(v, 2)
+    bit = {pair: 1 << n for n, pair in enumerate(vertex_pairs(v))}
+    rows = allowed.rows
+
+    # Whole-vector passes over lists of pair masks, one entry per coloring
+    # of a run of vertices, in mixed radix with the last vertex least
+    # significant.
+    def shift(i: int, c: int, targets: range) -> list[int]:
+        # the pairs from vertex i, colored c, to the targets: each target
+        # repeats every entry f times and adds its tiled column of rows[c]
+        vec = [0]
+        for k, u in enumerate(targets):
+            column = [bit[i, u] if rows[c] >> y & 1 else 0 for y in range(f)]
+            vec = list(map(add, chain.from_iterable(map(repeat, vec, repeat(f))), column * f**k))
+        return vec
+
+    def among(targets: range) -> list[int]:
+        # the pairs among the targets: per color of the first, the masks of
+        # the others plus the first one's shift
+        if not targets:
+            return [0]
+        first, rest = targets[0], targets[1:]
+        below = among(rest)
+        return list(chain.from_iterable(map(add, below, shift(first, c, rest)) for c in range(f)))
+
+    # The last t vertices form one list of f^t masks; t is the largest with
+    # f^(t + 1) <= 2^pairs, at least 1, so no list is longer than the
+    # histogram and the f^(v - 1) colorings are never held at once.
+    t = min(v - 1, 1)
+    while t < v - 1 and f ** (t + 2) <= 1 << pairs:
+        t += 1
+    outer = v - t
+    trailing = range(outer, v)
+    inner = list(map(add, among(trailing), shift(0, 0, trailing)))
+
+    # Vertices 1..outer-1 are colored one at a time: each adds its shift
+    # for its color, and its pairs with the lower vertices go into a scalar
+    # mask. The two masks use disjoint bits, so each list is tallied under
+    # its scalar and the tallies are merged once at the end.
+    shifts = [[shift(i, c, trailing) for c in range(f)] if i else [] for i in range(outer)]
+    lower_bits = [[(w, bit[w, i]) for w in range(i)] for i in range(outer)]
+    tallies: defaultdict[int, Counter] = defaultdict(Counter)
+    colors = [0] * outer
+
+    def sweep(i: int, vec: list[int], scalar: int) -> None:
+        for c in range(f):
+            colors[i] = c
+            mask = scalar
+            for w, b in lower_bits[i]:
+                if rows[colors[w]] >> c & 1:
+                    mask |= b
+            moved = map(add, vec, shifts[i][c])
+            if i == outer - 1:
+                tallies[mask].update(moved)
+            else:
+                sweep(i + 1, list(moved), mask)
+
+    if outer > 1:
+        sweep(1, inner, 0)
+    else:
+        tallies[0].update(inner)
+    hist = [0] * (1 << pairs)
+    for scalar, counts in tallies.items():
+        for mask, n in counts.items():
+            hist[scalar | mask] = n
     return hist
 
 
@@ -301,6 +357,19 @@ def _solve(poset: SubgraphPoset, rhs: list[int], p: int) -> list[int]:
     return out
 
 
+def _solve_scaled(gamma: GammaVector, r: Fraction) -> tuple[list[int], int, int]:
+    # Y = L q^|H| J(r)^-1 x as integers, with L and the denominator q of r
+    r = Fraction(r)
+    q = r.denominator
+    common, weights = _scaled_numerators(gamma, q)
+    return _solve(gamma.poset, weights, r.numerator), common, q
+
+
+def _signed(poset: SubgraphPoset, numerators: list[int]) -> list[int]:
+    # (-1)^|H| Y_H per coordinate
+    return [-y if size & 1 else y for y, size in zip(numerators, poset.sizes)]
+
+
 def _fractions(poset: SubgraphPoset, numerators: list[int], common: int, q: int) -> tuple:
     # one Fraction(Y_H, L q^|H|) per coordinate
     return tuple(Fraction(y, common * q**size) for y, size in zip(numerators, poset.sizes))
@@ -315,11 +384,8 @@ def gamma_plus(gamma: GammaVector, alpha: Fraction) -> GammaVector:
     integers Y_H = n_H q^|H| - sum over E < H of p^(|H| - |E|) Y_E give
     coordinate H as Y_H / (L q^|H|), one Fraction per coordinate.
     """
-    alpha = Fraction(alpha)
-    p, q = alpha.numerator, alpha.denominator
-    common, weights = _scaled_numerators(gamma, q)
     poset = gamma.poset
-    values = _fractions(poset, _solve(poset, weights, p), common, q)
+    values = _fractions(poset, *_solve_scaled(gamma, alpha))
     return GammaVector(poset, values, gamma.method + "+mobius")
 
 
@@ -389,10 +455,9 @@ def verify_reciprocity(
     g_a = gamma_vector(poset, allowed, method, budget)
     g_bar = gamma_vector(poset, allowed.complement(), method, budget)
     plus_a = gamma_plus(g_a, allowed.alpha)
-    plus_bar = gamma_plus(g_bar, allowed.alpha_bar)
-    signed = tuple(
-        (-1) ** poset.sizes[h] * plus_bar.values[h] for h in range(len(poset))
-    )
+    # the complement side is signed on the solve's integer numerators
+    ys, common, q = _solve_scaled(g_bar, allowed.alpha_bar)
+    signed = _fractions(poset, _signed(poset, ys), common, q)
     return ReciprocityReport(poset, allowed.alpha, plus_a.values, signed, g_a, g_bar)
 
 
@@ -410,10 +475,8 @@ def apply_transfer(
     r = Fraction(alpha_bar)
     p, q = r.numerator, r.denominator
     common, weights = _scaled_numerators(gamma_bar, q)
+    signed = _signed(poset, _solve(poset, weights, p))
     sizes = poset.sizes
-    signed = [
-        -y if size & 1 else y for y, size in zip(_solve(poset, weights, p), sizes)
-    ]
     up_pow = [(q - p) ** k for k in range(max(sizes) + 1)]
     images = []
     for h, down in enumerate(poset.down_sets):
@@ -527,6 +590,11 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
     digits, the negative powers of f, must cancel; anything else signals a
     transfer bug.
     """
+    if edge_set.edge_count > MAX_CHROMATIC_EDGES:
+        raise ValueError(
+            f"chromatic specialization holds 2^|E| entries per pass; {edge_set.edge_count} "
+            f"edges exceed the cap of {MAX_CHROMATIC_EDGES}, the edges of K7"
+        )
     if not is_isthmus_free(edge_set):
         raise ValueError(
             "transfer specialization needs an isthmus-free edge set; "

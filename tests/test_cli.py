@@ -290,6 +290,21 @@ def test_per_member_commands_check_the_whole_command_budget(capsys):
     capsys.readouterr()
 
 
+def test_cmd_gamma_auto_runs_p6_at_the_default_budget(capsys):
+    argv = ["gamma", "--v", "6", "--group", "Z7", "--allowed", "interval:1"]
+    code, data = _run_json(capsys, argv + ["--method", "auto"])
+    assert code == 0
+    rows = data["values"]
+    assert len(rows) == 13667
+    assert {row["method"] for row in rows} == {"auto"}
+    assert rows[0]["value"] == "1" and rows[-1]["value"] == "0"  # empty, then K6
+    # the same values as the per-member cycle method at v = 4
+    small = ["gamma", "--v", "4", "--group", "Z7", "--allowed", "interval:1"]
+    _, auto = _run_json(capsys, small + ["--method", "auto"])
+    _, cycle = _run_json(capsys, small)
+    assert [r["value"] for r in auto["values"]] == [r["value"] for r in cycle["values"]]
+
+
 def test_cmd_verify_failure_exit_code(capsys, monkeypatch):
     import groupcolor.cli as cli_mod
 
@@ -317,6 +332,17 @@ def test_cmd_chromatic_single_edgeset(capsys):
     assert code == 0
     row = data["polynomials"][0]
     assert row["via_transfer"] == row["oracle"] == "-6f + 11f^2 - 6f^3 + f^4"
+
+
+def test_cmd_chromatic_refuses_more_edges_than_k7(capsys):
+    # K7 minus 01, plus vertex 7 joined to 0 and 1: 22 edges, bridgeless,
+    # 2^22 subsets (under the default budget) but over the edge cap
+    edges = [f"{a}{b}" for a in range(7) for b in range(a + 1, 7) if (a, b) != (0, 1)]
+    text = "v=8;edges=" + ",".join(edges + ["07", "17"])
+    start = time.perf_counter()
+    assert main(["chromatic", "--edgeset", text]) == 2
+    assert time.perf_counter() - start < 5
+    assert "cap of 21" in capsys.readouterr().err
 
 
 def test_cmd_chromatic_needs_target(capsys):

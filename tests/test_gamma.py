@@ -10,6 +10,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -359,6 +360,34 @@ def test_histogram_matches_per_member_methods(p3, p4, p5, name):
         assert auto.values[i] == gamma_bruteforce(p5.members[i], allowed)
 
 
+# (v, group, allowed set) for the blocked sweep: cyclic, xor and mixed
+# groups; Z31 at v = 4 sweeps one vertex per list (t = 1), Z4 at v = 5
+# the whole sweep as one list (4^5 = 2^10)
+HISTOGRAM_SWEEPS = [
+    *((v, name) for v in (3, 4, 5) for name in sorted(HISTOGRAM_GROUPS)),
+    (4, "Z31 interval:5"),
+    (5, "Z4 {1,3}"),
+    (6, "Z7 interval:1"),
+]
+SWEEP_SETS = {
+    "Z31 interval:5": lambda: allowed_interval(make_group([31]), 5),
+    "Z4 {1,3}": lambda: allowed_explicit(make_group([4]), [1, 3]),
+    "Z7 interval:1": lambda: allowed_interval(make_group([7]), 1),
+}
+
+
+@pytest.mark.parametrize("v,name", HISTOGRAM_SWEEPS)
+def test_difference_histogram_matches_the_per_coloring_loop(v, name):
+    if name in HISTOGRAM_GROUPS:
+        sets = _histogram_sets(name)
+    else:
+        sets = (SWEEP_SETS[name](),)
+    for allowed in sets:
+        tally = _product_tally(v, allowed)
+        want = [tally[mask] for mask in range(1 << comb(v, 2))]
+        assert gamma_module._difference_histogram(v, allowed, 10**6) == want
+
+
 def test_superset_sums_match_the_direct_sum():
     rng = random.Random(9)
     for bits in range(7):
@@ -476,6 +505,10 @@ def test_reciprocity_holds_exactly(p3, p4, v, orders, build):
     assert report.ok
     assert report.failing_indices() == ()
     assert len(report.per_coordinate) == len(poset)
+    plus_bar = gamma_plus(report.gamma_complement, allowed.alpha_bar)
+    assert report.rhs == tuple(
+        (-1) ** size * x for size, x in zip(poset.sizes, plus_bar.values)
+    )
 
 
 V6_SETS = {

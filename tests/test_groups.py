@@ -80,6 +80,29 @@ def test_add_neg_consistent_with_residue_arithmetic(orders):
             assert g.sub(a, b) == g.add(a, g.neg(b))
 
 
+@pytest.mark.parametrize("orders", [[7], [2, 2, 2], [2, 4], [3, 3], [2, 300]])
+def test_translate_moves_every_bit_by_the_group_law(orders):
+    # [2, 300] is above the add-table limit, so add() works on tuples there
+    g = make_group(orders)
+    shifts = range(g.order) if g.order <= 72 else (0, 1, 299, 300, 301, 457, 599)
+    for a in shifts:
+        for x in range(g.order):
+            assert g.translate(1 << x, a) == 1 << g.add(x, a)
+        mask = sum(1 << x for x in range(0, g.order, 3))
+        assert g.translate(mask, a) == sum(1 << g.add(x, a) for x in range(0, g.order, 3))
+
+
+def test_allowed_rows_are_translated_sets():
+    for allowed in (
+        allowed_interval(make_group([7]), 1),
+        allowed_hamming(3, 1),
+        allowed_explicit(make_group([2, 4]), [(0, 1), (0, 3), (1, 0), (1, 2)]),
+    ):
+        g = allowed.group
+        for a, row in enumerate(allowed.rows):
+            assert row == sum(1 << b for b in range(g.order) if g.sub(b, a) in allowed)
+
+
 def test_element_arithmetic():
     g = make_group([5])
     two, three = g.element(2), g.element(3)
