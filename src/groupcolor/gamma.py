@@ -493,19 +493,28 @@ def apply_transfer(
 def _forest_counts(edge_set: EdgeSet) -> list[int]:
     # counts[k]: the forests of k edges inside edge_set. A depth-first walk
     # adds edges in increasing position, each only when it joins two
-    # components, so every forest is reached once.
+    # components, so every forest is reached once. The components are an
+    # undoable union-find: roots are found by walking up ``parent`` with no
+    # path compression, so resetting the one link set before a recursive
+    # call restores the components after it.
     edges = edge_set.edges()
     counts = [0] * (min(edge_set.v - 1, len(edges)) + 1)
+    parent = list(range(edge_set.v))
 
-    def grow(start: int, label: tuple[int, ...], k: int) -> None:
+    def grow(start: int, k: int) -> None:
         counts[k] += 1
         for pos in range(start, len(edges)):
             a, b = edges[pos]
-            keep, drop = label[a], label[b]
-            if keep != drop:
-                grow(pos + 1, tuple(keep if x == drop else x for x in label), k + 1)
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                parent[b] = a
+                grow(pos + 1, k + 1)
+                parent[b] = b
 
-    grow(0, tuple(range(edge_set.v)), 0)
+    grow(0, 0)
     return counts
 
 

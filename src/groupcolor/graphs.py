@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import comb
-from operator import add, itemgetter, or_
+from operator import add, or_
 
 from .posetlin import RationalPoly
 
@@ -425,23 +425,47 @@ def enumerate_poset(v: int, cap: int = DEFAULT_POSET_CAP) -> SubgraphPoset:
 
 @lru_cache(maxsize=None)
 def _relabelings(v: int) -> tuple[tuple[int, ...], ...]:
-    # one table per vertex permutation: the bit of each edge position's image
-    pairs = vertex_pairs(v)
-    bit = {p: 1 << n for n, p in enumerate(pairs)}
+    """Column tables of the v! vertex relabelings: for each edge position n,
+    the bit of n's image under every permutation, in ``permutations`` order.
+    Built from one column of images per vertex, whole columns at a time."""
+    images = list(zip(*permutations(range(v))))  # images[a][k]: perm k's image of a
+    bit_of = [0] * (v * v)  # bit_of[x * v + y]: the bit of the pair {x, y}
+    for n, (a, b) in enumerate(vertex_pairs(v)):
+        bit_of[a * v + b] = bit_of[b * v + a] = 1 << n
+    scaled = [list(map(v.__mul__, column)) for column in images]
     return tuple(
-        tuple(bit[(min(perm[a], perm[b]), max(perm[a], perm[b]))] for a, b in pairs)
-        for perm in permutations(range(v))
+        tuple(map(bit_of.__getitem__, map(add, scaled[a], images[b])))
+        for a, b in vertex_pairs(v)
     )
 
 
-@lru_cache(maxsize=None)
+# per v, every mask whose orbit has been swept -> the minimum of that orbit
+_canonical_forms: dict[int, dict[int, int]] = {}
+
+
 def canonical_bits(v: int, bits: int) -> int:
-    """Minimum bitmask over all vertex relabelings; class representative."""
-    positions = [n for n in range(comb(v, 2)) if (bits >> n) & 1]
-    if len(positions) < 2:
+    """Minimum bitmask over all vertex relabelings; class representative.
+
+    On the first mask of a class, its whole orbit is swept at once: the
+    orbit is the OR of the ``_relabelings`` columns of its edges, one
+    ``map`` per edge, and every mask of the orbit is memoized with the
+    orbit's minimum, so each later member of the class is one dict lookup.
+    The memo keeps at most 2^C(v, 2) masks per v; over the members of P_6
+    it holds at most their 13,667.
+    """
+    if bits & (bits - 1) == 0:
         return min(bits, 1)  # no edge, or one edge relabeled onto (0, 1)
-    # the image bits are distinct, so their sum is their OR
-    return min(map(sum, map(itemgetter(*positions), _relabelings(v))))
+    forms = _canonical_forms.setdefault(v, {})
+    canon = forms.get(bits)
+    if canon is None:
+        columns = _relabelings(v)
+        first, *rest = [columns[n] for n in range(len(columns)) if (bits >> n) & 1]
+        orbit = first
+        for column in rest:
+            orbit = list(map(or_, orbit, column))
+        canon = min(orbit)
+        forms.update(dict.fromkeys(orbit, canon))
+    return canon
 
 
 def _cycle_lengths(edge_set: EdgeSet) -> list[int] | None:
@@ -537,23 +561,27 @@ def chromatic_oracle(edge_set: EdgeSet) -> RationalPoly:
 
 def poset_rows(poset: SubgraphPoset) -> list[dict]:
     """One record per member: its mask, edges, edge and component counts,
-    girth and isomorphism-class label."""
-    labels = {}
+    girth and isomorphism-class label. Girth and component count do not
+    change under relabeling, so they are computed once per class, on its
+    first member."""
+    of_class = {}
     for label, idxs in iso_class_blocks(poset):
-        for i in idxs:
-            labels[i] = label
+        first = poset.members[idxs[0]]
+        g = girth(first)
+        shared = (components(first), "inf" if g == math.inf else g, label)
+        of_class.update(dict.fromkeys(idxs, shared))
     rows = []
     for i, member in enumerate(poset.members):
-        g = girth(member)
+        count, g, label = of_class[i]
         rows.append(
             {
                 "index": i,
                 "mask": member.bits,
                 "edges": member.to_text(),
                 "edge_count": member.edge_count,
-                "components": components(member),
-                "girth": "inf" if g == math.inf else g,
-                "iso_class": labels[i],
+                "components": count,
+                "girth": g,
+                "iso_class": label,
             }
         )
     return rows

@@ -18,6 +18,7 @@ import groupcolor.gamma as gamma_module
 from groupcolor.gamma import (
     BudgetExceededError,
     GammaVector,
+    _forest_counts,
     _superset_sums,
     apply_transfer,
     chromatic_via_transfer,
@@ -607,6 +608,23 @@ def test_main_term_matches_interval_mobius(p5, p6):
         main = main_term(member, Fraction(2, 7))
         assert isinstance(main, Fraction)
         assert main == _main_term_oracle(member, Fraction(2, 7))
+
+
+def _forest_counts_oracle(edge_set):
+    # S is a forest iff it has v - |S| components; no set of v or more
+    # edges has that few
+    v = edge_set.v
+    places = [1 << n for n in range(edge_set.bits.bit_length()) if (edge_set.bits >> n) & 1]
+    return [
+        sum(1 for chosen in combinations(places, k) if components(EdgeSet(v, sum(chosen))) == v - k)
+        for k in range(min(v - 1, len(places)) + 1)
+    ]
+
+
+def test_forest_counts_match_subset_brute_force(p5, p6):
+    sample = [p6.members[i] for i in random.Random(11).sample(range(len(p6)), 8)]
+    for member in [*p5.members, *sample, p6.members[-1]]:  # K6 last
+        assert _forest_counts(member) == _forest_counts_oracle(member)
 
 
 def test_main_term_spec_values(k3_v3, c4_v4):

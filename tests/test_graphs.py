@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from groupcolor.graphs import (
     EdgeSet,
+    _canonical_forms,
     _circuits,
     _lattice_pass,
+    _relabelings,
     bridgeless_cores,
     bridgeless_subsets,
     canonical_bits,
@@ -27,6 +29,7 @@ from groupcolor.graphs import (
     girth,
     is_isthmus_free,
     iso_class_blocks,
+    poset_rows,
     poset_to_json,
     vertex_pairs,
 )
@@ -337,6 +340,59 @@ def test_canonical_bits_matches_permutation_loop(p5, p6):
         assert canonical_bits(6, bits) == _canonical_oracle(6, bits)
 
 
+def _relabeled(v, bits, perm):
+    # the image of an edge mask under one vertex permutation
+    pairs = vertex_pairs(v)
+    index = {p: n for n, p in enumerate(pairs)}
+    image = 0
+    for n, (a, b) in enumerate(pairs):
+        if (bits >> n) & 1:
+            x, y = perm[a], perm[b]
+            image |= 1 << index[(min(x, y), max(x, y))]
+    return image
+
+
+@pytest.mark.parametrize("v", [3, 4, 5, 6])
+def test_relabelings_columns_match_permutation_loop(v):
+    pairs = vertex_pairs(v)
+    columns = _relabelings(v)
+    assert len(columns) == len(pairs)
+    per_permutation = [
+        tuple(_relabeled(v, 1 << n, perm) for n in range(len(pairs)))
+        for perm in permutations(range(v))
+    ]
+    assert list(zip(*columns)) == per_permutation
+
+
+def test_canonical_bits_does_not_depend_on_call_order(p6):
+    # with the memo emptied, a relabeled image of each mask is asked first,
+    # so the mask itself is answered from the orbit its image swept
+    rng = random.Random(10)
+    sample = [p6.members[i].bits for i in rng.sample(range(len(p6)), 30)]
+    bridged = [0b111, 0b100000000000011, 0b110000000000111, 0b000100010001111]
+    _canonical_forms.clear()
+    for bits in sample + bridged:
+        image = _relabeled(6, bits, rng.sample(range(6), 6))
+        for mask in (image, bits):
+            assert canonical_bits(6, mask) == _canonical_oracle(6, mask)
+
+
+def _orbit_oracle(v, bits):
+    return {_relabeled(v, bits, perm) for perm in permutations(range(v))}
+
+
+def test_iso_class_blocks_are_the_orbits(p5, p6):
+    for poset, classes in ((p5, 16), (p6, 77)):
+        blocks = iso_class_blocks(poset)
+        assert len(blocks) == classes
+        for _, idxs in blocks:
+            masks = {poset.members[i].bits for i in idxs}
+            canon = canonical_bits(poset.v, poset.members[idxs[0]].bits)
+            assert masks == _orbit_oracle(poset.v, canon)
+            assert canon == min(masks)
+        assert sorted(i for _, idxs in blocks for i in idxs) == list(range(len(poset)))
+
+
 def test_chromatic_oracle_classics(k3_v3, k4_v4, c4_v4):
     assert chromatic_oracle(k3_v3) == RationalPoly.of([0, 2, -3, 1])  # f(f-1)(f-2)
     assert chromatic_oracle(k4_v4) == RationalPoly.of([0, -6, 11, -6, 1])
@@ -376,6 +432,14 @@ def test_poset_json_shape(p4):
     assert {"index", "mask", "edges", "edge_count", "components", "girth", "iso_class"} <= set(
         data["members"][0]
     )
+
+
+def test_poset_rows_match_per_member_girth_and_components(p5):
+    # the rows take both from one member per class
+    for row, member in zip(poset_rows(p5), p5.members):
+        g = girth(member)
+        assert row["girth"] == ("inf" if g == math.inf else g)
+        assert row["components"] == components(member)
 
 
 @given(st.integers(min_value=2, max_value=6), st.data())
