@@ -20,10 +20,12 @@ from numbers import Rational
 from operator import add, sub
 
 from .graphs import (
+    DEFAULT_POSET_CAP,
     EdgeSet,
     SubgraphPoset,
     _lattice_pass,
     bridgeless_cores,
+    canonical_bits,
     components,
     cycle_basis,
     girth,
@@ -489,6 +491,28 @@ def apply_transfer(
 # Local computations. The transfer row of an edge set E only involves
 # subsets of E, so these avoid building the full ambient poset.
 
+# Forest counts and the chromatic polynomial do not change under vertex
+# relabeling, so each is computed once per isomorphism class: memoized per
+# (v, canonical_bits(v, bits)), at most one entry per class (77 at v = 6).
+# The stored values are shared, never mutated.
+_forest_counts_by_class: dict[tuple[int, int], list[int]] = {}
+_chromatic_by_class: dict[tuple[int, int], RationalPoly] = {}
+
+
+def _per_class(memo: dict, kernel, edge_set: EdgeSet):
+    # kernel(edge_set), computed once per isomorphism class for
+    # v <= DEFAULT_POSET_CAP. Above the cap the kernel runs on every call:
+    # the canonical form needs _relabelings(v), C(v, 2) v! entries, about
+    # 1.1M at v = 8 and 163M at v = 10.
+    v = edge_set.v
+    if v > DEFAULT_POSET_CAP:
+        return kernel(edge_set)
+    key = v, canonical_bits(v, edge_set.bits)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = kernel(edge_set)
+    return value
+
 
 def _forest_counts(edge_set: EdgeSet) -> list[int]:
     # counts[k]: the forests of k edges inside edge_set. A depth-first walk
@@ -533,15 +557,18 @@ def main_term(edge_set: EdgeSet, alpha_bar: Fraction) -> Fraction:
     binomial sum over F <= G <= E collapses to (-alpha_bar)^|F|. So with
     alpha_bar = p/q and n_k forests of k edges, the entry is the sum of
     n_k (-p)^k q^(|E| - k) over q^|E|.
+
+    The counts n_k are computed once per isomorphism class of E for
+    v <= DEFAULT_POSET_CAP (6) and on every call above it, where the
+    canonical form would cost C(v, 2) v! relabeled edges.
     """
     if not is_isthmus_free(edge_set):
         raise ValueError("main term is defined on isthmus-free edge sets")
     alpha_bar = Fraction(alpha_bar)
     p, q = alpha_bar.numerator, alpha_bar.denominator
     e_top = edge_set.edge_count
-    acc = sum(
-        n_k * (-p) ** k * q ** (e_top - k) for k, n_k in enumerate(_forest_counts(edge_set))
-    )
+    counts = _per_class(_forest_counts_by_class, _forest_counts, edge_set)
+    acc = sum(n_k * (-p) ** k * q ** (e_top - k) for k, n_k in enumerate(counts))
     return Fraction(acc, q**e_top)
 
 
@@ -598,6 +625,11 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
     The transform must vanish on every bridged mask, and the low |E|
     digits, the negative powers of f, must cancel; anything else signals a
     transfer bug.
+
+    The polynomial is a graph invariant, so for v <= DEFAULT_POSET_CAP (6)
+    it is computed once per isomorphism class and memoized under the
+    canonical form. Above the cap every call runs the solve: the canonical
+    form needs C(v, 2) v! relabeled edges, about 1.1M at v = 8.
     """
     if edge_set.edge_count > MAX_CHROMATIC_EDGES:
         raise ValueError(
@@ -609,6 +641,11 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
             "transfer specialization needs an isthmus-free edge set; "
             "use the deletion-contraction oracle instead"
         )
+    return _per_class(_chromatic_by_class, _chromatic_transfer, edge_set)
+
+
+def _chromatic_transfer(edge_set: EdgeSet) -> RationalPoly:
+    # the solve and decode of chromatic_via_transfer, on a checked edge set
     v = edge_set.v
     e_top = edge_set.edge_count
     width = e_top + 2

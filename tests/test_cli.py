@@ -5,9 +5,12 @@ import hashlib
 import json
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+import groupcolor.gamma as gamma_module
+import groupcolor.graphs as graphs_module
 from groupcolor.cli import (
     example1_report,
     example2_report,
@@ -188,6 +191,7 @@ GOLDEN_STDOUT = {
     "matrix --v 5 --which M --r 2/3": "d415b4d0a6066999662aa7705ec2f96aa0ba3c7be6de8f2085809050a1000601",
     "poset --v 4 --format tsv": "5575f2d8780fbe9cdd10d781aa5eae27bda8389e95e425577a8e6a4813d70a04",
     "chromatic --v 5": "eedfe0874b95720db72ec0c554ca8544c68d905963a8b2efe79c5ba40b299a3c",
+    "chromatic --v 6": "0c2221a79523532c030b4686b82e451d377f63b87111046f438e6ea49dab694b",
     "examples --which all": "39c10a7fffd69886a24167f486f72b0812eed1013f167d04d850272f14255598",
     "verify --v 4 --group Z2^3 --allowed hamming:1 --format tsv": "f891e755040c9ad7ae835f743fb2a442536ab5bc0abd3ac1e2a9c95a0f5005cb",
 }
@@ -325,6 +329,21 @@ def test_cmd_chromatic_all_members(capsys):
     assert code == 0
     assert data["all_equal"] is True
     assert len(data["polynomials"]) == 15
+
+
+def test_cmd_chromatic_v6_in_bounded_time(capsys, monkeypatch):
+    # every P_6 member, from empty memos: the 77 isomorphism classes are
+    # solved and checked once each
+    monkeypatch.setattr(gamma_module, "_chromatic_by_class", {})
+    monkeypatch.setattr(graphs_module, "_canonical_forms", {})
+    fresh = lru_cache(maxsize=None)(graphs_module._chromatic.__wrapped__)
+    monkeypatch.setattr(graphs_module, "_chromatic", fresh)
+    start = time.perf_counter()
+    code, data = _run_json(capsys, ["chromatic", "--v", "6"])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert data["all_equal"] is True
+    assert len(data["polynomials"]) == 13667
 
 
 def test_cmd_chromatic_single_edgeset(capsys):

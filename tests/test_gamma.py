@@ -15,9 +15,11 @@ from math import comb
 import pytest
 
 import groupcolor.gamma as gamma_module
+import groupcolor.graphs as graphs_module
 from groupcolor.gamma import (
     BudgetExceededError,
     GammaVector,
+    _chromatic_transfer,
     _forest_counts,
     _superset_sums,
     apply_transfer,
@@ -675,9 +677,9 @@ def test_chromatic_via_transfer_on_all_p4_members(p4):
 
 
 def test_chromatic_via_transfer_on_p5_and_a_p6_sample(p5, p6):
-    # isolated-vertex factors included
+    # isolated-vertex factors included; the uncached solve on every member
     for member in p5.members:
-        assert chromatic_via_transfer(member) == chromatic_oracle(member)
+        assert _chromatic_transfer(member) == chromatic_oracle(member)
     for i in random.Random(6).sample(range(len(p6)), 10):
         member = p6.members[i]
         assert chromatic_via_transfer(member) == chromatic_oracle(member)
@@ -710,7 +712,7 @@ def _chromatic_interval_oracle(edge_set):
 
 def test_chromatic_via_transfer_matches_the_interval_solve(p5, p6):
     for member in p5.members:
-        assert chromatic_via_transfer(member) == _chromatic_interval_oracle(member)
+        assert _chromatic_transfer(member) == _chromatic_interval_oracle(member)
     rng = random.Random(8)
     dense = [i for i in range(len(p6)) if p6.members[i].edge_count >= 12]
     picks = rng.sample(range(len(p6)), 8) + rng.sample(dense, 3) + [len(p6) - 1]  # K6 last
@@ -737,8 +739,54 @@ def test_chromatic_via_transfer_checks_the_bridged_masks_vanish(k4_v4, monkeypat
         return places, core
 
     monkeypatch.setattr(gamma_module, "bridgeless_cores", broken)
+    # an empty memo, so K4's class is solved here and not looked up
+    monkeypatch.setattr(gamma_module, "_chromatic_by_class", {})
     with pytest.raises(ArithmeticError, match="bridged"):
         chromatic_via_transfer(k4_v4)
+
+
+def test_chromatic_via_transfer_memo_is_one_solve_per_class(p5, monkeypatch):
+    # from an empty memo, in shuffled order: every member equals the
+    # oracle whichever member of its class was solved first
+    memo = {}
+    monkeypatch.setattr(gamma_module, "_chromatic_by_class", memo)
+    members = list(p5.members)
+    random.Random(11).shuffle(members)
+    for member in members:
+        assert chromatic_via_transfer(member) == chromatic_oracle(member)
+    assert len(memo) == 16  # the isomorphism classes of P_5
+
+
+def _relabeled_edge_set(edge_set, perm):
+    return EdgeSet.from_edges(edge_set.v, [(perm[a], perm[b]) for a, b in edge_set.edges()])
+
+
+def test_per_class_memos_answer_relabeled_images(p5, monkeypatch):
+    rng = random.Random(12)
+    ab = Fraction(2, 7)
+    polys, forests = {}, {}
+    monkeypatch.setattr(gamma_module, "_chromatic_by_class", polys)
+    monkeypatch.setattr(gamma_module, "_forest_counts_by_class", forests)
+    for member in rng.sample(p5.members, 12):
+        image = _relabeled_edge_set(member, rng.sample(range(5), 5))
+        poly, main = chromatic_via_transfer(member), main_term(member, ab)
+        sizes = len(polys), len(forests)
+        assert chromatic_via_transfer(image) == poly
+        assert main_term(image, ab) == main
+        assert (len(polys), len(forests)) == sizes
+
+
+def test_per_class_memos_skip_canonical_forms_above_v6(monkeypatch):
+    # canonical_bits at v > 6 would build _relabelings(v), C(v, 2) v! entries
+    monkeypatch.setattr(graphs_module, "_canonical_forms", {})
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    k4_above = [(a, b) for a in range(4, 8) for b in range(a + 1, 8)]
+    v8 = EdgeSet.from_edges(8, triangle + k4_above)
+    assert chromatic_via_transfer(v8) == chromatic_oracle(v8)
+    assert 8 not in graphs_module._canonical_forms
+    v7 = EdgeSet.from_edges(7, triangle + [(a - 1, b - 1) for a, b in k4_above])
+    assert main_term(v7, Fraction(1, 3)) == _main_term_oracle(v7, Fraction(1, 3))
+    assert 7 not in graphs_module._canonical_forms
 
 
 # ---------------------------------------------------------------------------
