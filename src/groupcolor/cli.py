@@ -320,7 +320,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_chromatic(ns: argparse.Namespace) -> int:
     # both polynomials are graph invariants, so each isomorphism class is
-    # solved and checked once, on its first member
+    # solved once, on its first member, and checked by the oracle on its first and last
     if ns.edgeset:
         members = [EdgeSet.from_text(ns.edgeset)]
         v = members[0].v
@@ -343,7 +343,8 @@ def cmd_chromatic(ns: argparse.Namespace) -> int:
         first = members[idxs[0]]
         via_transfer = chromatic_via_transfer(first)
         oracle = chromatic_oracle(first)
-        cell = (via_transfer.render("f"), oracle.render("f"), via_transfer == oracle)
+        last = chromatic_oracle(members[idxs[-1]])  # memoized when it is first
+        cell = (via_transfer.render("f"), oracle.render("f"), via_transfer == oracle == last)
         for i in idxs:
             cells[i] = cell
     rows = [

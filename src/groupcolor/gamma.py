@@ -14,10 +14,10 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import chain, compress, product, repeat
 from math import comb, lcm
 from numbers import Rational
-from operator import add, sub
+from operator import add, mul, sub, xor
 
 from .graphs import (
     DEFAULT_POSET_CAP,
@@ -326,68 +326,73 @@ def gamma_vector(
 
 
 # ---------------------------------------------------------------------------
-# Triangular solves. J(r) is unitriangular along the linear extension, so
-# J(r)^-1 x is forward substitution over the down-sets, one step per
-# comparable pair, with no Mobius table. With r = p/q and x = n / L over one
-# common denominator L, the scaled unknowns Y_H = L q^|H| y_H are integers.
+# Triangular solves on the Boolean lattice. With r = p/q and x = n / L over
+# one common denominator L, x on P_v is extended to every edge mask M of K_v
+# by the bridge law, x[M] = r^(|M| - |core M|) x[core M]. The bridgeless
+# subsets of M are those of its bridgeless core, so y = J(r)^-1 x, 0 off P_v,
+# has weighted subset sums x[M] at every M, and Y[M] = L q^|M| y[M] is one
+# weighted subset-Mobius pass (step hi - p*lo) over the integers
+# X[M] = L q^|M| x[M] = n_core q^|core| p^(|M| - |core|). Y must be 0 off P_v.
 
 
-def _scaled_numerators(gamma: GammaVector, q: int) -> tuple[int, list[int]]:
-    # the common denominator L of the values, and n_H q^|H| per coordinate
+def _bridge_extension(core: list[int], scaled: list[int], p: int) -> list[int]:
+    # X from scaled[H] = n_H q^|H| at every bridgeless mask H
+    xs = map(scaled.__getitem__, core)
+    if p == 1:
+        return list(xs)
+    p_pow = [p**k for k in range(len(core).bit_length())]
+    bridges = map(int.bit_count, map(xor, range(len(core)), core))
+    return list(map(mul, xs, map(p_pow.__getitem__, bridges)))
+
+
+def _lattice_inverse(v: int, places: list[int], core: list[int], scaled: list[int], p: int):
+    # Y at every mask, for the places and core of bridgeless_cores
+    ys = _bridge_extension(core, scaled, p)
+    _lattice_pass(ys, len(places), sub, p)
+    for mask in compress(range(len(ys)), ys):
+        if core[mask] != mask:
+            bridged = EdgeSet(v, sum(1 << n for k, n in enumerate(places) if (mask >> k) & 1))
+            raise ArithmeticError(f"J(r)^-1 is nonzero on the bridged {bridged!r}")
+    return ys
+
+
+def _scaled_inverse(gamma: GammaVector, r: Fraction) -> tuple[list[int], int, int]:
+    # Y = L q^|M| J(r)^-1 x at every mask of K_v, with the common
+    # denominator L of the values and the denominator q of r
     for x in gamma.values:
         if not isinstance(x, Rational):
             raise TypeError(f"exact rational values needed, got {x!r}")
+    p, q = Fraction(r).as_integer_ratio()
     common = lcm(*(x.denominator for x in gamma.values))
-    sizes = gamma.poset.sizes
-    return common, [
-        x.numerator * (common // x.denominator) * q**size
-        for x, size in zip(gamma.values, sizes)
-    ]
+    poset = gamma.poset
+    scaled = [0] * len(poset.cores[1])
+    for member, x in zip(poset.members, gamma.values):
+        scaled[member.bits] = x.numerator * (common // x.denominator) * q**member.edge_count
+    return _lattice_inverse(poset.v, *poset.cores, scaled, p), common, q
 
 
-def _solve(poset: SubgraphPoset, rhs: list[int], p: int) -> list[int]:
-    # Y_H = rhs_H - sum over E < H of p^(|H| - |E|) Y_E
-    sizes = poset.sizes
-    p_pow = [p**k for k in range(max(sizes) + 1)]
-    out: list[int] = []
-    for h, down in enumerate(poset.down_sets):
-        size_h = sizes[h]
-        acc = rhs[h]
-        for e in down[:-1]:
-            acc -= p_pow[size_h - sizes[e]] * out[e]
-        out.append(acc)
-    return out
+def _negate_odd_sizes(poset: SubgraphPoset, ys: list[int]) -> None:
+    # (-1)^|H| Y_H in place; Y vanishes off the members
+    for mask in (m.bits for m in poset.members if m.edge_count & 1):
+        ys[mask] = -ys[mask]
 
 
-def _solve_scaled(gamma: GammaVector, r: Fraction) -> tuple[list[int], int, int]:
-    # Y = L q^|H| J(r)^-1 x as integers, with L and the denominator q of r
-    r = Fraction(r)
-    q = r.denominator
-    common, weights = _scaled_numerators(gamma, q)
-    return _solve(gamma.poset, weights, r.numerator), common, q
-
-
-def _signed(poset: SubgraphPoset, numerators: list[int]) -> list[int]:
-    # (-1)^|H| Y_H per coordinate
-    return [-y if size & 1 else y for y, size in zip(numerators, poset.sizes)]
-
-
-def _fractions(poset: SubgraphPoset, numerators: list[int], common: int, q: int) -> tuple:
-    # one Fraction(Y_H, L q^|H|) per coordinate
-    return tuple(Fraction(y, common * q**size) for y, size in zip(numerators, poset.sizes))
+def _fractions(poset: SubgraphPoset, ys: list[int], common: int, q: int) -> tuple:
+    # one Fraction(Y_H, L q^|H|) per member H
+    return tuple(Fraction(ys[m.bits], common * q**m.edge_count) for m in poset.members)
 
 
 def gamma_plus(gamma: GammaVector, alpha: Fraction) -> GammaVector:
     """Mobius-invert the weighted zeta expansion: the inverse weighted zeta
     at alpha applied to the vector, exactly.
 
-    The inverse is applied by forward substitution, not built: with
-    alpha = p/q and every value n_E / L over one common denominator L, the
-    integers Y_H = n_H q^|H| - sum over E < H of p^(|H| - |E|) Y_E give
-    coordinate H as Y_H / (L q^|H|), one Fraction per coordinate.
+    The inverse is applied, not built: one weighted Yates pass over the
+    edge masks of K_v from the bridge-law extension of the vector gives
+    coordinate H as Y_H / (L q^|H|) (see "Triangular solves" above).
+    ArithmeticError names a bridged mask where the pass is nonzero.
     """
     poset = gamma.poset
-    values = _fractions(poset, *_solve_scaled(gamma, alpha))
+    values = _fractions(poset, *_scaled_inverse(gamma, alpha))
     return GammaVector(poset, values, gamma.method + "+mobius")
 
 
@@ -443,24 +448,25 @@ def verify_reciprocity(
     parity-signed Mobius inversion at 1 - alpha of the complement vector.
 
     Exact rational comparison; a mismatch is reported, never raised. The
-    Fourier method is refused because its values are floats. The solves'
-    step count, the comparable pairs of the poset, is checked against
-    budget before any gamma work, and the gamma method checks its own.
+    Fourier method is refused because its values are floats. Both sides are
+    inverted as in gamma_plus; the steps of the two lattice passes,
+    C(v, 2) 2^(C(v, 2) - 1) each, are checked against budget before any
+    gamma work, and the gamma method checks its own.
     """
     if method == "fourier":
         raise ValueError("reciprocity needs exact values; the fourier method is floating point")
-    pairs = sum(map(len, poset.down_sets))
-    if pairs > budget:
+    pairs = comb(poset.v, 2)
+    if pairs << pairs > budget:
         raise BudgetExceededError(
-            f"triangular solve over {len(poset)} poset members", pairs, budget
+            f"lattice solves over the edge masks of K_{poset.v}", pairs << pairs, budget
         )
     g_a = gamma_vector(poset, allowed, method, budget)
     g_bar = gamma_vector(poset, allowed.complement(), method, budget)
     plus_a = gamma_plus(g_a, allowed.alpha)
-    # the complement side is signed on the solve's integer numerators
-    ys, common, q = _solve_scaled(g_bar, allowed.alpha_bar)
-    signed = _fractions(poset, _signed(poset, ys), common, q)
-    return ReciprocityReport(poset, allowed.alpha, plus_a.values, signed, g_a, g_bar)
+    ys, common, q = _scaled_inverse(g_bar, allowed.alpha_bar)
+    _negate_odd_sizes(poset, ys)
+    rhs = _fractions(poset, ys, common, q)
+    return ReciprocityReport(poset, allowed.alpha, plus_a.values, rhs, g_a, g_bar)
 
 
 def apply_transfer(
@@ -470,21 +476,15 @@ def apply_transfer(
     matrix M(r) = J(1 - r) (-1)^e J(r)^-1 at r = alpha_bar, applied and
     never built.
 
-    With r = p/q, the solve gives Y = L q^|E| J(r)^-1 x as integers; after
-    the sign, coordinate H of J(1 - r) is the sum over E <= H of
-    (q - p)^(|H| - |E|) (-1)^|E| Y_E over L q^|H|.
+    With r = p/q, the lattice inverse of gamma_plus gives L q^|M| J(r)^-1 x
+    at every edge mask M; after the sign, one more pass with the step
+    hi + (q - p)*lo gives L q^|H| times coordinate H of J(1 - r).
     """
     r = Fraction(alpha_bar)
-    p, q = r.numerator, r.denominator
-    common, weights = _scaled_numerators(gamma_bar, q)
-    signed = _signed(poset, _solve(poset, weights, p))
-    sizes = poset.sizes
-    up_pow = [(q - p) ** k for k in range(max(sizes) + 1)]
-    images = []
-    for h, down in enumerate(poset.down_sets):
-        size_h = sizes[h]
-        images.append(sum(up_pow[size_h - sizes[e]] * signed[e] for e in down))
-    return GammaVector(poset, _fractions(poset, images, common, q), "transfer")
+    ys, common, q = _scaled_inverse(gamma_bar, r)
+    _negate_odd_sizes(poset, ys)
+    _lattice_pass(ys, len(poset.cores[0]), add, q - r.numerator)
+    return GammaVector(poset, _fractions(poset, ys, common, q), "transfer")
 
 
 # ---------------------------------------------------------------------------
@@ -603,17 +603,12 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
     f^(|G| + c(G)) = sum over bridgeless H <= G of Y_H, and then
     f^|E| P(f) = sum over G of (f - 1)^(|E| - |G|) (-1)^|G| Y_G.
 
-    The solve runs on the Boolean lattice of E's edges, not on the
-    interval. For every mask M, |M| + c(M) = v + nullity(M), and dropping a
-    bridge changes neither the nullity nor the bridgeless subsets: those of
-    M are exactly those of its bridgeless core (``bridgeless_cores``), since
-    a bridgeless H is a union of cycles and every cycle inside M lies in
-    the core. So the vector equal to Y on bridgeless masks and 0 elsewhere
-    has subset sums f^(v + nullity(M)) at every M, and by uniqueness of
-    Mobius inversion it is the subset-Mobius transform of f^(v + nullity):
-    one Yates pass over all 2^|E| masks. The nullity itself takes one pass:
-    removing the lowest edge k of M lowers it by one exactly when k lies on
-    a cycle of M, that is, in core[M].
+    The solve is the lattice solve of gamma_plus at p = 1, on the Boolean
+    lattice of E's edges, not on the interval: |M| + c(M) = v + nullity(M),
+    and dropping a bridge leaves the nullity unchanged, so the scaled
+    right-hand side f^(v + nullity(M)) already obeys the bridge law. The
+    nullity takes one pass: removing the lowest edge k of M lowers it by
+    one exactly when k lies on a cycle of M, that is, in core[M].
 
     Each polynomial is held as its value at f = 2^B (Kronecker
     substitution) and the result is read back as signed base-2^B digits.
@@ -622,9 +617,8 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
     polynomial are bounded by binomial coefficients of |E| (Whitney's
     broken-circuit theorem).
 
-    The transform must vanish on every bridged mask, and the low |E|
-    digits, the negative powers of f, must cancel; anything else signals a
-    transfer bug.
+    The solve must vanish on every bridged mask, and the low |E| digits,
+    the negative powers of f, must cancel; anything else is a bug.
 
     The polynomial is a graph invariant, so for v <= DEFAULT_POSET_CAP (6)
     it is computed once per isomorphism class and memoized under the
@@ -660,15 +654,10 @@ def _chromatic_transfer(edge_set: EdgeSet) -> RationalPoly:
             add, nullity[:: 2 * step], map(bool, map(step.__and__, core[step :: 2 * step]))
         )
     power = [1 << width * (v + n) for n in range(e_top + 1)]
-    ys = list(map(power.__getitem__, nullity))
-    _lattice_pass(ys, e_top, sub)
-    by_size = [0] * (e_top + 1)
-    for mask, (y, kept) in enumerate(zip(ys, core)):
-        if kept == mask:
-            by_size[mask.bit_count()] += y
-        elif y:
-            bridged = EdgeSet(v, sum(1 << n for k, n in enumerate(places) if (mask >> k) & 1))
-            raise ArithmeticError(f"transfer solve is nonzero on the bridged {bridged!r}")
+    ys = _lattice_inverse(v, places, core, list(map(power.__getitem__, nullity)), 1)
+    by_size = [0] * (e_top + 1)  # over the nonzero, hence bridgeless, masks
+    for mask in compress(range(len(ys)), ys):
+        by_size[mask.bit_count()] += ys[mask]
     total = 0
     spread = 1  # (f - 1)^(|E| - |G|)
     for size in reversed(range(e_top + 1)):

@@ -12,9 +12,9 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from math import comb
-from operator import add, or_
+from operator import add, mul, or_
 
 from .posetlin import RationalPoly
 
@@ -266,12 +266,18 @@ class SubgraphPoset:
     def sizes(self) -> tuple[int, ...]:
         return tuple(m.edge_count for m in self.members)
 
+    @cached_property
+    def cores(self) -> tuple[list[int], list[int]]:
+        """``bridgeless_cores`` of K_v: every edge mask's bridgeless core."""
+        return bridgeless_cores(self.v, (1 << comb(self.v, 2)) - 1)
 
-def _lattice_pass(values: list, bits: int, op) -> None:
+
+def _lattice_pass(values: list, bits: int, op, scale: int = 1) -> None:
     """One Yates pass over the Boolean lattice, in place: for each bit k
-    below ``bits`` in turn, values[M] = op(values[M], values[M - k]) at every
-    M holding bit k (``len(values)`` is 2^bits). With ``add`` it makes subset
-    sums, with ``sub`` subset Mobius inversion, with ``or_`` subset ORs.
+    below ``bits`` in turn, values[M] = op(values[M], scale * values[M - k])
+    at every M holding bit k (``len(values)`` is 2^bits). With ``add`` it
+    makes subset sums, with ``sub`` subset Mobius inversion, with ``or_``
+    subset ORs; ``sub`` at scale p inverts the weighted zeta at p.
 
     The masks holding bit k are updated from masks without it, so each step
     is a ``map`` over list slices: one slice per block of 2^(k+1) masks when
@@ -279,16 +285,17 @@ def _lattice_pass(values: list, bits: int, op) -> None:
     slice per offset.
     """
     size = len(values)
+    weigh = (lambda lower: lower) if scale == 1 else (lambda lower: map(mul, lower, repeat(scale)))
     for k in range(bits):
         step = 1 << k
         span = 2 * step
         if step <= size // span:
             for j in range(step):
-                values[step + j :: span] = map(op, values[step + j :: span], values[j::span])
+                values[step + j :: span] = map(op, values[step + j :: span], weigh(values[j::span]))
         else:
             for block in range(step, size, span):
                 values[block : block + step] = map(
-                    op, values[block : block + step], values[block - step : block]
+                    op, values[block : block + step], weigh(values[block - step : block])
                 )
 
 

@@ -7,8 +7,9 @@ passing VARIABLE gives the symbolic matrix, and every matrix is a PolyMatrix
 whose entries live in the ring r came from. The Mobius function has one
 recursion, mobius_recursion, which works on any down-closed family given by
 its down-sets: the whole poset (mobius_table) or one interval below a member.
-Only the explicit matrices need it; the vector paths in gamma apply J(r)^-1
-by forward substitution instead.
+Only the explicit matrices need it, and only they read the poset's
+down-sets; the vector paths in gamma apply J(r)^-1 by one weighted Yates
+pass over the edge masks of K_v instead.
 
 Matrix orientation: entry(h, e) multiplies coordinate e and contributes to
 coordinate h, so (M x)_H = sum_E entry(H, E) x_E. With the empty graph

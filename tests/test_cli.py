@@ -267,12 +267,14 @@ def test_cmd_verify_methods_print_the_same(capsys):
 
 
 def test_cmd_verify_budget_exceeded(capsys):
-    # the triangular solves walk the 1,614,537 comparable pairs of P_6
+    # the two lattice solves make 2 * 15 * 2^14 = 491,520 steps on the 2^15
+    # edge masks of K_6; one less is refused before any gamma work
     start = time.perf_counter()
     args = ["verify", "--v", "6", "--group", "Z7", "--allowed", "interval:1"]
-    assert main(args + ["--budget", "1000000"]) == 3
+    assert main(args + ["--budget", "491519"]) == 3
     assert time.perf_counter() - start < 30
-    capsys.readouterr()
+    assert main(args + ["--budget", "491520", "--format", "tsv"]) == 0
+    assert capsys.readouterr().out.endswith("PASS 13667/13667\n")
 
 
 def test_per_member_commands_check_the_whole_command_budget(capsys):
@@ -284,13 +286,17 @@ def test_per_member_commands_check_the_whole_command_budget(capsys):
         start = time.perf_counter()
         assert main(argv) == 3
         assert time.perf_counter() - start < 30
-    # over P_4 with f = 3: 1 + 4 * 3^2 + 3 * 3^3 + 6 * 3^3 + 3^3 = 307
-    for argv in (
-        ["verify", "--v", "4", "--group", "Z3", "--allowed", "nonzero", "--method", "cycle"],
-        ["gamma", "--v", "4", "--group", "Z3", "--allowed", "nonzero"],
+    # over P_4: 1 + 4 f^2 + 3 f^3 + 6 f^3 + f^3, 307 at f = 3 and 705 at
+    # f = 4; verify's two lattice solves make 2 * 6 * 2^5 = 384 steps, so
+    # its cycle budget is pinned at f = 4
+    for argv, work in (
+        (["verify", "--v", "4", "--group", "Z4", "--allowed", "nonzero", "--method", "cycle"], 705),
+        (["gamma", "--v", "4", "--group", "Z3", "--allowed", "nonzero"], 307),
     ):
-        assert main(argv + ["--budget", "306"]) == 3
-        assert main(argv + ["--budget", "307"]) == 0
+        assert main(argv + ["--budget", str(work - 1)]) == 3
+        assert main(argv + ["--budget", str(work)]) == 0
+    assert main(["verify", "--v", "4", "--group", "Z3", "--allowed", "nonzero", "--budget", "383"]) == 3
+    assert main(["verify", "--v", "4", "--group", "Z3", "--allowed", "nonzero", "--budget", "384"]) == 0
     capsys.readouterr()
 
 
@@ -344,6 +350,26 @@ def test_cmd_chromatic_v6_in_bounded_time(capsys, monkeypatch):
     assert code == 0
     assert data["all_equal"] is True
     assert len(data["polynomials"]) == 13667
+
+
+def test_cmd_chromatic_catches_a_wrong_class_partition(capsys, monkeypatch):
+    # K4 and the diamonds merged into one class: the class is solved on K4,
+    # and the oracle on its last member, a diamond, disagrees
+    import groupcolor.cli as cli_module
+
+    real = cli_module.iso_class_blocks
+
+    def merged(poset):
+        (label, first), (_, second), *rest = real(poset)
+        return [(label, first + second), *rest]
+
+    monkeypatch.setattr(cli_module, "iso_class_blocks", merged)
+    code, data = _run_json(capsys, ["chromatic", "--v", "4"])
+    assert code == 1
+    assert data["all_equal"] is False
+    unequal = [row["mask"] for row in data["polynomials"] if not row["equal"]]
+    assert len(unequal) == 7  # K4 and the six diamonds
+    assert max(unequal) == 63
 
 
 def test_cmd_chromatic_single_edgeset(capsys):

@@ -10,7 +10,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -19,6 +19,7 @@ import groupcolor.graphs as graphs_module
 from groupcolor.gamma import (
     BudgetExceededError,
     GammaVector,
+    _bridge_extension,
     _chromatic_transfer,
     _forest_counts,
     _superset_sums,
@@ -446,12 +447,12 @@ def test_exact_input_guards(p3):
 
 
 def test_reciprocity_mobius_budget(p5):
-    # the triangular solves walk the 5,299 comparable pairs of P_5
+    # the two lattice solves make C(5, 2) 2^(C(5, 2) - 1) = 5,120 steps each
+    # on the 2^10 edge masks of K_5
     allowed = allowed_interval(make_group([7]), 1)
-    assert sum(map(len, p5.down_sets)) == 5299
     with pytest.raises(BudgetExceededError, match="solve"):
-        verify_reciprocity(p5, allowed, budget=5298)
-    assert verify_reciprocity(p5, allowed, budget=5299).ok
+        verify_reciprocity(p5, allowed, budget=10_239)
+    assert verify_reciprocity(p5, allowed, budget=10_240).ok
 
 
 # work of each per-member method over P_4 with f = 3, summed by hand over
@@ -542,6 +543,142 @@ def test_transfer_law_holds_exactly_at_v6(p6, name):
     vec_bar = gamma_vector(p6, allowed.complement())
     vec = apply_transfer(p6, allowed.alpha_bar, vec_bar)
     assert vec.values == gamma_vector(p6, allowed).values
+
+
+# ---------------------------------------------------------------------------
+# the Boolean-lattice inverse against the poset forward substitution it
+# replaced
+
+
+def _forward_substitution(poset, gamma, r):
+    # Y_H = L q^|H| (J(r)^-1 x)_H over the down-sets:
+    # Y_H = n_H q^|H| - sum over E < H of p^(|H| - |E|) Y_E
+    r = Fraction(r)
+    p, q = r.numerator, r.denominator
+    common = lcm(*(x.denominator for x in gamma.values))
+    sizes = poset.sizes
+    out = []
+    for h, down in enumerate(poset.down_sets):
+        x = gamma.values[h]
+        acc = x.numerator * (common // x.denominator) * q ** sizes[h]
+        for e in down[:-1]:
+            acc -= p ** (sizes[h] - sizes[e]) * out[e]
+        out.append(acc)
+    return out, common, q
+
+
+def _fractions_oracle(poset, ys, common, q):
+    return tuple(Fraction(y, common * q**size) for y, size in zip(ys, poset.sizes))
+
+
+def _gamma_plus_by_substitution(gamma, r):
+    return _fractions_oracle(gamma.poset, *_forward_substitution(gamma.poset, gamma, r))
+
+
+def _verify_rhs_by_substitution(gamma_bar, r):
+    poset = gamma_bar.poset
+    ys, common, q = _forward_substitution(poset, gamma_bar, r)
+    signed = [-y if size & 1 else y for y, size in zip(ys, poset.sizes)]
+    return _fractions_oracle(poset, signed, common, q)
+
+
+def _apply_transfer_by_substitution(poset, r, gamma_bar):
+    # J(1 - r) (-1)^e J(r)^-1 over the down-sets
+    r = Fraction(r)
+    ys, common, q = _forward_substitution(poset, gamma_bar, r)
+    sizes = poset.sizes
+    signed = [-y if size & 1 else y for y, size in zip(ys, sizes)]
+    up = q - r.numerator
+    images = [
+        sum(up ** (sizes[h] - sizes[e]) * signed[e] for e in down)
+        for h, down in enumerate(poset.down_sets)
+    ]
+    return _fractions_oracle(poset, images, common, q)
+
+
+def _assert_lattice_route_matches_substitution(poset, allowed, method):
+    report = verify_reciprocity(poset, allowed, method)
+    g_a, g_bar = report.gamma, report.gamma_complement
+    assert report.lhs == _gamma_plus_by_substitution(g_a, allowed.alpha)
+    assert report.rhs == _verify_rhs_by_substitution(g_bar, allowed.alpha_bar)
+    assert gamma_plus(g_bar, allowed.alpha_bar).values == _gamma_plus_by_substitution(
+        g_bar, allowed.alpha_bar
+    )
+    image = apply_transfer(poset, allowed.alpha_bar, g_bar)
+    assert image.values == _apply_transfer_by_substitution(poset, allowed.alpha_bar, g_bar)
+    assert image.values == g_a.values
+
+
+@pytest.mark.parametrize("method", ["auto", "brute", "cycle"])
+@pytest.mark.parametrize("v", [3, 4, 5])
+def test_lattice_route_matches_forward_substitution(request, v, method):
+    poset = request.getfixturevalue(f"p{v}")
+    for allowed in (allowed_interval(make_group([5]), 1), allowed_hamming(2, 0)):
+        _assert_lattice_route_matches_substitution(poset, allowed, method)
+
+
+@pytest.mark.parametrize("name", sorted(V6_SETS))
+def test_lattice_route_matches_forward_substitution_at_v6(p6, name):
+    _assert_lattice_route_matches_substitution(p6, V6_SETS[name](), "auto")
+
+
+def test_apply_transfer_matches_forward_substitution_at_the_ends(p4):
+    # r = 0 and r = 1 zero one of the two passes' weights; values over
+    # unlike denominators, and plain ints
+    mixed = GammaVector(p4, tuple(Fraction(1, k + 1) for k in range(len(p4))), "test")
+    ints = GammaVector(p4, tuple(range(len(p4))), "test")
+    for vec in (mixed, ints):
+        for r in (Fraction(0), Fraction(2, 7), Fraction(1)):
+            assert apply_transfer(p4, r, vec).values == _apply_transfer_by_substitution(p4, r, vec)
+
+
+# alpha != 1/2 on both sides, so every extension carries powers of p
+BRIDGE_LAW_SETS = {
+    "Z7 interval:1": lambda: allowed_interval(make_group([7]), 1),
+    "Z2^3 hamming:2": lambda: allowed_hamming(3, 2),
+    "Z2xZ4 {(1,0),(1,1),(1,3)}": lambda: allowed_explicit(make_group([2, 4]), [4, 5, 7]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRIDGE_LAW_SETS))
+@pytest.mark.parametrize("v", [3, 4, 5])
+def test_bridge_extension_matches_the_histogram_at_every_mask(request, v, name):
+    # Gamma(M) = alpha^(|M| - |core M|) Gamma(core M): the extension of the
+    # P_v vector, X[M] = L q^|M| Gamma(M), against the histogram's superset
+    # sums, f^(v - 1) Gamma(M), at every edge mask of K_v
+    poset = request.getfixturevalue(f"p{v}")
+    for allowed in (BRIDGE_LAW_SETS[name](), BRIDGE_LAW_SETS[name]().complement()):
+        vec = gamma_vector(poset, allowed, "auto")
+        p, q = allowed.alpha.numerator, allowed.alpha.denominator
+        common = lcm(*(x.denominator for x in vec.values))
+        scaled = [0] * (1 << comb(v, 2))
+        for member, x in zip(poset.members, vec.values):
+            scaled[member.bits] = x.numerator * (common // x.denominator) * q**member.edge_count
+        extended = _bridge_extension(poset.cores[1], scaled, p)
+        sums = gamma_module._difference_histogram(v, allowed, 10**8)
+        _superset_sums(sums, comb(v, 2))
+        colorings = allowed.group.order ** (v - 1)
+        assert [x * colorings for x in extended] == [
+            n * common * q ** mask.bit_count() for mask, n in enumerate(sums)
+        ]
+
+
+def test_gamma_plus_checks_the_bridged_masks_vanish(p4, monkeypatch):
+    # cores that call the member K4 bridged, its core K4 minus its top edge:
+    # the extension drops K4's own value, and the inverse is nonzero there
+    real = graphs_module.bridgeless_cores
+
+    def broken(v, bits):
+        places, core = real(v, bits)
+        core[-1] ^= 1 << (len(places) - 1)
+        return places, core
+
+    monkeypatch.setattr(graphs_module, "bridgeless_cores", broken)
+    poset = graphs_module.SubgraphPoset(4, p4.members)  # its cores not yet cached
+    values = gamma_vector(p4, allowed_interval(make_group([7]), 1)).values
+    vec = GammaVector(poset, values, "histogram")
+    with pytest.raises(ArithmeticError, match="bridged EdgeSet\\(v=4;edges=01,02,03,12,13,23\\)"):
+        gamma_plus(vec, Fraction(1, 3))
 
 
 def test_reciprocity_report_dict(p3):

@@ -237,12 +237,12 @@ def test_bridgeless_cores_match_the_bridge_test(name):
         assert kept == [e for e in edge_set.edges() if e not in bridges]
 
 
-def _per_bit_loop(values, bits, op):
+def _per_bit_loop(values, bits, op, scale=1):
     values = list(values)
     for k in range(bits):
         for mask in range(len(values)):
             if (mask >> k) & 1:
-                values[mask] = op(values[mask], values[mask ^ (1 << k)])
+                values[mask] = op(values[mask], scale * values[mask ^ (1 << k)])
     return values
 
 
@@ -256,6 +256,17 @@ def test_lattice_pass_matches_a_per_bit_loop(op):
         passed = list(values)
         _lattice_pass(passed, bits, op)
         assert passed == _per_bit_loop(values, bits, op)
+
+
+@pytest.mark.parametrize("scale", [0, 4, -3])
+def test_lattice_pass_weights_each_step(scale):
+    rng = random.Random(9)
+    for op in (add, sub):
+        for bits in range(7):
+            values = [rng.randrange(-50, 1000) for _ in range(1 << bits)]
+            passed = list(values)
+            _lattice_pass(passed, bits, op, scale)
+            assert passed == _per_bit_loop(values, bits, op, scale)
 
 
 def test_down_sets_in_plain_mask_order(p5):
