@@ -11,8 +11,9 @@ Fourier cross-check, which is floating point by design.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
 from math import comb, lcm
@@ -53,11 +54,16 @@ class BudgetExceededError(Exception):
 
 @dataclass(frozen=True)
 class GammaVector:
-    """Probability per poset coordinate, tagged with the producing method."""
+    """Probability per poset coordinate, tagged with the producing method.
+
+    ``counts`` is set by the histogram method alone: f^(v - 1) Gamma(M) at
+    every edge mask M of K_v, bridged masks included, as integers.
+    """
 
     poset: SubgraphPoset
     values: tuple
     method: str
+    counts: list[int] | None = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, i: int):
         return self.values[i]
@@ -309,16 +315,17 @@ def gamma_vector(
     edge of E allowed. That transform is the fast zeta transform of Yates
     (1937) and of Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets
     Mobius" (STOC 2007, arXiv:cs/0611101). The result is tagged
-    "histogram". A name from METHODS applies that per-member method to
-    every member instead, after checking its summed work against budget.
+    "histogram" and keeps the superset sums at every mask as its counts. A
+    name from METHODS applies that per-member method to every member
+    instead, after checking its summed work against budget.
     """
     if method == "auto":
         v = poset.v
-        hist = _difference_histogram(v, allowed, budget)
-        _superset_sums(hist, comb(v, 2))
+        counts = _difference_histogram(v, allowed, budget)
+        _superset_sums(counts, comb(v, 2))
         total = allowed.group.order ** (v - 1)
-        values = tuple(Fraction(hist[member.bits], total) for member in poset.members)
-        return GammaVector(poset, values, "histogram")
+        values = _shared_fractions(poset, _on_members(poset, counts), total)
+        return GammaVector(poset, values, "histogram", counts)
     check_method_budget(poset.members, allowed, method, budget)
     fn = METHODS[method]
     values = tuple(fn(member, allowed, budget) for member in poset.members)
@@ -326,13 +333,19 @@ def gamma_vector(
 
 
 # ---------------------------------------------------------------------------
-# Triangular solves on the Boolean lattice. With r = p/q and x = n / L over
-# one common denominator L, x on P_v is extended to every edge mask M of K_v
-# by the bridge law, x[M] = r^(|M| - |core M|) x[core M]. The bridgeless
-# subsets of M are those of its bridgeless core, so y = J(r)^-1 x, 0 off P_v,
-# has weighted subset sums x[M] at every M, and Y[M] = L q^|M| y[M] is one
-# weighted subset-Mobius pass (step hi - p*lo) over the integers
-# X[M] = L q^|M| x[M] = n_core q^|core| p^(|M| - |core|). Y must be 0 off P_v.
+# Triangular solves on the Boolean lattice. With r = p/q, y = J(r)^-1 x is 0
+# off P_v and has weighted subset sums x[M] at every edge mask M of K_v, so
+# Y[M] = D q^|M| y[M] is one weighted subset-Mobius pass (step hi - p*lo)
+# over the integers X[M] = D q^|M| x[M], and Y must be 0 on every bridged M.
+# The pass takes X from one of two inputs:
+# - the bridge extension of a vector on P_v: with x = n / L over one common
+#   denominator D = L, x[M] = r^(|M| - |core M|) x[core M], since the
+#   bridgeless subsets of M are those of its bridgeless core; so
+#   X[M] = n_core q^|core| p^(|M| - |core|), and the vanishing holds by
+#   construction;
+# - the histogram's counts, when r is the allowed set's alpha: D = f^(v - 1)
+#   and X[M] = q^|M| counts[M]. There the vanishing on the bridged masks is
+#   the paper's Fourier lemma, checked on the colorings themselves.
 
 
 def _bridge_extension(core: list[int], scaled: list[int], p: int) -> list[int]:
@@ -345,12 +358,12 @@ def _bridge_extension(core: list[int], scaled: list[int], p: int) -> list[int]:
     return list(map(mul, xs, map(p_pow.__getitem__, bridges)))
 
 
-def _lattice_inverse(v: int, places: list[int], core: list[int], scaled: list[int], p: int):
-    # Y at every mask, for the places and core of bridgeless_cores
-    ys = _bridge_extension(core, scaled, p)
+def _lattice_inverse(v: int, places, ys: list[int], p: int, bridgeless) -> list[int]:
+    # Y from X in place, on the lattice of the edge positions ``places``;
+    # ArithmeticError names the first nonzero mask that bridgeless rejects
     _lattice_pass(ys, len(places), sub, p)
     for mask in compress(range(len(ys)), ys):
-        if core[mask] != mask:
+        if not bridgeless(mask):
             bridged = EdgeSet(v, sum(1 << n for k, n in enumerate(places) if (mask >> k) & 1))
             raise ArithmeticError(f"J(r)^-1 is nonzero on the bridged {bridged!r}")
     return ys
@@ -365,10 +378,24 @@ def _scaled_inverse(gamma: GammaVector, r: Fraction) -> tuple[list[int], int, in
     p, q = Fraction(r).as_integer_ratio()
     common = lcm(*(x.denominator for x in gamma.values))
     poset = gamma.poset
-    scaled = [0] * len(poset.cores[1])
+    places, core = poset.cores
+    scaled = [0] * len(core)
     for member, x in zip(poset.members, gamma.values):
         scaled[member.bits] = x.numerator * (common // x.denominator) * q**member.edge_count
-    return _lattice_inverse(poset.v, *poset.cores, scaled, p), common, q
+    ys = _bridge_extension(core, scaled, p)
+    return _lattice_inverse(poset.v, places, ys, p, lambda mask: core[mask] == mask), common, q
+
+
+def _histogram_inverse(gamma: GammaVector, alpha: Fraction) -> list[int]:
+    # Y = f^(v - 1) q^|M| J(alpha)^-1 Gamma at every mask of K_v, from the
+    # counts of a histogram vector of the set whose density is alpha
+    poset = gamma.poset
+    p, q = alpha.as_integer_ratio()
+    pairs = comb(poset.v, 2)
+    q_pow = [q**k for k in range(pairs + 1)]
+    sizes = map(int.bit_count, range(len(gamma.counts)))
+    ys = list(map(mul, gamma.counts, map(q_pow.__getitem__, sizes)))
+    return _lattice_inverse(poset.v, range(pairs), ys, p, poset.index_by_mask.__contains__)
 
 
 def _negate_odd_sizes(poset: SubgraphPoset, ys: list[int]) -> None:
@@ -377,9 +404,30 @@ def _negate_odd_sizes(poset: SubgraphPoset, ys: list[int]) -> None:
         ys[mask] = -ys[mask]
 
 
+def _on_members(poset: SubgraphPoset, ys: list[int]) -> list[int]:
+    # ys at the members' masks, in member order
+    return list(map(ys.__getitem__, poset.index_by_mask))
+
+
+def _shared_fractions(poset: SubgraphPoset, numerators: list[int], common: int, q: int = 1) -> tuple:
+    # Fraction(numerators[i], common q^|H|) for member i = H. The members
+    # come in runs of one size, so one denominator; in each run one Fraction
+    # is made per distinct numerator and shared, since the values of an
+    # isomorphism class repeat (16 classes among the 314 members of P_5).
+    sizes = poset.sizes
+    out = []
+    while len(out) < len(sizes):
+        size = sizes[len(out)]
+        chunk = numerators[len(out) : bisect_right(sizes, size)]
+        denominator = common * q**size
+        made = {n: Fraction(n, denominator) for n in set(chunk)}
+        out += map(made.__getitem__, chunk)
+    return tuple(out)
+
+
 def _fractions(poset: SubgraphPoset, ys: list[int], common: int, q: int) -> tuple:
     # one Fraction(Y_H, L q^|H|) per member H
-    return tuple(Fraction(ys[m.bits], common * q**m.edge_count) for m in poset.members)
+    return _shared_fractions(poset, _on_members(poset, ys), common, q)
 
 
 def gamma_plus(gamma: GammaVector, alpha: Fraction) -> GammaVector:
@@ -448,10 +496,19 @@ def verify_reciprocity(
     parity-signed Mobius inversion at 1 - alpha of the complement vector.
 
     Exact rational comparison; a mismatch is reported, never raised. The
-    Fourier method is refused because its values are floats. Both sides are
-    inverted as in gamma_plus; the steps of the two lattice passes,
-    C(v, 2) 2^(C(v, 2) - 1) each, are checked against budget before any
-    gamma work, and the gamma method checks its own.
+    Fourier method is refused because its values are floats. Each side is
+    one lattice pass (see "Triangular solves" above), at alpha for the
+    allowed vector and at 1 - alpha, with the same denominator q, for the
+    complement. With "auto" the pass runs on each histogram's counts: the
+    two sweeps are independent, the inverse must vanish on every bridged
+    mask (the Fourier lemma; ArithmeticError names the first that does
+    not), and no bridgeless cores are needed. The per-member methods run it
+    on the bridge extension of their values, as gamma_plus does. The two
+    sides then agree exactly when Y_A[H] = (-1)^|H| Y_Abar[H] on integers
+    over a common denominator, and equal sides share their Fractions. The
+    steps of the two passes, C(v, 2) 2^(C(v, 2) - 1) each, are checked
+    against budget before any gamma work, and the gamma method checks its
+    own.
     """
     if method == "fourier":
         raise ValueError("reciprocity needs exact values; the fourier method is floating point")
@@ -462,11 +519,22 @@ def verify_reciprocity(
         )
     g_a = gamma_vector(poset, allowed, method, budget)
     g_bar = gamma_vector(poset, allowed.complement(), method, budget)
-    plus_a = gamma_plus(g_a, allowed.alpha)
-    ys, common, q = _scaled_inverse(g_bar, allowed.alpha_bar)
-    _negate_odd_sizes(poset, ys)
-    rhs = _fractions(poset, ys, common, q)
-    return ReciprocityReport(poset, allowed.alpha, plus_a.values, rhs, g_a, g_bar)
+    if g_a.counts is None:
+        ys_a, common_a, q = _scaled_inverse(g_a, allowed.alpha)
+        ys_bar, common_bar, _ = _scaled_inverse(g_bar, allowed.alpha_bar)
+    else:
+        ys_a = _histogram_inverse(g_a, allowed.alpha)
+        ys_bar = _histogram_inverse(g_bar, allowed.alpha_bar)
+        common_a = common_bar = allowed.group.order ** (poset.v - 1)
+        q = allowed.alpha.denominator
+    _negate_odd_sizes(poset, ys_bar)
+    nums_a, nums_bar = _on_members(poset, ys_a), _on_members(poset, ys_bar)
+    lhs = _shared_fractions(poset, nums_a, common_a, q)
+    if (nums_a, common_a) == (nums_bar, common_bar):
+        rhs = lhs
+    else:
+        rhs = _shared_fractions(poset, nums_bar, common_bar, q)
+    return ReciprocityReport(poset, allowed.alpha, lhs, rhs, g_a, g_bar)
 
 
 def apply_transfer(
@@ -654,7 +722,8 @@ def _chromatic_transfer(edge_set: EdgeSet) -> RationalPoly:
             add, nullity[:: 2 * step], map(bool, map(step.__and__, core[step :: 2 * step]))
         )
     power = [1 << width * (v + n) for n in range(e_top + 1)]
-    ys = _lattice_inverse(v, places, core, list(map(power.__getitem__, nullity)), 1)
+    ys = _bridge_extension(core, list(map(power.__getitem__, nullity)), 1)
+    _lattice_inverse(v, places, ys, 1, lambda mask: core[mask] == mask)
     by_size = [0] * (e_top + 1)  # over the nonzero, hence bridgeless, masks
     for mask in compress(range(len(ys)), ys):
         by_size[mask.bit_count()] += ys[mask]

@@ -373,7 +373,9 @@ def down_sets_of(index: dict[int, int]) -> tuple[tuple[int, ...], ...]:
     that are subsets of it.
 
     The positions must be 0, 1, ... in iteration order and form a linear
-    extension of inclusion: a subset comes no later than its supersets.
+    extension of inclusion: a subset comes no later than its supersets. The
+    masks together must use exactly the lowest edge positions, as the
+    members of P_v do; ValueError otherwise.
 
     Each member E, in position order, walks up: over the supersets of E
     inside the OR of all the masks, adding E's position to the row of every
@@ -384,30 +386,25 @@ def down_sets_of(index: dict[int, int]) -> tuple[tuple[int, ...], ...]:
     extension a row is complete once its own member has been walked. Row
     lengths come first from subset sums over the masks (Yates' transform),
     so every row is written into a list of its exact size, then kept as a
-    tuple; the masks are first squeezed onto the edge positions in use.
+    tuple.
     """
     top = 0
     for mask in index:
         top |= mask
-    places = [1 << n for n in range(top.bit_length()) if (top >> n) & 1]
-    if top & (top + 1):  # squeeze out the edge positions no member uses
-        masks = [sum(1 << k for k, bit in enumerate(places) if mask & bit) for mask in index]
-    else:
-        masks = list(index)
-    size = 1 << len(places)
-    position: list[int | None] = [None] * size
-    below = [0] * size  # becomes the number of members inside each mask
-    for mask, pos in zip(masks, index.values()):
+    if top & (top + 1):
+        raise ValueError(f"masks must fill the lowest edge positions; their union is {top:#b}")
+    position: list[int | None] = [None] * (top + 1)
+    below = [0] * (top + 1)  # becomes the number of members inside each mask
+    for mask, pos in index.items():
         position[mask] = pos
         below[mask] = 1
-    _lattice_pass(below, len(places), add)
-    rows = [[0] * below[mask] for mask in masks]
+    _lattice_pass(below, top.bit_length(), add)
+    rows = [[0] * below[mask] for mask in index]
     del below
-    fill = [0] * len(masks)
-    full = size - 1
+    fill = [0] * len(index)
     out = []
-    for mask, pos in zip(masks, index.values()):
-        rest = full ^ mask
+    for mask, pos in index.items():
+        rest = top ^ mask
         extra = rest
         while True:
             j = position[mask | extra]

@@ -3,6 +3,17 @@ import pytest
 from groupcolor.graphs import EdgeSet, enumerate_poset
 
 
+def low_positions(masks: list[int]) -> list[int]:
+    """The masks with the edge positions they use squeezed onto the lowest
+    ones, in order. Inclusion among them is unchanged, so an interval of a
+    poset becomes input for ``down_sets_of``, which takes only such masks."""
+    top = 0
+    for mask in masks:
+        top |= mask
+    places = [n for n in range(top.bit_length()) if (top >> n) & 1]
+    return [sum(1 << k for k, n in enumerate(places) if (mask >> n) & 1) for mask in masks]
+
+
 @pytest.fixture(scope="session")
 def p3():
     return enumerate_poset(3)

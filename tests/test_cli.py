@@ -194,6 +194,7 @@ GOLDEN_STDOUT = {
     "chromatic --v 6": "0c2221a79523532c030b4686b82e451d377f63b87111046f438e6ea49dab694b",
     "examples --which all": "39c10a7fffd69886a24167f486f72b0812eed1013f167d04d850272f14255598",
     "verify --v 4 --group Z2^3 --allowed hamming:1 --format tsv": "f891e755040c9ad7ae835f743fb2a442536ab5bc0abd3ac1e2a9c95a0f5005cb",
+    "verify --v 5 --group Z7 --allowed interval:1 --format tsv": "57f7912fa43483bef32e77b268b2106bf11ed4062306070388b5af4792472f50",
 }
 
 

@@ -55,6 +55,8 @@ from groupcolor.groups import (
 )
 from groupcolor.posetlin import RationalPoly, mobius_recursion, mobius_table, weighted_zeta_at
 
+from conftest import low_positions
+
 
 def _triangle_value(orders, allowed_residues) -> Fraction:
     """Raw triangle probability: (a, b) with a, b, a+b allowed, over f^2."""
@@ -609,11 +611,23 @@ def _assert_lattice_route_matches_substitution(poset, allowed, method):
     assert image.values == g_a.values
 
 
+# the shapes of the benchmark's verify5 sets: a size-4 symmetric set of each
+# group law, cyclic, xor and mixed
+VERIFY5_SETS = (
+    lambda: allowed_explicit(make_group([7]), [2, 3, 4, 5]),
+    lambda: allowed_explicit(make_group([2, 2, 2]), [2, 5, 6, 7]),
+    lambda: allowed_explicit(make_group([2, 4]), [4, 5, 6, 7]),
+)
+
+
 @pytest.mark.parametrize("method", ["auto", "brute", "cycle"])
 @pytest.mark.parametrize("v", [3, 4, 5])
 def test_lattice_route_matches_forward_substitution(request, v, method):
     poset = request.getfixturevalue(f"p{v}")
-    for allowed in (allowed_interval(make_group([5]), 1), allowed_hamming(2, 0)):
+    sets = [allowed_interval(make_group([5]), 1), allowed_hamming(2, 0)]
+    if v == 5:
+        sets += [make() for make in VERIFY5_SETS]
+    for allowed in sets:
         _assert_lattice_route_matches_substitution(poset, allowed, method)
 
 
@@ -655,11 +669,9 @@ def test_bridge_extension_matches_the_histogram_at_every_mask(request, v, name):
         for member, x in zip(poset.members, vec.values):
             scaled[member.bits] = x.numerator * (common // x.denominator) * q**member.edge_count
         extended = _bridge_extension(poset.cores[1], scaled, p)
-        sums = gamma_module._difference_histogram(v, allowed, 10**8)
-        _superset_sums(sums, comb(v, 2))
         colorings = allowed.group.order ** (v - 1)
         assert [x * colorings for x in extended] == [
-            n * common * q ** mask.bit_count() for mask, n in enumerate(sums)
+            n * common * q ** mask.bit_count() for mask, n in enumerate(vec.counts)
         ]
 
 
@@ -679,6 +691,54 @@ def test_gamma_plus_checks_the_bridged_masks_vanish(p4, monkeypatch):
     vec = GammaVector(poset, values, "histogram")
     with pytest.raises(ArithmeticError, match="bridged EdgeSet\\(v=4;edges=01,02,03,12,13,23\\)"):
         gamma_plus(vec, Fraction(1, 3))
+
+
+def test_reciprocity_checks_the_fourier_lemma_on_the_histogram(p4, monkeypatch):
+    # one extra coloring whose only allowed pair is the edge 01: its
+    # superset sums break the bridge law at the empty set and at {01}, and
+    # the histogram route's inverse is nonzero on the bridged {01}
+    real = gamma_module._difference_histogram
+
+    def extra(v, allowed, budget):
+        hist = real(v, allowed, budget)
+        hist[1] += 1
+        return hist
+
+    monkeypatch.setattr(gamma_module, "_difference_histogram", extra)
+    with pytest.raises(ArithmeticError, match="bridged EdgeSet\\(v=4;edges=01\\)"):
+        verify_reciprocity(p4, allowed_interval(make_group([7]), 1))
+
+
+def test_histogram_reciprocity_reads_no_cores(p4, monkeypatch):
+    allowed = allowed_interval(make_group([7]), 1)
+    by_cycle = verify_reciprocity(p4, allowed, "cycle")  # the extension route, with cores
+
+    def refuse(v, bits):
+        raise AssertionError("bridgeless_cores called")
+
+    monkeypatch.setattr(graphs_module, "bridgeless_cores", refuse)
+    monkeypatch.setattr(gamma_module, "bridgeless_cores", refuse)
+    poset = graphs_module.SubgraphPoset(4, p4.members)  # its cores not yet cached
+    report = verify_reciprocity(poset, allowed)
+    assert report.ok
+    assert report.rhs is report.lhs  # equal integer numerators share one tuple
+    assert report.lhs == by_cycle.lhs
+    assert len(report.gamma.counts) == len(report.gamma_complement.counts) == 1 << 6
+    assert by_cycle.gamma.counts is None
+
+
+def test_reciprocity_reports_a_mismatch(p4, monkeypatch):
+    # a stand-in complement of the same density and no automorphic image of
+    # it, the subgroup {0, 1, 2, 3} for {0, 1, 3, 4}: each side is a true
+    # histogram, so nothing raises, but the sides differ
+    allowed = allowed_explicit(make_group([2, 2, 2]), [2, 5, 6, 7])
+    stand_in = allowed_explicit(make_group([2, 2, 2]), [0, 1, 2, 3])
+    monkeypatch.setattr(AllowedSet, "complement", lambda self: stand_in)
+    for method in ("auto", "cycle"):
+        report = verify_reciprocity(p4, allowed, method)
+        assert not report.ok
+        assert report.lhs == _gamma_plus_by_substitution(report.gamma, allowed.alpha)
+        assert report.rhs == _verify_rhs_by_substitution(report.gamma_complement, allowed.alpha_bar)
 
 
 def test_reciprocity_report_dict(p3):
@@ -723,7 +783,8 @@ def test_apply_transfer_reproduces_chromatic_scaling(p3):
 def _main_term_oracle(edge_set, alpha_bar):
     # the interval-Mobius sum that main_term replaced
     members = bridgeless_subsets(edge_set.v, edge_set.bits)
-    mu_table = mobius_recursion(down_sets_of({m: i for i, m in enumerate(members)}))
+    squeezed = low_positions(members)
+    mu_table = mobius_recursion(down_sets_of({m: i for i, m in enumerate(squeezed)}))
     e_top = edge_set.edge_count
     acc = Fraction(0)
     for g_mask, mu_g in zip(members, mu_table):
@@ -831,7 +892,8 @@ def _chromatic_interval_oracle(edge_set):
     width = e_top + 2
     f = 1 << width
     ys, total = [], 0
-    for mask, down in zip(masks, down_sets_of({m: i for i, m in enumerate(masks)})):
+    squeezed = low_positions(masks)
+    for mask, down in zip(masks, down_sets_of({m: i for i, m in enumerate(squeezed)})):
         size = mask.bit_count()
         y = (1 << width * (size + components(EdgeSet(v, mask)))) - sum(ys[h] for h in down[:-1])
         ys.append(y)

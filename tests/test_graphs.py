@@ -35,6 +35,8 @@ from groupcolor.graphs import (
 )
 from groupcolor.posetlin import RationalPoly
 
+from conftest import low_positions
+
 
 def _nx_graph(edge_set: EdgeSet) -> nx.Graph:
     g = nx.Graph()
@@ -170,8 +172,8 @@ def test_down_sets_match_the_submask_walk(request, v):
         assert sum(map(len, poset.down_sets)) == 1_614_537
 
 
-# members of P_6 whose edges leave gaps in the edge positions, so the walk
-# runs over a compressed lattice
+# members of P_6 whose edges leave gaps in the edge positions: the walk
+# takes their intervals squeezed onto the lowest positions, never as they are
 V6_TOPS = {
     "K5": list(combinations(range(5), 2)),
     "wheel W5": [(0, k) for k in range(1, 6)] + [(k, k % 5 + 1) for k in range(1, 6)],
@@ -182,9 +184,16 @@ V6_TOPS = {
 
 @pytest.mark.parametrize("name", sorted(V6_TOPS))
 def test_down_sets_of_intervals_match_the_submask_walk(name):
-    masks = bridgeless_subsets(6, EdgeSet.from_edges(6, V6_TOPS[name]).bits)
+    masks = low_positions(bridgeless_subsets(6, EdgeSet.from_edges(6, V6_TOPS[name]).bits))
     index = {m: i for i, m in enumerate(masks)}
     assert down_sets_of(index) == _down_sets_oracle(index)
+
+
+@pytest.mark.parametrize("name", sorted(V6_TOPS))
+def test_down_sets_of_refuses_masks_off_the_lowest_positions(name):
+    masks = bridgeless_subsets(6, EdgeSet.from_edges(6, V6_TOPS[name]).bits)
+    with pytest.raises(ValueError, match="lowest edge positions"):
+        down_sets_of({m: i for i, m in enumerate(masks)})
 
 
 def _complete(v):

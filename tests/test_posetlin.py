@@ -28,6 +28,8 @@ from groupcolor.posetlin import (
     zeta_matrix,
 )
 
+from conftest import low_positions
+
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=12
 )
@@ -175,7 +177,8 @@ def test_interval_mobius_matches_quadratic_oracle():
     for edges in _V6_MEMBERS:
         member = EdgeSet.from_edges(6, edges)
         assert member.edge_count <= 10
-        masks = bridgeless_subsets(6, member.bits)
+        # on the lowest edge positions, where down_sets_of takes them
+        masks = low_positions(bridgeless_subsets(6, member.bits))
         interval = SubgraphPoset(6, tuple(EdgeSet(6, m) for m in masks))
         table = mobius_recursion(down_sets_of({m: i for i, m in enumerate(masks)}))
         assert list(table) == _mobius_oracle(interval)
