@@ -298,7 +298,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     group = parse_group_spec(ns.group)
     allowed = parse_allowed_spec(ns.allowed, group)
     poset = enumerate_poset(ns.v)
-    report = verify_reciprocity(poset, allowed, ns.method, ns.budget)
+    report = verify_reciprocity(poset, allowed, budget=ns.budget)
     payload = {
         "v": ns.v,
         "group": render_group_spec(group),
@@ -668,7 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="check the reciprocity identity exactly")
     p.add_argument("--v", type=int, required=True)
-    p.add_argument("--method", choices=["auto", "brute", "cycle"], default="auto")
     _add_common(p, group_args=True)
     p.set_defaults(func=cmd_verify)
 

@@ -338,21 +338,20 @@ def gamma_vector(
 # Y[M] = D q^|M| y[M] is one weighted subset-Mobius pass (step hi - p*lo)
 # over the integers X[M] = D q^|M| x[M], and Y must be 0 on every bridged M.
 # The pass takes X from one of two inputs:
-# - the bridge extension of a vector on P_v: with x = n / L over one common
-#   denominator D = L, x[M] = r^(|M| - |core M|) x[core M], since the
-#   bridgeless subsets of M are those of its bridgeless core; so
-#   X[M] = n_core q^|core| p^(|M| - |core|), and the vanishing holds by
-#   construction;
-# - the histogram's counts, when r is the allowed set's alpha: D = f^(v - 1)
-#   and X[M] = q^|M| counts[M]. There the vanishing on the bridged masks is
-#   the paper's Fourier lemma, checked on the colorings themselves.
+# - in gamma_plus and apply_transfer, the bridge extension of a vector on
+#   P_v: with x = n / L over one common denominator D = L,
+#   x[M] = r^(|M| - |core M|) x[core M], since the bridgeless subsets of M
+#   are those of its bridgeless core; so X[M] = n_core q^|core| p^(|M| - |core|),
+#   and the vanishing holds by construction;
+# - in verify_reciprocity, the histogram's counts at r = alpha:
+#   D = f^(v - 1) and X[M] = q^|M| counts[M]. There the vanishing on the
+#   bridged masks is the paper's Fourier lemma, checked on the colorings
+#   themselves.
 
 
 def _bridge_extension(core: list[int], scaled: list[int], p: int) -> list[int]:
     # X from scaled[H] = n_H q^|H| at every bridgeless mask H
     xs = map(scaled.__getitem__, core)
-    if p == 1:
-        return list(xs)
     p_pow = [p**k for k in range(len(core).bit_length())]
     bridges = map(int.bit_count, map(xor, range(len(core)), core))
     return list(map(mul, xs, map(p_pow.__getitem__, bridges)))
@@ -487,53 +486,38 @@ class ReciprocityReport:
 
 
 def verify_reciprocity(
-    poset: SubgraphPoset,
-    allowed: AllowedSet,
-    method: str = "auto",
-    budget: int = DEFAULT_BUDGET,
+    poset: SubgraphPoset, allowed: AllowedSet, *, budget: int = DEFAULT_BUDGET
 ) -> ReciprocityReport:
     """Check that Mobius inversion at alpha of the allowed vector equals the
     parity-signed Mobius inversion at 1 - alpha of the complement vector.
 
-    Exact rational comparison; a mismatch is reported, never raised. The
-    Fourier method is refused because its values are floats. Each side is
-    one lattice pass (see "Triangular solves" above), at alpha for the
-    allowed vector and at 1 - alpha, with the same denominator q, for the
-    complement. With "auto" the pass runs on each histogram's counts: the
-    two sweeps are independent, the inverse must vanish on every bridged
-    mask (the Fourier lemma; ArithmeticError names the first that does
-    not), and no bridgeless cores are needed. The per-member methods run it
-    on the bridge extension of their values, as gamma_plus does. The two
-    sides then agree exactly when Y_A[H] = (-1)^|H| Y_Abar[H] on integers
-    over a common denominator, and equal sides share their Fractions. The
-    steps of the two passes, C(v, 2) 2^(C(v, 2) - 1) each, are checked
-    against budget before any gamma work, and the gamma method checks its
-    own.
+    Exact rational comparison; a mismatch is reported, never raised. Each
+    side is one histogram sweep, by gamma_vector with "auto", and one
+    lattice pass on its counts (see "Triangular solves" above), at alpha for
+    the allowed set and at 1 - alpha, with the same denominator q, for the
+    complement. The two sweeps are independent, the inverse must vanish on
+    every bridged mask (the Fourier lemma; ArithmeticError names the first
+    that does not), and no bridgeless cores are needed. The two sides then
+    agree exactly when Y_A[H] = (-1)^|H| Y_Abar[H] on integers, and equal
+    sides share their Fractions. The steps of the two passes,
+    C(v, 2) 2^(C(v, 2) - 1) each, are checked against budget before any
+    coloring, and each sweep checks its own f^(v - 1).
     """
-    if method == "fourier":
-        raise ValueError("reciprocity needs exact values; the fourier method is floating point")
     pairs = comb(poset.v, 2)
     if pairs << pairs > budget:
         raise BudgetExceededError(
             f"lattice solves over the edge masks of K_{poset.v}", pairs << pairs, budget
         )
-    g_a = gamma_vector(poset, allowed, method, budget)
-    g_bar = gamma_vector(poset, allowed.complement(), method, budget)
-    if g_a.counts is None:
-        ys_a, common_a, q = _scaled_inverse(g_a, allowed.alpha)
-        ys_bar, common_bar, _ = _scaled_inverse(g_bar, allowed.alpha_bar)
-    else:
-        ys_a = _histogram_inverse(g_a, allowed.alpha)
-        ys_bar = _histogram_inverse(g_bar, allowed.alpha_bar)
-        common_a = common_bar = allowed.group.order ** (poset.v - 1)
-        q = allowed.alpha.denominator
+    g_a = gamma_vector(poset, allowed, "auto", budget)
+    g_bar = gamma_vector(poset, allowed.complement(), "auto", budget)
+    ys_a = _histogram_inverse(g_a, allowed.alpha)
+    ys_bar = _histogram_inverse(g_bar, allowed.alpha_bar)
     _negate_odd_sizes(poset, ys_bar)
     nums_a, nums_bar = _on_members(poset, ys_a), _on_members(poset, ys_bar)
-    lhs = _shared_fractions(poset, nums_a, common_a, q)
-    if (nums_a, common_a) == (nums_bar, common_bar):
-        rhs = lhs
-    else:
-        rhs = _shared_fractions(poset, nums_bar, common_bar, q)
+    common = allowed.group.order ** (poset.v - 1)
+    q = allowed.alpha.denominator
+    lhs = _shared_fractions(poset, nums_a, common, q)
+    rhs = lhs if nums_a == nums_bar else _shared_fractions(poset, nums_bar, common, q)
     return ReciprocityReport(poset, allowed.alpha, lhs, rhs, g_a, g_bar)
 
 
@@ -722,7 +706,7 @@ def _chromatic_transfer(edge_set: EdgeSet) -> RationalPoly:
             add, nullity[:: 2 * step], map(bool, map(step.__and__, core[step :: 2 * step]))
         )
     power = [1 << width * (v + n) for n in range(e_top + 1)]
-    ys = _bridge_extension(core, list(map(power.__getitem__, nullity)), 1)
+    ys = list(map(power.__getitem__, nullity))
     _lattice_inverse(v, places, ys, 1, lambda mask: core[mask] == mask)
     by_size = [0] * (e_top + 1)  # over the nonzero, hence bridgeless, masks
     for mask in compress(range(len(ys)), ys):

@@ -98,14 +98,6 @@ class EdgeSet:
             nbrs[b].append(a)
         return tuple(tuple(ns) for ns in nbrs)
 
-    def is_subset_of(self, other: "EdgeSet") -> bool:
-        if self.v != other.v:
-            raise ValueError("edge sets on different vertex counts")
-        return self.bits & ~other.bits == 0
-
-    def without_edge(self, n: int) -> "EdgeSet":
-        return EdgeSet(self.v, self.bits & ~(1 << n))
-
     def __repr__(self):
         return f"EdgeSet({self.to_text()})"
 
@@ -529,11 +521,6 @@ def iso_class_blocks(poset: SubgraphPoset) -> list[tuple[str, tuple[int, ...]]]:
         groups.setdefault(canonical_bits(poset.v, member.bits), []).append(i)
     keyed = sorted(groups.items(), key=lambda kv: (-EdgeSet(poset.v, kv[0]).edge_count, kv[0]))
     return [(class_label(poset.v, canon), tuple(idxs)) for canon, idxs in keyed]
-
-
-def containment_count(poset: SubgraphPoset, inner: int, outer_class: tuple[int, ...]) -> int:
-    """How many members of outer_class contain the member `inner`."""
-    return sum(1 for j in outer_class if poset.leq(inner, j))
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ Each builder takes the point r as an exact rational or as a RationalPoly;
 passing VARIABLE gives the symbolic matrix, and every matrix is a PolyMatrix
 whose entries live in the ring r came from. The Mobius function has one
 recursion, mobius_recursion, which works on any down-closed family given by
-its down-sets: the whole poset (mobius_table) or one interval below a member.
+its down-sets; the library runs it on the whole poset, in mobius_table.
 Only the explicit matrices need it, and only they read the poset's
 down-sets; the vector paths in gamma apply J(r)^-1 by one weighted Yates
 pass over the edge masks of K_v instead.

@@ -442,10 +442,17 @@ def test_gamma_plus_matches_fraction_loop(p4, p5, alpha):
 
 def test_exact_input_guards(p3):
     allowed = allowed_interval(make_group([5]), 1)
-    with pytest.raises(ValueError, match="fourier"):
-        verify_reciprocity(p3, allowed, "fourier")
     with pytest.raises(TypeError, match="rational"):
         gamma_plus(gamma_vector(p3, allowed, "fourier"), allowed.alpha)
+
+
+def test_verify_reciprocity_takes_no_method(p4):
+    # the check always runs on the two histograms, and budget is keyword
+    # only, so a method passed third is a TypeError, never a budget
+    allowed = allowed_interval(make_group([7]), 1)
+    for method in ("cycle", "auto"):
+        with pytest.raises(TypeError, match="positional"):
+            verify_reciprocity(p4, allowed, method)
 
 
 def test_reciprocity_mobius_budget(p5):
@@ -599,13 +606,21 @@ def _apply_transfer_by_substitution(poset, r, gamma_bar):
 
 
 def _assert_lattice_route_matches_substitution(poset, allowed, method):
-    report = verify_reciprocity(poset, allowed, method)
-    g_a, g_bar = report.gamma, report.gamma_complement
-    assert report.lhs == _gamma_plus_by_substitution(g_a, allowed.alpha)
-    assert report.rhs == _verify_rhs_by_substitution(g_bar, allowed.alpha_bar)
-    assert gamma_plus(g_bar, allowed.alpha_bar).values == _gamma_plus_by_substitution(
-        g_bar, allowed.alpha_bar
-    )
+    # gamma_plus and apply_transfer on the vectors of ``method``; with auto,
+    # also verify_reciprocity's histogram solves
+    g_a = gamma_vector(poset, allowed, method)
+    g_bar = gamma_vector(poset, allowed.complement(), method)
+    plus_a = gamma_plus(g_a, allowed.alpha).values
+    assert plus_a == _gamma_plus_by_substitution(g_a, allowed.alpha)
+    plus_bar = gamma_plus(g_bar, allowed.alpha_bar).values
+    assert plus_bar == _gamma_plus_by_substitution(g_bar, allowed.alpha_bar)
+    # the reciprocity law on the bridge extension of either method's values
+    assert plus_a == tuple((-1) ** size * x for size, x in zip(poset.sizes, plus_bar))
+    if method == "auto":
+        report = verify_reciprocity(poset, allowed)
+        assert report.ok
+        assert report.lhs == plus_a
+        assert report.rhs == _verify_rhs_by_substitution(g_bar, allowed.alpha_bar)
     image = apply_transfer(poset, allowed.alpha_bar, g_bar)
     assert image.values == _apply_transfer_by_substitution(poset, allowed.alpha_bar, g_bar)
     assert image.values == g_a.values
@@ -711,7 +726,8 @@ def test_reciprocity_checks_the_fourier_lemma_on_the_histogram(p4, monkeypatch):
 
 def test_histogram_reciprocity_reads_no_cores(p4, monkeypatch):
     allowed = allowed_interval(make_group([7]), 1)
-    by_cycle = verify_reciprocity(p4, allowed, "cycle")  # the extension route, with cores
+    by_cycle = gamma_vector(p4, allowed, "cycle")
+    plus_by_cycle = gamma_plus(by_cycle, allowed.alpha)  # the extension route, with cores
 
     def refuse(v, bits):
         raise AssertionError("bridgeless_cores called")
@@ -722,9 +738,9 @@ def test_histogram_reciprocity_reads_no_cores(p4, monkeypatch):
     report = verify_reciprocity(poset, allowed)
     assert report.ok
     assert report.rhs is report.lhs  # equal integer numerators share one tuple
-    assert report.lhs == by_cycle.lhs
+    assert report.lhs == plus_by_cycle.values
     assert len(report.gamma.counts) == len(report.gamma_complement.counts) == 1 << 6
-    assert by_cycle.gamma.counts is None
+    assert by_cycle.counts is None
 
 
 def test_reciprocity_reports_a_mismatch(p4, monkeypatch):
@@ -734,11 +750,10 @@ def test_reciprocity_reports_a_mismatch(p4, monkeypatch):
     allowed = allowed_explicit(make_group([2, 2, 2]), [2, 5, 6, 7])
     stand_in = allowed_explicit(make_group([2, 2, 2]), [0, 1, 2, 3])
     monkeypatch.setattr(AllowedSet, "complement", lambda self: stand_in)
-    for method in ("auto", "cycle"):
-        report = verify_reciprocity(p4, allowed, method)
-        assert not report.ok
-        assert report.lhs == _gamma_plus_by_substitution(report.gamma, allowed.alpha)
-        assert report.rhs == _verify_rhs_by_substitution(report.gamma_complement, allowed.alpha_bar)
+    report = verify_reciprocity(p4, allowed)
+    assert not report.ok
+    assert report.lhs == _gamma_plus_by_substitution(report.gamma, allowed.alpha)
+    assert report.rhs == _verify_rhs_by_substitution(report.gamma_complement, allowed.alpha_bar)
 
 
 def test_reciprocity_report_dict(p3):

@@ -1,7 +1,8 @@
-"""The benchmark's library sessions at smoke size: verify5 and poset6 at
-v = 4 with small samples, run the way perfbench/run.py runs them and
-checked by the benchmark's own checks. Guards the benchmark's calls into
-the library (verify_reciprocity, main_term, chromatic_via_transfer)."""
+"""The benchmark's workloads at smoke size: verify5 and poset6 at v = 4
+with small samples, and cli5's command lines, run the way perfbench/run.py
+runs them and checked by the benchmark's own checks. Guards the
+benchmark's calls into the library (verify_reciprocity, main_term,
+chromatic_via_transfer) and its argvs against the CLI parser."""
 
 import json
 import subprocess
@@ -15,12 +16,13 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SCRIPT = """
 import json, sys
 import run
+sys.path.insert(0, str(run.SRC))
 result = run.run_workload(sys.argv[1], seed=1, seconds=0, trace=False, smoke=True)
 print(json.dumps({key: result[key] for key in ("correct", "failed", "attempted", "errors")}))
 """
 
 
-@pytest.mark.parametrize("name", ["verify5", "poset6"])
+@pytest.mark.parametrize("name", ["verify5", "poset6", "cli5"])
 def test_benchmark_session_smoke(name):
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, name],
