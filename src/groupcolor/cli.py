@@ -19,7 +19,6 @@ from .gamma import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     METHODS,
-    check_method_budget,
     chromatic_via_transfer,
     gamma_cyclespace,
     gamma_vector,
@@ -40,6 +39,7 @@ from .groups import (
     AllowedSet,
     FiniteAbelianGroup,
     allowed_complement_identity,
+    allowed_explicit,
     allowed_hamming,
     allowed_interval,
     make_group,
@@ -125,10 +125,7 @@ def parse_allowed_spec(spec: str, group: FiniteAbelianGroup) -> AllowedSet:
                 elements.append(tuple(int(t) for t in item[1:-1].split(",") if t.strip()))
             else:
                 elements.append(int(item))
-        mask = 0
-        for el in elements:
-            mask |= 1 << group.element(el).index
-        return AllowedSet(group, mask)
+        return allowed_explicit(group, elements)
     raise ValueError(f"bad allowed-set spec {spec!r}")
 
 
@@ -255,29 +252,19 @@ def cmd_gamma(ns: argparse.Namespace) -> int:
     group = parse_group_spec(ns.group)
     allowed = parse_allowed_spec(ns.allowed, group)
     poset = enumerate_poset(ns.v)
-    if ns.method == "auto":
-        # one sweep gives every value; each row gets an equal share of it
-        t0 = time.perf_counter()
-        values = gamma_vector(poset, allowed, "auto", ns.budget).values
-        share = (time.perf_counter() - t0) / len(poset)
-        timed = [(value, share) for value in values]
-    else:
-        check_method_budget(poset.members, allowed, ns.method, ns.budget)
-        fn = METHODS[ns.method]
-        timed = []
-        for member in poset.members:
-            t0 = time.perf_counter()
-            value = fn(member, allowed, ns.budget)
-            timed.append((value, time.perf_counter() - t0))
+    # one call gives every value; each row gets an equal share of its time
+    t0 = time.perf_counter()
+    values = gamma_vector(poset, allowed, ns.method, ns.budget).values
+    seconds = round((time.perf_counter() - t0) / len(poset), 6)
     rows = [
         {
             "mask": member.bits,
             "edges": member.to_text(),
             "value": str(value),
             "method": ns.method,
-            "seconds": round(seconds, 6),
+            "seconds": seconds,
         }
-        for member, (value, seconds) in zip(poset.members, timed)
+        for member, value in zip(poset.members, values)
     ]
     payload = {
         "v": ns.v,
@@ -658,9 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", *METHODS],
         default="cycle",
         help=(
-            "auto: one histogram sweep of f^(v-1) colorings for all members, "
-            "each row's seconds the sweep time over the member count; "
-            "brute, cycle, fourier: per member, each row timed on its own"
+            "auto: one histogram sweep of f^(v-1) colorings for all members; "
+            "brute, cycle, fourier: one computation per member; each row's "
+            "seconds is the whole vector's time over the member count"
         ),
     )
     _add_common(p, group_args=True)

@@ -21,7 +21,7 @@ from numbers import Rational
 from operator import add, mul, sub, xor
 
 from .graphs import (
-    DEFAULT_POSET_CAP,
+    POSET_CAP,
     EdgeSet,
     SubgraphPoset,
     _lattice_pass,
@@ -144,16 +144,14 @@ def gamma_cyclespace(
 
 
 def gamma_fourier(
-    edge_set: EdgeSet,
-    allowed: AllowedSet,
-    budget: int = DEFAULT_BUDGET,
-    tol: float = FOURIER_TOL,
+    edge_set: EdgeSet, allowed: AllowedSet, budget: int = DEFAULT_BUDGET
 ) -> float:
     """Character double sum over the dual cycle space; floating cross-check.
 
     The kernel of the boundary map is enumerated through the fundamental
     cycles of a spanning forest: f^(e - v + c) edge characters in total.
-    An imaginary residue above tol means the kernel enumeration is wrong.
+    An imaginary residue above FOURIER_TOL means the kernel enumeration is
+    wrong.
     """
     group = allowed.group
     f = group.order
@@ -180,9 +178,9 @@ def gamma_fourier(
             term *= char_sums[p]
         total += term
     value = total / f**edge_set.edge_count
-    if abs(value.imag) > tol:
+    if abs(value.imag) > FOURIER_TOL:
         raise ArithmeticError(
-            f"imaginary residue {value.imag:.3e} exceeds {tol}; kernel enumeration bug"
+            f"imaginary residue {value.imag:.3e} exceeds {FOURIER_TOL}; kernel enumeration bug"
         )
     return value.real
 
@@ -553,11 +551,11 @@ _chromatic_by_class: dict[tuple[int, int], RationalPoly] = {}
 
 def _per_class(memo: dict, kernel, edge_set: EdgeSet):
     # kernel(edge_set), computed once per isomorphism class for
-    # v <= DEFAULT_POSET_CAP. Above the cap the kernel runs on every call:
+    # v <= POSET_CAP. Above the cap the kernel runs on every call:
     # the canonical form needs _relabelings(v), C(v, 2) v! entries, about
     # 1.1M at v = 8 and 163M at v = 10.
     v = edge_set.v
-    if v > DEFAULT_POSET_CAP:
+    if v > POSET_CAP:
         return kernel(edge_set)
     key = v, canonical_bits(v, edge_set.bits)
     value = memo.get(key)
@@ -611,7 +609,7 @@ def main_term(edge_set: EdgeSet, alpha_bar: Fraction) -> Fraction:
     n_k (-p)^k q^(|E| - k) over q^|E|.
 
     The counts n_k are computed once per isomorphism class of E for
-    v <= DEFAULT_POSET_CAP (6) and on every call above it, where the
+    v <= POSET_CAP (6) and on every call above it, where the
     canonical form would cost C(v, 2) v! relabeled edges.
     """
     if not is_isthmus_free(edge_set):
@@ -672,7 +670,7 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
     The solve must vanish on every bridged mask, and the low |E| digits,
     the negative powers of f, must cancel; anything else is a bug.
 
-    The polynomial is a graph invariant, so for v <= DEFAULT_POSET_CAP (6)
+    The polynomial is a graph invariant, so for v <= POSET_CAP (6)
     it is computed once per isomorphism class and memoized under the
     canonical form. Above the cap every call runs the solve: the canonical
     form needs C(v, 2) v! relabeled edges, about 1.1M at v = 8.
@@ -735,15 +733,11 @@ def _chromatic_transfer(edge_set: EdgeSet) -> RationalPoly:
 
 
 def triangle_gamma_from_pairs(allowed: AllowedSet) -> Fraction:
-    """Triangle coordinate by enumerating difference pairs inside the set:
-    (a, b) with a, b, a + b all allowed, over f^2. Exact, and cheap when
-    the set is small even if the group is big."""
-    group = allowed.group
-    add = group.add
-    members = allowed.indices()
-    contains = allowed.contains_index
-    count = sum(1 for a in members for b in members if contains(add(a, b)))
-    return Fraction(count, group.order**2)
+    """Triangle coordinate, the K3 entry of the examples: gamma_cyclespace
+    on K3 fixes vertex 0 and counts the difference pairs (a, b) of the other
+    two vertices with a, b and b - a allowed, over f^2. make_group caps f at
+    4096, so the f^2 = 16.8M colorings stay inside the default budget."""
+    return gamma_cyclespace(EdgeSet(3, 0b111), allowed)
 
 
 def hamming_k3_closed_form(n: int) -> tuple[Fraction, Fraction]:

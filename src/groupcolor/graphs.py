@@ -18,7 +18,7 @@ from operator import add, mul, or_
 
 from .posetlin import RationalPoly
 
-DEFAULT_POSET_CAP = 6
+POSET_CAP = 6
 
 
 @lru_cache(maxsize=None)
@@ -411,10 +411,10 @@ def down_sets_of(index: dict[int, int]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def enumerate_poset(v: int, cap: int = DEFAULT_POSET_CAP) -> SubgraphPoset:
-    """Enumerate every bridgeless edge set on v labeled vertices."""
-    if not 2 <= v <= cap:
-        raise ValueError(f"v must be in 2..{cap}, got {v}")
+def enumerate_poset(v: int) -> SubgraphPoset:
+    """Enumerate every bridgeless edge set on v labeled vertices, 2 <= v <= POSET_CAP."""
+    if not 2 <= v <= POSET_CAP:
+        raise ValueError(f"v must be in 2..{POSET_CAP}, got {v}")
     complete = (1 << comb(v, 2)) - 1
     return SubgraphPoset(v, tuple(EdgeSet(v, m) for m in bridgeless_subsets(v, complete)))
 
@@ -465,27 +465,11 @@ def canonical_bits(v: int, bits: int) -> int:
 
 
 def _cycle_lengths(edge_set: EdgeSet) -> list[int] | None:
-    # lengths of the cycles when every non-isolated vertex has degree 2
-    adj = edge_set.adjacency
-    active = [u for u in range(edge_set.v) if adj[u]]
-    if any(len(adj[u]) != 2 for u in active):
+    # lengths of the cycles when every non-isolated vertex has degree 2;
+    # then every component is one circuit
+    if any(len(nbrs) not in (0, 2) for nbrs in edge_set.adjacency):
         return None
-    lengths = []
-    seen: set[int] = set()
-    for start in active:
-        if start in seen:
-            continue
-        length = 0
-        prev, u = None, start
-        while True:
-            seen.add(u)
-            length += 1
-            a, b = adj[u]
-            prev, u = u, (b if a == prev else a)
-            if u == start:
-                break
-        lengths.append(length)
-    return sorted(lengths, reverse=True)
+    return sorted(map(int.bit_count, _circuits(edge_set.v, edge_set.bits)), reverse=True)
 
 
 def class_label(v: int, bits: int) -> str:

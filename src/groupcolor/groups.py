@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, prod
 
-DEFAULT_MAX_ORDER = 4096
+MAX_GROUP_ORDER = 4096
 
 # Above this order the generic add() falls back to tuple arithmetic instead
 # of a precomputed f x f table.
@@ -285,11 +285,12 @@ class AllowedSet:
         return f"AllowedSet(size={self.size}, f={self.group.order})"
 
 
-def make_group(cyclic_orders, max_order: int = DEFAULT_MAX_ORDER) -> FiniteAbelianGroup:
-    """Build a product of cyclic groups; rejects orders < 2 and huge groups."""
+def make_group(cyclic_orders) -> FiniteAbelianGroup:
+    """Build a product of cyclic groups; rejects orders < 2 and orders above
+    MAX_GROUP_ORDER."""
     group = FiniteAbelianGroup(tuple(int(n) for n in cyclic_orders))
-    if group.order > max_order:
-        raise ValueError(f"group order {group.order} exceeds cap {max_order}")
+    if group.order > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {group.order} exceeds cap {MAX_GROUP_ORDER}")
     return group
 
 

@@ -21,7 +21,9 @@ from groupcolor.cli import (
     render_allowed_spec,
     render_group_spec,
 )
-from groupcolor.groups import make_group
+from groupcolor.gamma import gamma_vector
+from groupcolor.graphs import enumerate_poset
+from groupcolor.groups import allowed_explicit, make_group
 
 
 def _run(capsys, argv):
@@ -221,6 +223,30 @@ def test_cmd_gamma_values(capsys):
     assert [row["value"] for row in data["values"]] == ["1", "7/25"]
     assert all(row["method"] == "brute" for row in data["values"])
     assert all("seconds" in row for row in data["values"])
+
+
+@pytest.mark.parametrize("method", ["brute", "cycle", "fourier"])
+def test_cmd_gamma_prints_gamma_vector(capsys, monkeypatch, method):
+    import groupcolor.cli as cli_mod
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("method", args[2] if len(args) > 2 else "auto"))
+        return gamma_vector(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "gamma_vector", spy)
+    argv = ["gamma", "--v", "4", "--group", "Z2xZ4", "--allowed", "set:{(0,1),(0,3),(1,0)}"]
+    code, data = _run_json(capsys, argv + ["--method", method])
+    assert code == 0
+    assert seen == [method]
+    allowed = allowed_explicit(make_group([2, 4]), [(0, 1), (0, 3), (1, 0)])
+    expected = gamma_vector(enumerate_poset(4), allowed, method).values
+    rows = data["values"]
+    assert [row["value"] for row in rows] == [str(value) for value in expected]
+    assert {row["method"] for row in rows} == {method}
+    # every row carries the same share of the vector's time
+    assert len({row["seconds"] for row in rows}) == 1
 
 
 def test_cmd_gamma_nonzero_z7(capsys):

@@ -1038,14 +1038,16 @@ def test_interval_piecewise_law_spot(k3_v3):
             assert got == 1 - 3 * ab + Fraction(9, 4) * ab**2 - Fraction(1, 4 * f**2)
 
 
-def test_triangle_gamma_from_pairs_agrees_with_cyclespace(k3_v3):
+def test_triangle_gamma_from_pairs_agrees_with_bruteforce(k3_v3):
+    # the vertex brute force colors all three vertices, none fixed
     sets = [
         allowed_interval(make_group([11]), 3),
         allowed_hamming(4, 1).complement(),
         allowed_explicit(make_group([6]), [0, 3]),
+        allowed_explicit(make_group([2, 4]), [(0, 1), (0, 3), (1, 0), (1, 2)]),
     ]
     for allowed in sets:
-        assert triangle_gamma_from_pairs(allowed) == gamma_cyclespace(k3_v3, allowed)
+        assert triangle_gamma_from_pairs(allowed) == gamma_bruteforce(k3_v3, allowed)
 
 
 def test_hamming_closed_forms(k3_v3):
@@ -1060,7 +1062,7 @@ def test_hamming_closed_forms(k3_v3):
         # the published allowed-side form is short by exactly 2/4^n
         assert got - published == Fraction(2, 4**n)
         if n <= 6:
-            assert gamma_cyclespace(k3_v3, allowed) == got
+            assert gamma_bruteforce(k3_v3, allowed) == got
 
 
 def test_hamming_degenerate_n1(k3_v3):

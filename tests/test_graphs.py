@@ -22,6 +22,7 @@ from groupcolor.graphs import (
     bridgeless_subsets,
     canonical_bits,
     chromatic_oracle,
+    class_label,
     components,
     down_sets_of,
     enumerate_poset,
@@ -105,10 +106,6 @@ def test_poset_rejects_out_of_cap():
         enumerate_poset(1)
     with pytest.raises(ValueError):
         enumerate_poset(7)
-    # the cap is configurable in both directions
-    with pytest.raises(ValueError):
-        enumerate_poset(5, cap=4)
-    assert len(enumerate_poset(4, cap=4)) == 15
 
 
 @pytest.mark.parametrize("v", [2, 3, 4, 5])
@@ -119,7 +116,7 @@ def test_poset_matches_networkx_bridge_filter(v):
         bridge_free = not any(True for _ in nx.bridges(_nx_graph(es)))
         assert is_isthmus_free(es) == bridge_free
         expected += bridge_free
-    assert len(enumerate_poset(v, cap=6)) == expected
+    assert len(enumerate_poset(v)) == expected
 
 
 @pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
@@ -312,6 +309,23 @@ def test_iso_class_sizes(p3, p4):
     blocks = iso_class_blocks(p4)
     assert [len(ix) for _, ix in blocks] == [1, 6, 3, 4, 1]
     assert [label for label, _ in blocks] == ["K4", "diamond", "C4", "K3", "empty"]
+
+
+def test_cycle_class_labels_match_networkx(p6):
+    # every 2-regular member of P_6 is a disjoint union of cycles, named by
+    # the cycle lengths networkx finds as component sizes; no golden hash
+    # pins these labels at v = 6
+    seen = set()
+    for member in p6.members:
+        graph = _nx_graph(member)
+        graph.remove_nodes_from([u for u, d in graph.degree if d == 0])
+        if member.edge_count == 0 or any(d != 2 for _, d in graph.degree):
+            continue
+        lengths = sorted(map(len, nx.connected_components(graph)), reverse=True)
+        expected = "K3" if lengths == [3] else "+".join(f"C{n}" for n in lengths)
+        assert class_label(6, member.bits) == expected
+        seen.add(expected)
+    assert seen == {"K3", "C4", "C5", "C6", "C3+C3"}
 
 
 def test_iso_class_incidence_patterns(p4):
