@@ -307,7 +307,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_chromatic(ns: argparse.Namespace) -> int:
     # both polynomials are graph invariants, so each isomorphism class is
-    # solved once, on its first member, and checked by the oracle on its first and last
+    # computed once, on its first member, and checked by the oracle on its first and last
     if ns.edgeset:
         members = [EdgeSet.from_text(ns.edgeset)]
         v = members[0].v
@@ -317,9 +317,9 @@ def cmd_chromatic(ns: argparse.Namespace) -> int:
         members = list(poset.members)
         v = ns.v
         classes = [idxs for _, idxs in iso_class_blocks(poset)]
-    # chromatic_via_transfer walks the 2^|E| subsets of E in each of its
-    # lattice passes, so the sum of 2^|E| counts the subsets per pass; an
-    # upper bound, since only one member per class is solved
+    # chromatic_via_transfer tallies the 2^|E| subsets of E, so the sum of
+    # 2^|E| counts the subsets; an upper bound, since only one member per
+    # class is computed
     work = sum(2**member.edge_count for member in members)
     if work > ns.budget:
         raise BudgetExceededError(

@@ -38,8 +38,9 @@ from .posetlin import RationalPoly
 
 DEFAULT_BUDGET = 10**8
 FOURIER_TOL = 1e-9
-# chromatic_via_transfer holds lists of 2^|E| entries: about 150 MiB at 20
-# edges and four times that per two more, so one edge set is capped at K7
+# chromatic_via_transfer holds lists of 2^|E| entries: a peak of about
+# 150 MiB at the 21 edges of K7 and twice that per more edge, so one edge
+# set is capped at K7
 MAX_CHROMATIC_EDGES = 21
 
 
@@ -67,9 +68,6 @@ class GammaVector:
 
     def __getitem__(self, i: int):
         return self.values[i]
-
-    def value_at(self, edge_set: EdgeSet):
-        return self.values[self.poset.index_of(edge_set)]
 
 
 def _count_colorings(
@@ -331,20 +329,22 @@ def gamma_vector(
 
 
 # ---------------------------------------------------------------------------
-# Triangular solves on the Boolean lattice. With r = p/q, y = J(r)^-1 x is 0
-# off P_v and has weighted subset sums x[M] at every edge mask M of K_v, so
-# Y[M] = D q^|M| y[M] is one weighted subset-Mobius pass (step hi - p*lo)
-# over the integers X[M] = D q^|M| x[M], and Y must be 0 on every bridged M.
+# Lattice passes. With r = p/q, y = J(r)^-1 x is 0 off P_v and has weighted
+# subset sums x[M] at every edge mask M of K_v, so Y[M] = D q^|M| y[M] is one
+# weighted subset-Mobius pass (step hi - p*lo) over the integers
+# X[M] = D q^|M| x[M], and Y must be 0 on every bridged M.
 # The pass takes X from one of two inputs:
-# - in gamma_plus and apply_transfer, the bridge extension of a vector on
-#   P_v: with x = n / L over one common denominator D = L,
-#   x[M] = r^(|M| - |core M|) x[core M], since the bridgeless subsets of M
-#   are those of its bridgeless core; so X[M] = n_core q^|core| p^(|M| - |core|),
-#   and the vanishing holds by construction;
+# - in gamma_plus, the bridge extension of a vector on P_v: with x = n / L
+#   over one common denominator D = L, x[M] = r^(|M| - |core M|) x[core M],
+#   since the bridgeless subsets of M are those of its bridgeless core; so
+#   X[M] = n_core q^|core| p^(|M| - |core|), and the vanishing holds by
+#   construction;
 # - in verify_reciprocity, the histogram's counts at r = alpha:
 #   D = f^(v - 1) and X[M] = q^|M| counts[M]. There the vanishing on the
 #   bridged masks is the paper's Fourier lemma, checked on the colorings
 #   themselves.
+# The transfer matrix needs no solve: apply_transfer is one weighted
+# subset-sum pass (step hi + q*lo) over a signed bridge extension.
 
 
 def _bridge_extension(core: list[int], scaled: list[int], p: int) -> list[int]:
@@ -366,21 +366,18 @@ def _lattice_inverse(v: int, places, ys: list[int], p: int, bridgeless) -> list[
     return ys
 
 
-def _scaled_inverse(gamma: GammaVector, r: Fraction) -> tuple[list[int], int, int]:
-    # Y = L q^|M| J(r)^-1 x at every mask of K_v, with the common
-    # denominator L of the values and the denominator q of r
+def _scaled(gamma: GammaVector, q: int) -> tuple[list[int], int]:
+    # n_H q^|H| at every member mask H and 0 elsewhere, with x_H = n_H / L
+    # over the common denominator L of the values
     for x in gamma.values:
         if not isinstance(x, Rational):
             raise TypeError(f"exact rational values needed, got {x!r}")
-    p, q = Fraction(r).as_integer_ratio()
     common = lcm(*(x.denominator for x in gamma.values))
     poset = gamma.poset
-    places, core = poset.cores
-    scaled = [0] * len(core)
+    scaled = [0] * len(poset.cores[1])
     for member, x in zip(poset.members, gamma.values):
         scaled[member.bits] = x.numerator * (common // x.denominator) * q**member.edge_count
-    ys = _bridge_extension(core, scaled, p)
-    return _lattice_inverse(poset.v, places, ys, p, lambda mask: core[mask] == mask), common, q
+    return scaled, common
 
 
 def _histogram_inverse(gamma: GammaVector, alpha: Fraction) -> list[int]:
@@ -396,7 +393,7 @@ def _histogram_inverse(gamma: GammaVector, alpha: Fraction) -> list[int]:
 
 
 def _negate_odd_sizes(poset: SubgraphPoset, ys: list[int]) -> None:
-    # (-1)^|H| Y_H in place; Y vanishes off the members
+    # (-1)^|H| ys[H] in place at every member H; ys vanishes off them
     for mask in (m.bits for m in poset.members if m.edge_count & 1):
         ys[mask] = -ys[mask]
 
@@ -433,12 +430,16 @@ def gamma_plus(gamma: GammaVector, alpha: Fraction) -> GammaVector:
 
     The inverse is applied, not built: one weighted Yates pass over the
     edge masks of K_v from the bridge-law extension of the vector gives
-    coordinate H as Y_H / (L q^|H|) (see "Triangular solves" above).
+    coordinate H as Y_H / (L q^|H|) (see "Lattice passes" above).
     ArithmeticError names a bridged mask where the pass is nonzero.
     """
     poset = gamma.poset
-    values = _fractions(poset, *_scaled_inverse(gamma, alpha))
-    return GammaVector(poset, values, gamma.method + "+mobius")
+    p, q = Fraction(alpha).as_integer_ratio()
+    scaled, common = _scaled(gamma, q)
+    places, core = poset.cores
+    ys = _bridge_extension(core, scaled, p)
+    _lattice_inverse(poset.v, places, ys, p, lambda mask: core[mask] == mask)
+    return GammaVector(poset, _fractions(poset, ys, common, q), gamma.method + "+mobius")
 
 
 @dataclass(frozen=True)
@@ -491,7 +492,7 @@ def verify_reciprocity(
 
     Exact rational comparison; a mismatch is reported, never raised. Each
     side is one histogram sweep, by gamma_vector with "auto", and one
-    lattice pass on its counts (see "Triangular solves" above), at alpha for
+    lattice pass on its counts (see "Lattice passes" above), at alpha for
     the allowed set and at 1 - alpha, with the same denominator q, for the
     complement. The two sweeps are independent, the inverse must vanish on
     every bridged mask (the Fourier lemma; ArithmeticError names the first
@@ -526,14 +527,21 @@ def apply_transfer(
     matrix M(r) = J(1 - r) (-1)^e J(r)^-1 at r = alpha_bar, applied and
     never built.
 
-    With r = p/q, the lattice inverse of gamma_plus gives L q^|M| J(r)^-1 x
-    at every edge mask M; after the sign, one more pass with the step
-    hi + (q - p)*lo gives L q^|H| times coordinate H of J(1 - r).
+    Put the lattice form of J(r)^-1 (see "Lattice passes" above) into the
+    sum over the middle member G: the sum over M <= G <= H is binomial and
+    collapses to ((1 - r) + r)^(|H| - |M|) = 1, so
+    M(r)(H, E) = sum over M <= H with core M = E of (-1)^|M| r^(|M| - |E|).
+    With r = p/q and x = n / L, L q^|H| (M(r) x)_H is then one weighted
+    subset-sum pass (step hi + q*lo) over
+    X[M] = (-1)^|M| n_core q^|core| p^(|M| - |core|), the bridge extension
+    at -p of (-1)^|E| n_E q^|E|.
     """
-    r = Fraction(alpha_bar)
-    ys, common, q = _scaled_inverse(gamma_bar, r)
-    _negate_odd_sizes(poset, ys)
-    _lattice_pass(ys, len(poset.cores[0]), add, q - r.numerator)
+    p, q = Fraction(alpha_bar).as_integer_ratio()
+    scaled, common = _scaled(gamma_bar, q)
+    _negate_odd_sizes(poset, scaled)
+    places, core = poset.cores
+    ys = _bridge_extension(core, scaled, -p)
+    _lattice_pass(ys, len(places), add, q)
     return GammaVector(poset, _fractions(poset, ys, common, q), "transfer")
 
 
@@ -649,30 +657,21 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
     """Chromatic polynomial of an isthmus-free edge set from the transfer
     matrix at r = 1/f applied to the component-count weights f^c.
 
-    On the interval below E, J(1/f) y = f^c asks for Y_G = f^|G| y_G with
-    f^(|G| + c(G)) = sum over bridgeless H <= G of Y_H, and then
-    f^|E| P(f) = sum over G of (f - 1)^(|E| - |G|) (-1)^|G| Y_G.
-
-    The solve is the lattice solve of gamma_plus at p = 1, on the Boolean
-    lattice of E's edges, not on the interval: |M| + c(M) = v + nullity(M),
-    and dropping a bridge leaves the nullity unchanged, so the scaled
-    right-hand side f^(v + nullity(M)) already obeys the bridge law. The
-    nullity takes one pass: removing the lowest edge k of M lowers it by
-    one exactly when k lies on a cycle of M, that is, in core[M].
-
-    Each polynomial is held as its value at f = 2^B (Kronecker
-    substitution) and the result is read back as signed base-2^B digits.
-    B = |E| + 2 is wide enough: every coefficient of f^|E| P(f) has
-    magnitude at most 2^|E|, since the coefficients of a chromatic
-    polynomial are bounded by binomial coefficients of |E| (Whitney's
-    broken-circuit theorem).
-
-    The solve must vanish on every bridged mask, and the low |E| digits,
-    the negative powers of f, must cancel; anything else is a bug.
+    For A the complement of the identity in a group of order f, the
+    complement vector is f^(c(H) - v) and the allowed one is P_H(f) / f^v.
+    Each bridge of a mask M splits one component of its core, so
+    c(core M) = c(M) + |M| - |core M|, and the closed-form row of M(1/f)
+    (see apply_transfer) applied to f^(c - v) becomes Whitney's subset
+    expansion P_E(f) = sum over M <= E of (-1)^|M| f^c(M) (Whitney, "A
+    logical expansion in mathematics", 1932). As
+    c(M) = v - |M| + nullity(M), the coefficients are one signed tally of
+    (|M|, nullity(M)) over the 2^|E| masks. The nullity takes one pass:
+    removing the lowest edge k of M lowers it by one exactly when k lies on
+    a cycle of M, that is, in core[M].
 
     The polynomial is a graph invariant, so for v <= POSET_CAP (6)
     it is computed once per isomorphism class and memoized under the
-    canonical form. Above the cap every call runs the solve: the canonical
+    canonical form. Above the cap every call runs the tally: the canonical
     form needs C(v, 2) v! relabeled edges, about 1.1M at v = 8.
     """
     if edge_set.edge_count > MAX_CHROMATIC_EDGES:
@@ -689,44 +688,21 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
 
 
 def _chromatic_transfer(edge_set: EdgeSet) -> RationalPoly:
-    # the solve and decode of chromatic_via_transfer, on a checked edge set
+    # the subset expansion of chromatic_via_transfer, on a checked edge set
     v = edge_set.v
-    e_top = edge_set.edge_count
-    width = e_top + 2
-    f = 1 << width
-    places, core = bridgeless_cores(v, edge_set.bits)
+    _, core = bridgeless_cores(v, edge_set.bits)
     # nullity[M] = nullity[M - k] + (k in core[M]), k the lowest bit of M:
     # the masks with lowest bit k come from masks above k, done first
     nullity = [0] * len(core)
-    for k in reversed(range(e_top)):
+    for k in reversed(range(edge_set.edge_count)):
         step = 1 << k
         nullity[step :: 2 * step] = map(
             add, nullity[:: 2 * step], map(bool, map(step.__and__, core[step :: 2 * step]))
         )
-    power = [1 << width * (v + n) for n in range(e_top + 1)]
-    ys = list(map(power.__getitem__, nullity))
-    _lattice_inverse(v, places, ys, 1, lambda mask: core[mask] == mask)
-    by_size = [0] * (e_top + 1)  # over the nonzero, hence bridgeless, masks
-    for mask in compress(range(len(ys)), ys):
-        by_size[mask.bit_count()] += ys[mask]
-    total = 0
-    spread = 1  # (f - 1)^(|E| - |G|)
-    for size in reversed(range(e_top + 1)):
-        term = spread * by_size[size]
-        total += -term if size & 1 else term
-        spread *= f - 1
-    digits = []
-    half = f >> 1
-    while total:
-        d = total & (f - 1)
-        if d >= half:
-            d -= f
-        digits.append(d)
-        total = (total - d) >> width
-    bad = {k - e_top: c for k, c in enumerate(digits[:e_top]) if c}
-    if bad:
-        raise ArithmeticError(f"negative powers survive in chromatic specialization: {bad}")
-    return RationalPoly.of(digits[e_top:])
+    coeffs = [0] * (v + 1)
+    for (size, n), count in Counter(zip(map(int.bit_count, range(len(core))), nullity)).items():
+        coeffs[v - size + n] += -count if size & 1 else count
+    return RationalPoly.of(coeffs)
 
 # ---------------------------------------------------------------------------
 # Worked-example closed forms.

@@ -338,10 +338,6 @@ def _diagonal(poset: "SubgraphPoset", values) -> PolyMatrix:
     return PolyMatrix(poset, tuple(map(tuple, rows)))
 
 
-def identity_matrix(poset: "SubgraphPoset") -> PolyMatrix:
-    return _diagonal(poset, [1] * len(poset))
-
-
 def sign_diagonal(poset: "SubgraphPoset") -> PolyMatrix:
     """Diagonal matrix with entry (-1)^(edge count) per poset member."""
     return _diagonal(poset, [(-1) ** size for size in poset.sizes])

@@ -320,7 +320,7 @@ def test_gamma_vector_interval_z5(p3, k3_v3):
     vec = gamma_vector(p3, allowed)
     assert vec.values == (Fraction(1), Fraction(0))
     assert vec.method == "histogram"
-    assert vec.value_at(k3_v3) == 0
+    assert vec.values[p3.index_of(k3_v3)] == 0
 
 
 def test_gamma_vector_methods_and_errors(p3):
@@ -782,13 +782,18 @@ def test_apply_transfer_involution(p4):
     assert back.values == vec_bar.values
 
 
-def test_apply_transfer_reproduces_chromatic_scaling(p3):
+def test_apply_transfer_reproduces_chromatic_scaling(p3, p4, p5):
+    # the one-pass transfer and the subset expansion of the chromatic
+    # polynomial read the same closed-form row at r = 1/f; both are checked
+    # against the deletion-contraction oracle and against each other
     f = 5
     allowed = allowed_complement_identity(make_group([f]))
-    vec = apply_transfer(p3, allowed.alpha_bar, gamma_vector(p3, allowed.complement()))
-    for i, member in enumerate(p3.members):
-        chi = chromatic_oracle(member)
-        assert vec.values[i] == Fraction(chi(f), f**member.v)
+    for poset in (p3, p4, p5):
+        vec = apply_transfer(poset, allowed.alpha_bar, gamma_vector(poset, allowed.complement()))
+        for i, member in enumerate(poset.members):
+            expected = Fraction(chromatic_oracle(member)(f), f**member.v)
+            assert vec.values[i] == expected
+            assert Fraction(chromatic_via_transfer(member)(f), f**member.v) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +895,7 @@ def test_chromatic_via_transfer_on_all_p4_members(p4):
 
 
 def test_chromatic_via_transfer_on_p5_and_a_p6_sample(p5, p6):
-    # isolated-vertex factors included; the uncached solve on every member
+    # isolated-vertex factors included; the uncached tally on every member
     for member in p5.members:
         assert _chromatic_transfer(member) == chromatic_oracle(member)
     for i in random.Random(6).sample(range(len(p6)), 10):
@@ -899,9 +904,10 @@ def test_chromatic_via_transfer_on_p5_and_a_p6_sample(p5, p6):
 
 
 def _chromatic_interval_oracle(edge_set):
-    # the interval solve that the Boolean-lattice solve replaced: the
-    # bridgeless subsets, their down-sets, and forward substitution of
-    # J(1/f) y = f^c with polynomials packed at f = 2^(|E| + 2)
+    # the interval solve that preceded the subset expansion: the bridgeless
+    # subsets, their down-sets, and forward substitution of J(1/f) y = f^c
+    # with polynomials packed at f = 2^(|E| + 2); it shares no step with
+    # the expansion but bridgeless_subsets
     v, e_top = edge_set.v, edge_set.edge_count
     masks = bridgeless_subsets(v, edge_set.bits)
     width = e_top + 2
@@ -940,23 +946,6 @@ def test_chromatic_via_transfer_matches_the_interval_solve(p5, p6):
     ]
     for member in [p6.members[i] for i in picks] + extra:
         assert chromatic_via_transfer(member) == _chromatic_interval_oracle(member)
-
-
-def test_chromatic_via_transfer_checks_the_bridged_masks_vanish(k4_v4, monkeypatch):
-    # a core that calls K4 bridged, keeping its lowest edge so the nullity
-    # is unchanged, leaves a nonzero value on a "bridged" mask
-    real = gamma_module.bridgeless_cores
-
-    def broken(v, bits):
-        places, core = real(v, bits)
-        core[-1] ^= 1 << (len(places) - 1)
-        return places, core
-
-    monkeypatch.setattr(gamma_module, "bridgeless_cores", broken)
-    # an empty memo, so K4's class is solved here and not looked up
-    monkeypatch.setattr(gamma_module, "_chromatic_by_class", {})
-    with pytest.raises(ArithmeticError, match="bridged"):
-        chromatic_via_transfer(k4_v4)
 
 
 def test_chromatic_via_transfer_memo_is_one_solve_per_class(p5, monkeypatch):

@@ -17,7 +17,6 @@ from groupcolor.posetlin import (
     VARIABLE,
     PolyMatrix,
     RationalPoly,
-    identity_matrix,
     mobius_matrix,
     mobius_recursion,
     mobius_table,
@@ -228,9 +227,9 @@ def test_weighted_zeta_entries(p3, p4):
 def test_weighted_zeta_at_zero_is_identity(p4):
     assert weighted_zeta_at(p4, 0).is_identity()
     symbolic = weighted_zeta_at(p4, VARIABLE)
-    assert [[x(0) for x in row] for row in symbolic.entries] == [
-        list(row) for row in identity_matrix(p4).entries
-    ]
+    assert tuple(tuple(x(0) for x in row) for row in symbolic.entries) == (
+        weighted_zeta_at(p4, 0).entries
+    )
 
 
 def test_weighted_zeta_inverse_is_polynomial_inverse(p3, p4):
@@ -323,6 +322,60 @@ def test_transfer_v3_row_sum_at_one(p3):
     assert sum(m1.entries[1]) == 0
 
 
+def _submasks_by_core(poset, h):
+    # (core M, |M|) for every edge mask M inside member h: the closed forms
+    # below walk these and never read the poset's order
+    _, core = poset.cores
+    top = poset.members[h].bits
+    m = top
+    while True:
+        yield poset.index_by_mask[core[m]], m.bit_count()
+        if not m:
+            return
+        m = (m - 1) & top
+
+
+def _transfer_closed_form(poset, r):
+    # M(r)(H, E) = sum over masks M <= H with core M = E of
+    # (-1)^|M| r^(|M| - |E|)
+    sizes = poset.sizes
+    rows = []
+    for h in range(len(poset)):
+        row = [r * 0] * len(poset)
+        for e, size in _submasks_by_core(poset, h):
+            term = r ** (size - sizes[e])
+            row[e] += -term if size & 1 else term
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _mobius_closed_form(poset):
+    # mu(E, H) = sum over masks M <= H with core M = E of (-1)^(|H| - |M|)
+    table = []
+    for h in range(len(poset)):
+        mu_h = {}
+        for e, size in _submasks_by_core(poset, h):
+            mu_h[e] = mu_h.get(e, 0) + (-1) ** (poset.sizes[h] - size)
+        table.append(mu_h)
+    return table
+
+
+def test_transfer_closed_form_matches_the_chain_product(p3, p4, p5):
+    # the identity behind gamma.apply_transfer and the chromatic subset
+    # expansion, at every entry, against J(1 - r) (-1)^e J(r)^-1
+    for poset in (p3, p4, p5):
+        for r in (Fraction(2, 7), Fraction(-3, 5)):
+            assert _transfer_closed_form(poset, r) == transfer_at(poset, r).entries
+    for poset in (p3, p4):
+        assert _transfer_closed_form(poset, VARIABLE) == transfer_at(poset, VARIABLE).entries
+
+
+def test_mobius_closed_form_matches_the_recursion(p4, p5):
+    # Rota's closure theorem for the interior operator M -> core M
+    for poset in (p4, p5):
+        assert _mobius_closed_form(poset) == list(mobius_table(poset))
+
+
 @given(rationals)
 @settings(max_examples=30, deadline=None)
 def test_transfer_at_agrees_with_symbolic(p4, r):
@@ -337,7 +390,7 @@ def test_transfer_involution_at_points(p4, r):
 
 
 def test_identity_matrix_and_render_order(p3):
-    assert identity_matrix(p3).is_identity()
+    assert weighted_zeta_at(p3, 0).is_identity()
     m = transfer_at(p3, VARIABLE)
     normal = m.render_rows()
     flipped = m.render_rows(paper_order=True)
