@@ -17,7 +17,6 @@ from .gamma import (
     main_term,
     residual,
     residual_order_ratio,
-    triangle_gamma_from_pairs,
     verify_reciprocity,
 )
 from .graphs import (
@@ -33,16 +32,14 @@ from .graphs import (
 )
 from .groups import (
     AllowedSet,
-    Character,
     FiniteAbelianGroup,
-    GroupElement,
     allowed_complement_identity,
     allowed_explicit,
     allowed_hamming,
     allowed_interval,
     character_sum,
     make_group,
-    pairing,
+    pairing_by_index,
 )
 from .posetlin import (
     VARIABLE,

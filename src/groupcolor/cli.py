@@ -24,7 +24,7 @@ from .gamma import (
     gamma_vector,
     hamming_k3_closed_form,
     hamming_k3_from_reciprocity,
-    triangle_gamma_from_pairs,
+    main_term,
     verify_reciprocity,
 )
 from .graphs import (
@@ -54,6 +54,9 @@ from .posetlin import (
 )
 
 _GROUP_FACTOR = re.compile(r"^Z(\d+)(?:\^(\d+))?$")
+
+# the triangle, whose coordinate examples 2 and 3 tabulate
+_K3 = EdgeSet(3, 0b111)
 
 
 def parse_group_spec(spec: str) -> FiniteAbelianGroup:
@@ -204,12 +207,17 @@ def _block_summary(poset, rows: list[list[str]], paper_order: bool) -> list[dict
     return summary
 
 
+def _check_dense_cells(poset, budget: int) -> int:
+    cells = len(poset) ** 2
+    if cells > budget:
+        raise BudgetExceededError(f"dense matrix over {len(poset)} poset members", cells, budget)
+    return cells
+
+
 def cmd_matrix(ns: argparse.Namespace) -> int:
     poset = enumerate_poset(ns.v)
     r = _rational(ns.r) if ns.r is not None else None
-    cells = len(poset) ** 2
-    if cells > ns.budget:
-        raise BudgetExceededError(f"dense matrix over {len(poset)} poset members", cells, ns.budget)
+    _check_dense_cells(poset, ns.budget)
     if ns.which == "M" and ns.v >= 5 and r is None:
         raise ValueError(
             "symbolic transfer matrix is only built for v <= 4; pass --r to evaluate"
@@ -234,7 +242,8 @@ def cmd_matrix(ns: argparse.Namespace) -> int:
     if ns.errata:
         # one record per class block: the last mismatching cell of each
         blocks = {
-            (m["row_class"], m["col_class"]): m for m in example1_report()["v4"]["mismatches"]
+            (m["row_class"], m["col_class"]): m
+            for m in example1_report(ns.budget)["v4"]["mismatches"]
         }
         payload["errata"] = [
             {k: v for k, v in blocks[key].items() if k != "computed_matches_corrected"}
@@ -358,7 +367,7 @@ def cmd_chromatic(ns: argparse.Namespace) -> int:
 # Worked examples
 
 
-def example1_report() -> dict:
+def example1_report(budget: int = DEFAULT_BUDGET) -> dict:
     """Transfer matrices for v = 3 and v = 4 against the reference display.
 
     The reference v = 4 matrix is reproduced cell by cell except for two
@@ -370,6 +379,7 @@ def example1_report() -> dict:
     ref3 = [["-1", "1 - 3r + 3r^2"], ["0", "1"]]
 
     p4 = enumerate_poset(4)
+    cells = _check_dense_cells(p4, budget)
     m4 = transfer_at(p4, VARIABLE)
     label = {}
     for lbl, idxs in iso_class_blocks(p4):
@@ -402,7 +412,7 @@ def example1_report() -> dict:
     return {
         "v3": {"computed": m3, "reference": ref3, "match": m3 == ref3},
         "v4": {
-            "cells": len(p4) ** 2,
+            "cells": cells,
             "cells_matching_reference": matches,
             "errata_blocks": [list(b) for b in errata_blocks],
             "mismatches": mismatches,
@@ -473,7 +483,6 @@ def _reference_final_entry(poset, label, h, e, printed: bool) -> str:
 def example2_report(budget: int = DEFAULT_BUDGET) -> dict:
     """Cyclic groups with interval allowed sets: triangle coordinate against
     the piecewise law, swept over odd f in 5..31 and all valid k."""
-    k3 = EdgeSet.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     rows = []
     all_ok = True
     for f in range(5, 32, 2):
@@ -481,8 +490,8 @@ def example2_report(budget: int = DEFAULT_BUDGET) -> dict:
         for k in range((f - 1) // 2 + 1):
             allowed = allowed_interval(group, k)
             ab = allowed.alpha_bar
-            g_bar = gamma_cyclespace(k3, allowed.complement(), budget)
-            g = gamma_cyclespace(k3, allowed, budget)
+            g_bar = gamma_cyclespace(_K3, allowed.complement(), budget)
+            g = gamma_cyclespace(_K3, allowed, budget)
             if ab > Fraction(2, 3):
                 bar_formula = 1 - 3 * ab + 3 * ab**2
                 formula = Fraction(0)
@@ -514,7 +523,7 @@ def example2_report(budget: int = DEFAULT_BUDGET) -> dict:
     }
 
 
-def example3_report() -> dict:
+def example3_report(budget: int = DEFAULT_BUDGET) -> dict:
     """Hamming-distance colorings in Z2^n at threshold k = 1: computed
     triangle coordinates against the reference closed forms.
 
@@ -526,8 +535,8 @@ def example3_report() -> dict:
     ok = True
     for n in range(1, 11):
         allowed = allowed_hamming(n, 1)
-        g_bar = triangle_gamma_from_pairs(allowed.complement())
-        g = triangle_gamma_from_pairs(allowed)
+        g_bar = gamma_cyclespace(_K3, allowed.complement(), budget)
+        g = gamma_cyclespace(_K3, allowed, budget)
         bar_formula, published = hamming_k3_closed_form(n)
         consistent = hamming_k3_from_reciprocity(n)
         row_ok = g_bar == bar_formula and g == consistent
@@ -550,10 +559,9 @@ def example3_report() -> dict:
     trend = []
     for n in range(1, 13):
         allowed = allowed_hamming(n, 1)
-        g_bar = triangle_gamma_from_pairs(allowed.complement())
+        g_bar = gamma_cyclespace(_K3, allowed.complement(), budget)
         # triangle transfer row applied to the complement value
-        ab = allowed.alpha_bar
-        g = (1 - 3 * ab + 3 * ab**2) - g_bar
+        g = main_term(_K3, allowed.alpha_bar) - g_bar
         alpha_cubed = allowed.alpha**3
         trend.append(
             {
@@ -578,11 +586,11 @@ def cmd_examples(ns: argparse.Namespace) -> int:
     reports = {}
     which = ns.which
     if which in ("1", "all"):
-        reports["example1"] = example1_report()
+        reports["example1"] = example1_report(ns.budget)
     if which in ("2", "all"):
         reports["example2"] = example2_report(ns.budget)
     if which in ("3", "all"):
-        reports["example3"] = example3_report()
+        reports["example3"] = example3_report(ns.budget)
     ok = all(rep["ok"] for rep in reports.values())
     payload = {"ok": ok, **reports}
     if ns.format == "tsv":

@@ -708,14 +708,6 @@ def _chromatic_transfer(edge_set: EdgeSet) -> RationalPoly:
 # Worked-example closed forms.
 
 
-def triangle_gamma_from_pairs(allowed: AllowedSet) -> Fraction:
-    """Triangle coordinate, the K3 entry of the examples: gamma_cyclespace
-    on K3 fixes vertex 0 and counts the difference pairs (a, b) of the other
-    two vertices with a, b and b - a allowed, over f^2. make_group caps f at
-    4096, so the f^2 = 16.8M colorings stay inside the default budget."""
-    return gamma_cyclespace(EdgeSet(3, 0b111), allowed)
-
-
 def hamming_k3_closed_form(n: int) -> tuple[Fraction, Fraction]:
     """Reference closed forms for the triangle coordinate in (Z/2)^n at
     weight threshold k = 1: (complement value, allowed value).
@@ -735,10 +727,11 @@ def hamming_k3_closed_form(n: int) -> tuple[Fraction, Fraction]:
 
 def hamming_k3_from_reciprocity(n: int) -> Fraction:
     """Triangle coordinate at k = 1 obtained by pushing the complement
-    closed form through the triangle transfer row: equals
+    closed form through the triangle transfer row, main_term(K3, alpha_bar)
+    = 1 - 3 alpha_bar + 3 alpha_bar^2: equals
     1 - (3n+3)/2^n + (3n^2 + 3n + 2)/4^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     alpha_bar = Fraction(n + 1, 2**n)
     gamma_bar = Fraction(3 * n + 1, 4**n)
-    return (1 - 3 * alpha_bar + 3 * alpha_bar**2) - gamma_bar
+    return main_term(EdgeSet(3, 0b111), alpha_bar) - gamma_bar

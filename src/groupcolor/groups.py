@@ -1,8 +1,11 @@
 """Finite Abelian groups, their characters, and symmetric allowed-difference sets.
 
-Groups are products of cyclic factors Z/n_1 x ... x Z/n_m. Elements are
-indexed 0..f-1 by a mixed-radix encoding (first factor most significant),
-so index 0 is always the identity and all tables are reproducible.
+Groups are products of cyclic factors Z/n_1 x ... x Z/n_m. An element is
+its index 0..f-1 in a mixed-radix encoding (first factor most significant),
+so index 0 is always the identity and all tables are reproducible. The
+group is self-dual: the character indexed p pairs with the element q
+through the residues of both indices (pairing_by_index). The group law is
+add/neg/sub on indices and translate on bitmasks of indices.
 """
 
 from __future__ import annotations
@@ -138,83 +141,13 @@ class FiniteAbelianGroup:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def element(self, spec) -> "GroupElement":
-        """Coerce an index, residue tuple, or GroupElement into an element."""
-        if isinstance(spec, GroupElement):
-            if spec.group != self:
-                raise ValueError("element belongs to a different group")
-            return spec
-        if isinstance(spec, int):
-            return GroupElement(self, self.residues_of(spec))
-        if isinstance(spec, (tuple, list)):
-            if len(spec) != len(self.cyclic_orders):
-                raise ValueError("residue tuple has wrong length for this group")
-            return GroupElement(self, tuple(r % n for r, n in zip(spec, self.cyclic_orders)))
-        raise TypeError(f"cannot interpret {spec!r} as a group element")
-
-    def elements(self):
-        for i in range(self.order):
-            yield GroupElement(self, self.residues_of(i))
-
-    def characters(self):
-        """All characters, indexed like elements (self-dual choice)."""
-        for i in range(self.order):
-            yield Character(self, self.residues_of(i))
-
     def __repr__(self):
         return f"FiniteAbelianGroup({list(self.cyclic_orders)})"
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group: FiniteAbelianGroup
-    residues: tuple[int, ...]
-
-    @property
-    def index(self) -> int:
-        return self.group.index_of(self.residues)
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        if other.group != self.group:
-            raise ValueError("elements of different groups")
-        res = tuple((a + b) % n for a, b, n in zip(self.residues, other.residues, self.group.cyclic_orders))
-        return GroupElement(self.group, res)
-
-    def __neg__(self) -> "GroupElement":
-        res = tuple((-a) % n for a, n in zip(self.residues, self.group.cyclic_orders))
-        return GroupElement(self.group, res)
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
-
-    def __repr__(self):
-        return f"GroupElement{self.residues}"
-
-
-@dataclass(frozen=True)
-class Character:
-    """Character of the group, written additively through the dual residues."""
-
-    group: FiniteAbelianGroup
-    residues: tuple[int, ...]
-
-    @property
-    def index(self) -> int:
-        return self.group.index_of(self.residues)
-
-    def __repr__(self):
-        return f"Character{self.residues}"
-
-
-def pairing(p: Character, q: GroupElement) -> complex:
-    """Canonical unit-modulus pairing exp(2*pi*i * sum_i p_i q_i / n_i)."""
-    if p.group != q.group:
-        raise ValueError("character and element belong to different groups")
-    return pairing_by_index(p.group, p.index, q.index)
-
-
 def pairing_by_index(group: FiniteAbelianGroup, p: int, q: int) -> complex:
-    """Pairing on raw element indices; hot path for Fourier sums."""
+    """Unit-modulus pairing exp(2*pi*i * sum_i p_i q_i / n_i) of the
+    character p with the element q, both element indices."""
     phase = Fraction(0)
     for pi, qi, n in zip(group.residues_of(p), group.residues_of(q), group.cyclic_orders):
         phase += Fraction(pi * qi, n)
@@ -268,18 +201,13 @@ class AllowedSet:
         return tuple(translate(self.mask, a) for a in range(self.group.order))
 
     def __contains__(self, item) -> bool:
-        if isinstance(item, GroupElement):
-            return self.contains_index(item.index)
+        """Membership of an element index or a residue tuple."""
         if isinstance(item, int):
-            return self.contains_index(item)
+            return item >= 0 and self.contains_index(item)
         return self.contains_index(self.group.index_of(tuple(item)))
 
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.group.order) if self.contains_index(i))
-
-    def elements(self):
-        for i in self.indices():
-            yield GroupElement(self.group, self.group.residues_of(i))
 
     def __repr__(self):
         return f"AllowedSet(size={self.size}, f={self.group.order})"
@@ -335,21 +263,27 @@ def allowed_complement_identity(group: FiniteAbelianGroup) -> AllowedSet:
 
 
 def allowed_explicit(group: FiniteAbelianGroup, elements) -> AllowedSet:
-    """Allowed set from listed elements (indices, residue tuples, or elements).
+    """Allowed set from listed elements, each an index or a residue tuple.
 
-    Symmetry A = -A is validated; the offending element is reported.
+    An index out of range or a tuple of the wrong length raises ValueError,
+    any other spec TypeError. Symmetry A = -A is validated; the offending
+    element is reported.
     """
     mask = 0
     for spec in elements:
-        mask |= 1 << group.element(spec).index
+        if isinstance(spec, (tuple, list)):
+            spec = group.index_of(spec)
+        elif not isinstance(spec, int):
+            raise TypeError(f"cannot interpret {spec!r} as a group element")
+        elif not 0 <= spec < group.order:
+            raise ValueError(f"element index {spec} out of range 0..{group.order - 1}")
+        mask |= 1 << spec
     return AllowedSet(group, mask)
 
 
-def character_sum(allowed: AllowedSet, p: Character | int) -> complex:
-    """sum_{q in A} <p, q> over the allowed set."""
-    group = allowed.group
-    p_idx = p.index if isinstance(p, Character) else p
-    return sum(pairing_by_index(group, p_idx, q) for q in allowed.indices())
+def character_sum(allowed: AllowedSet, p: int) -> complex:
+    """sum_{q in A} <p, q> over the allowed set, for the character index p."""
+    return sum(pairing_by_index(allowed.group, p, q) for q in allowed.indices())
 
 
 def hamming_weight_tail(n: int, k: int) -> Fraction:

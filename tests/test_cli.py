@@ -197,6 +197,8 @@ GOLDEN_STDOUT = {
     "examples --which all": "39c10a7fffd69886a24167f486f72b0812eed1013f167d04d850272f14255598",
     "verify --v 4 --group Z2^3 --allowed hamming:1 --format tsv": "f891e755040c9ad7ae835f743fb2a442536ab5bc0abd3ac1e2a9c95a0f5005cb",
     "verify --v 5 --group Z7 --allowed interval:1 --format tsv": "57f7912fa43483bef32e77b268b2106bf11ed4062306070388b5af4792472f50",
+    "verify --v 4 --group Z2xZ4 --allowed set:{(0,1),(0,3),(1,0)}": "fdd1738b41c7eed65b213add15b104a33b86ecdeee44a81f068e5175d24be273",
+    "verify --v 4 --group Z6 --allowed set:{1,3,5}": "43a07ba0cc3b67e806a63d51c9a5a13f637232032006591aaf0d1223d5c99dee",
 }
 
 
@@ -285,6 +287,13 @@ def test_cmd_verify_cases(capsys):
         assert code == 0
         assert data["ok"] is True
         assert data["summary"].startswith("PASS")
+
+
+def test_cmd_verify_rejects_set_elements_outside_the_group(capsys):
+    # an index past the order, and a residue tuple longer than the factor list
+    for group, allowed in (("Z6", "set:{9}"), ("Z2xZ4", "set:{(1,0,0)}")):
+        assert main(["verify", "--v", "4", "--group", group, "--allowed", allowed]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cmd_verify_has_no_method_option(capsys):
@@ -426,6 +435,15 @@ def test_cmd_examples_all(capsys):
     rows = data["example3"]["rows"]
     assert all(not row["gamma_reference_match"] for row in rows)
     assert all(row["gamma_consistent_match"] for row in rows)
+
+
+def test_cmd_examples_check_the_budget(capsys):
+    # example 1 builds 15^2 dense cells on P_4; examples 2 and 3 count
+    # triangle colorings past ten from f = 5 and n = 2 on
+    for which in ("1", "2", "3"):
+        assert main(["examples", "--which", which, "--budget", "10"]) == 3
+    assert main(["examples", "--which", "1", "--budget", "225"]) == 0
+    capsys.readouterr()
 
 
 def test_example_reports_directly():

@@ -34,7 +34,6 @@ from groupcolor.gamma import (
     hamming_k3_from_reciprocity,
     main_term,
     residual,
-    triangle_gamma_from_pairs,
     verify_reciprocity,
 )
 from groupcolor.graphs import (
@@ -1028,7 +1027,8 @@ def test_interval_piecewise_law_spot(k3_v3):
 
 
 def test_triangle_gamma_from_pairs_agrees_with_bruteforce(k3_v3):
-    # the vertex brute force colors all three vertices, none fixed
+    # gamma_cyclespace fixes vertex 0 and counts the difference pairs of the
+    # other two; the vertex brute force colors all three vertices, none fixed
     sets = [
         allowed_interval(make_group([11]), 3),
         allowed_hamming(4, 1).complement(),
@@ -1036,7 +1036,7 @@ def test_triangle_gamma_from_pairs_agrees_with_bruteforce(k3_v3):
         allowed_explicit(make_group([2, 4]), [(0, 1), (0, 3), (1, 0), (1, 2)]),
     ]
     for allowed in sets:
-        assert triangle_gamma_from_pairs(allowed) == gamma_bruteforce(k3_v3, allowed)
+        assert gamma_cyclespace(k3_v3, allowed) == gamma_bruteforce(k3_v3, allowed)
 
 
 def test_hamming_closed_forms(k3_v3):
@@ -1044,8 +1044,8 @@ def test_hamming_closed_forms(k3_v3):
         allowed = allowed_hamming(n, 1)
         bar_formula, published = hamming_k3_closed_form(n)
         consistent = hamming_k3_from_reciprocity(n)
-        got_bar = triangle_gamma_from_pairs(allowed.complement())
-        got = triangle_gamma_from_pairs(allowed)
+        got_bar = gamma_cyclespace(k3_v3, allowed.complement())
+        got = gamma_cyclespace(k3_v3, allowed)
         assert got_bar == bar_formula
         assert got == consistent
         # the published allowed-side form is short by exactly 2/4^n

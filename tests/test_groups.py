@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from groupcolor.groups import (
     AllowedSet,
-    Character,
-    GroupElement,
     allowed_complement_identity,
     allowed_explicit,
     allowed_hamming,
@@ -19,7 +17,7 @@ from groupcolor.groups import (
     character_sum,
     hamming_weight_tail,
     make_group,
-    pairing,
+    pairing_by_index,
 )
 
 
@@ -105,19 +103,31 @@ def test_allowed_rows_are_translated_sets():
 
 def test_element_arithmetic():
     g = make_group([5])
-    two, three = g.element(2), g.element(3)
-    assert (two + three).residues == (0,)
-    assert (-two).residues == (3,)
-    assert (two - three).residues == (4,)
-    assert (-g.element(0)).residues == (0,)
+    assert g.add(2, 3) == 0
+    assert g.neg(2) == 3
+    assert g.sub(2, 3) == 4
+    assert g.neg(0) == 0
 
 
 def test_element_rejects_wrong_tuple_length():
     g = make_group([2, 2, 2])
-    assert g.element((1, 0, 1)).index == 5
+    assert g.index_of((1, 0, 1)) == 5
+    assert allowed_explicit(g, [(1, 0, 1)]).indices() == (5,)
     for spec in ((1, 0, 0, 1), (1, 0), []):
         with pytest.raises(ValueError):
-            g.element(spec)
+            g.index_of(spec)
+        with pytest.raises(ValueError):
+            allowed_explicit(g, [spec])
+
+
+def test_allowed_explicit_rejects_bad_specs():
+    g = make_group([6])
+    for index in (6, 9, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            allowed_explicit(g, [index])
+    for spec in (3.0, "3", None):
+        with pytest.raises(TypeError):
+            allowed_explicit(g, [spec])
 
 
 def test_allowed_interval_examples():
@@ -216,8 +226,11 @@ def test_allowed_explicit():
 def test_allowed_explicit_accepts_tuples_and_elements():
     g = make_group([2, 2])
     a = allowed_explicit(g, [(1, 1)])
-    b = allowed_explicit(g, [g.element(3)])
+    b = allowed_explicit(g, [3])
     assert a.mask == b.mask
+    assert 3 in a and (1, 1) in a and [1, 1] in a
+    assert 0 not in a and (0, 1) not in a
+    assert -1 not in a and 4 not in a  # not indices of the group
 
 
 def test_complement_partition():
@@ -231,29 +244,32 @@ def test_complement_partition():
 
 def test_pairing_trivial_character():
     g = make_group([3, 4])
-    p0 = Character(g, (0, 0))
-    for q in g.elements():
-        assert pairing(p0, q) == pytest.approx(1.0)
+    for q in range(g.order):
+        assert pairing_by_index(g, 0, q) == pytest.approx(1.0)
 
 
 def test_pairing_values():
     g4 = make_group([4])
-    val = pairing(Character(g4, (1,)), GroupElement(g4, (1,)))
+    val = pairing_by_index(g4, 1, 1)
     assert val == pytest.approx(1j)
+    assert abs(val) == pytest.approx(1.0)
 
     g22 = make_group([2, 2])
-    val = pairing(Character(g22, (1, 1)), GroupElement(g22, (1, 0)))
+    val = pairing_by_index(g22, g22.index_of((1, 1)), g22.index_of((1, 0)))
     assert val == pytest.approx(-1.0)
+    assert abs(val) == pytest.approx(1.0)
 
 
 def test_pairing_unit_modulus_and_group_check():
     g = make_group([3, 5])
-    for p in g.characters():
-        for q in g.elements():
-            assert abs(abs(pairing(p, q)) - 1.0) < 1e-12
-    other = make_group([15])
+    for p in range(g.order):
+        for q in range(g.order):
+            assert abs(abs(pairing_by_index(g, p, q)) - 1.0) < 1e-12
+    # an index of a larger group is not an element of this one
     with pytest.raises(ValueError):
-        pairing(Character(g, (1, 1)), GroupElement(other, (2,)))
+        pairing_by_index(g, 1, 15)
+    with pytest.raises(ValueError):
+        pairing_by_index(g, 15, 1)
 
 
 CHARACTER_TEST_ORDERS = [[5], [7], [4], [6], [2, 2], [2, 3], [8], [3, 3], [2, 2, 2], [12], [64]]
