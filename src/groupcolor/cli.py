@@ -326,9 +326,9 @@ def cmd_chromatic(ns: argparse.Namespace) -> int:
         members = list(poset.members)
         v = ns.v
         classes = [idxs for _, idxs in iso_class_blocks(poset)]
-    # chromatic_via_transfer tallies the 2^|E| subsets of E, so the sum of
-    # 2^|E| counts the subsets; an upper bound, since only one member per
-    # class is computed
+    # chromatic_via_transfer walks the forests of E, at most its 2^|E|
+    # subsets, so the sum of 2^|E| bounds the work; loosely, since the walk
+    # visits only forests and runs once per class
     work = sum(2**member.edge_count for member in members)
     if work > ns.budget:
         raise BudgetExceededError(

@@ -24,8 +24,8 @@ from .graphs import (
     POSET_CAP,
     EdgeSet,
     SubgraphPoset,
+    _incident,
     _lattice_pass,
-    bridgeless_cores,
     canonical_bits,
     components,
     cycle_basis,
@@ -38,9 +38,9 @@ from .posetlin import RationalPoly
 
 DEFAULT_BUDGET = 10**8
 FOURIER_TOL = 1e-9
-# chromatic_via_transfer holds lists of 2^|E| entries: a peak of about
-# 150 MiB at the 21 edges of K7 and twice that per more edge, so one edge
-# set is capped at K7
+# one edge set given to chromatic_via_transfer is capped at the 21 edges of
+# K7. Its forest walk holds no list longer than the edge set; its time
+# follows the forest count, 36,961 in K7 and 561,948 in K8
 MAX_CHROMATIC_EDGES = 21
 
 
@@ -550,11 +550,10 @@ def apply_transfer(
 # subsets of E, so these avoid building the full ambient poset.
 
 # Forest counts and the chromatic polynomial do not change under vertex
-# relabeling, so each is computed once per isomorphism class: memoized per
+# relabeling, so both come from one walk per isomorphism class: memoized per
 # (v, canonical_bits(v, bits)), at most one entry per class (77 at v = 6).
-# The stored values are shared, never mutated.
-_forest_counts_by_class: dict[tuple[int, int], list[int]] = {}
-_chromatic_by_class: dict[tuple[int, int], RationalPoly] = {}
+# The stored lists are shared, never mutated.
+_forest_counts_by_class: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
 
 
 def _per_class(memo: dict, kernel, edge_set: EdgeSet):
@@ -572,32 +571,42 @@ def _per_class(memo: dict, kernel, edge_set: EdgeSet):
     return value
 
 
-def _forest_counts(edge_set: EdgeSet) -> list[int]:
-    # counts[k]: the forests of k edges inside edge_set. A depth-first walk
+def _forest_counts(edge_set: EdgeSet) -> tuple[list[int], list[int]]:
+    # counts[k]: the forests of k edges inside edge_set; nbc[k]: those with
+    # no broken circuit, a circuit less its highest edge. A depth-first walk
     # adds edges in increasing position, each only when it joins two
     # components, so every forest is reached once. The components are an
-    # undoable union-find: roots are found by walking up ``parent`` with no
-    # path compression, so resetting the one link set before a recursive
-    # call restores the components after it.
-    edges = edge_set.edges()
-    counts = [0] * (min(edge_set.v - 1, len(edges)) + 1)
-    parent = list(range(edge_set.v))
+    # undoable union-find with no path compression, so resetting the one
+    # link set before a recursive call restores them after it. touch[root]
+    # masks the edges with an end in the component: edge n, the highest so
+    # far, completes a broken circuit exactly when a higher edge joins the
+    # two components it merges, when touch[a] & touch[b] reaches 2 << n.
+    v, bits = edge_set.v, edge_set.bits
+    edges = [(n, a, b) for n, (a, b) in enumerate(vertex_pairs(v)) if (bits >> n) & 1]
+    counts = [0] * (min(v - 1, len(edges)) + 1)
+    nbc = counts.copy()
+    parent = list(range(v))
+    touch = [mask & bits for mask in _incident(v)]
 
-    def grow(start: int, k: int) -> None:
+    def grow(start: int, k: int, free: bool) -> None:
         counts[k] += 1
+        nbc[k] += free
         for pos in range(start, len(edges)):
-            a, b = edges[pos]
+            n, a, b = edges[pos]
             while parent[a] != a:
                 a = parent[a]
             while parent[b] != b:
                 b = parent[b]
             if a != b:
                 parent[b] = a
-                grow(pos + 1, k + 1)
+                joined, other = touch[a], touch[b]
+                touch[a] = joined | other
+                grow(pos + 1, k + 1, free and joined & other < 2 << n)
+                touch[a] = joined
                 parent[b] = b
 
-    grow(0, 0)
-    return counts
+    grow(0, 0, True)
+    return counts, nbc
 
 
 def main_term(edge_set: EdgeSet, alpha_bar: Fraction) -> Fraction:
@@ -625,7 +634,7 @@ def main_term(edge_set: EdgeSet, alpha_bar: Fraction) -> Fraction:
     alpha_bar = Fraction(alpha_bar)
     p, q = alpha_bar.numerator, alpha_bar.denominator
     e_top = edge_set.edge_count
-    counts = _per_class(_forest_counts_by_class, _forest_counts, edge_set)
+    counts, _ = _per_class(_forest_counts_by_class, _forest_counts, edge_set)
     acc = sum(n_k * (-p) ** k * q ** (e_top - k) for k, n_k in enumerate(counts))
     return Fraction(acc, q**e_top)
 
@@ -663,20 +672,19 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
     c(core M) = c(M) + |M| - |core M|, and the closed-form row of M(1/f)
     (see apply_transfer) applied to f^(c - v) becomes Whitney's subset
     expansion P_E(f) = sum over M <= E of (-1)^|M| f^c(M) (Whitney, "A
-    logical expansion in mathematics", 1932). As
-    c(M) = v - |M| + nullity(M), the coefficients are one signed tally of
-    (|M|, nullity(M)) over the 2^|E| masks. The nullity takes one pass:
-    removing the lowest edge k of M lowers it by one exactly when k lies on
-    a cycle of M, that is, in core[M].
+    logical expansion in mathematics", 1932). The same paper cancels it down
+    to the forests with no broken circuit, a circuit less its highest edge:
+    P_E(f) = sum over k of (-1)^k nbc_k f^(v - k), nbc_k counting those of
+    k edges, which main_term's forest walk counts too.
 
-    The polynomial is a graph invariant, so for v <= POSET_CAP (6)
-    it is computed once per isomorphism class and memoized under the
-    canonical form. Above the cap every call runs the tally: the canonical
-    form needs C(v, 2) v! relabeled edges, about 1.1M at v = 8.
+    The polynomial is a graph invariant, so for v <= POSET_CAP (6) the walk
+    runs once per isomorphism class, memoized with main_term's counts.
+    Above the cap every call walks: the canonical form needs C(v, 2) v!
+    relabeled edges, about 1.1M at v = 8.
     """
     if edge_set.edge_count > MAX_CHROMATIC_EDGES:
         raise ValueError(
-            f"chromatic specialization holds 2^|E| entries per pass; {edge_set.edge_count} "
+            f"chromatic specialization walks the forests of E; {edge_set.edge_count} "
             f"edges exceed the cap of {MAX_CHROMATIC_EDGES}, the edges of K7"
         )
     if not is_isthmus_free(edge_set):
@@ -684,24 +692,11 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
             "transfer specialization needs an isthmus-free edge set; "
             "use the deletion-contraction oracle instead"
         )
-    return _per_class(_chromatic_by_class, _chromatic_transfer, edge_set)
-
-
-def _chromatic_transfer(edge_set: EdgeSet) -> RationalPoly:
-    # the subset expansion of chromatic_via_transfer, on a checked edge set
+    _, nbc = _per_class(_forest_counts_by_class, _forest_counts, edge_set)
     v = edge_set.v
-    _, core = bridgeless_cores(v, edge_set.bits)
-    # nullity[M] = nullity[M - k] + (k in core[M]), k the lowest bit of M:
-    # the masks with lowest bit k come from masks above k, done first
-    nullity = [0] * len(core)
-    for k in reversed(range(edge_set.edge_count)):
-        step = 1 << k
-        nullity[step :: 2 * step] = map(
-            add, nullity[:: 2 * step], map(bool, map(step.__and__, core[step :: 2 * step]))
-        )
     coeffs = [0] * (v + 1)
-    for (size, n), count in Counter(zip(map(int.bit_count, range(len(core))), nullity)).items():
-        coeffs[v - size + n] += -count if size & 1 else count
+    for k, n_k in enumerate(nbc):
+        coeffs[v - k] = -n_k if k & 1 else n_k
     return RationalPoly.of(coeffs)
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,9 @@ class FiniteAbelianGroup:
             raise ValueError("residue tuple has wrong length for this group")
         idx = 0
         for r, n, w in zip(residues, self.cyclic_orders, self._weights):
-            idx += (r % n) * w
+            if not 0 <= r < n:
+                raise ValueError(f"residue {r} out of range 0..{n - 1} in {tuple(residues)}")
+            idx += r * w
         return idx
 
     @cached_property
@@ -201,10 +203,12 @@ class AllowedSet:
         return tuple(translate(self.mask, a) for a in range(self.group.order))
 
     def __contains__(self, item) -> bool:
-        """Membership of an element index or a residue tuple."""
-        if isinstance(item, int):
-            return item >= 0 and self.contains_index(item)
-        return self.contains_index(self.group.index_of(tuple(item)))
+        """Membership of an element index or a residue tuple, False for a non-element."""
+        try:
+            index = item if isinstance(item, int) else self.group.index_of(tuple(item))
+        except ValueError:  # residues out of range, or a tuple of the wrong length
+            return False
+        return index >= 0 and self.contains_index(index)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.group.order) if self.contains_index(i))

@@ -173,8 +173,9 @@ def test_cmd_matrix_budget_exceeded(capsys):
 
 
 def test_cmd_chromatic_budget_exceeded(capsys):
-    # 2^|E| summed over P_6 is 3^15 = 11,399,025 subsets, under the default
-    # budget; one less is refused before any polynomial is computed
+    # the budget charges 2^|E| per member, an upper bound on the forests the
+    # walk visits: summed over P_6 it is 3^15 = 11,399,025, under the
+    # default budget; one less is refused before any polynomial is computed
     start = time.perf_counter()
     assert main(["chromatic", "--v", "6", "--budget", "11399024"]) == 3
     assert time.perf_counter() - start < 30
@@ -290,10 +291,18 @@ def test_cmd_verify_cases(capsys):
 
 
 def test_cmd_verify_rejects_set_elements_outside_the_group(capsys):
-    # an index past the order, and a residue tuple longer than the factor list
-    for group, allowed in (("Z6", "set:{9}"), ("Z2xZ4", "set:{(1,0,0)}")):
-        assert main(["verify", "--v", "4", "--group", group, "--allowed", allowed]) == 2
-    assert capsys.readouterr().out == ""
+    # an index past the order, a residue tuple longer than the factor list,
+    # and residues outside their factors, which are not reduced mod n
+    for group, allowed in (
+        ("Z6", "set:{9}"),
+        ("Z2xZ4", "set:{(1,0,0)}"),
+        ("Z2xZ4", "set:{(3,1),(1,-1)}"),
+        ("Z2xZ4", "set:{(0,4)}"),
+    ):
+        assert main(["verify", "--v", "3", "--group", group, "--allowed", allowed]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "residue 3 out of range 0..1" in err and "residue 4 out of range 0..3" in err
 
 
 def test_cmd_verify_has_no_method_option(capsys):
@@ -370,7 +379,7 @@ def test_cmd_chromatic_all_members(capsys):
 def test_cmd_chromatic_v6_in_bounded_time(capsys, monkeypatch):
     # every P_6 member, from empty memos: the 77 isomorphism classes are
     # solved and checked once each
-    monkeypatch.setattr(gamma_module, "_chromatic_by_class", {})
+    monkeypatch.setattr(gamma_module, "_forest_counts_by_class", {})
     monkeypatch.setattr(graphs_module, "_canonical_forms", {})
     fresh = lru_cache(maxsize=None)(graphs_module._chromatic.__wrapped__)
     monkeypatch.setattr(graphs_module, "_chromatic", fresh)

@@ -7,6 +7,7 @@ oracle shares no code with the library paths it checks.
 """
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -20,7 +21,6 @@ from groupcolor.gamma import (
     BudgetExceededError,
     GammaVector,
     _bridge_extension,
-    _chromatic_transfer,
     _forest_counts,
     _superset_sums,
     apply_transfer,
@@ -38,6 +38,7 @@ from groupcolor.gamma import (
 )
 from groupcolor.graphs import (
     EdgeSet,
+    bridgeless_cores,
     bridgeless_subsets,
     chromatic_oracle,
     components,
@@ -732,7 +733,6 @@ def test_histogram_reciprocity_reads_no_cores(p4, monkeypatch):
         raise AssertionError("bridgeless_cores called")
 
     monkeypatch.setattr(graphs_module, "bridgeless_cores", refuse)
-    monkeypatch.setattr(gamma_module, "bridgeless_cores", refuse)
     poset = graphs_module.SubgraphPoset(4, p4.members)  # its cores not yet cached
     report = verify_reciprocity(poset, allowed)
     assert report.ok
@@ -843,7 +843,7 @@ def _forest_counts_oracle(edge_set):
 def test_forest_counts_match_subset_brute_force(p5, p6):
     sample = [p6.members[i] for i in random.Random(11).sample(range(len(p6)), 8)]
     for member in [*p5.members, *sample, p6.members[-1]]:  # K6 last
-        assert _forest_counts(member) == _forest_counts_oracle(member)
+        assert _forest_counts(member)[0] == _forest_counts_oracle(member)
 
 
 def test_main_term_spec_values(k3_v3, c4_v4):
@@ -893,10 +893,13 @@ def test_chromatic_via_transfer_on_all_p4_members(p4):
         assert chromatic_via_transfer(member) == chromatic_oracle(member)
 
 
-def test_chromatic_via_transfer_on_p5_and_a_p6_sample(p5, p6):
-    # isolated-vertex factors included; the uncached tally on every member
-    for member in p5.members:
-        assert _chromatic_transfer(member) == chromatic_oracle(member)
+def test_chromatic_via_transfer_on_p5_and_a_p6_sample(p5, p6, monkeypatch):
+    # isolated-vertex factors included; the uncached walk on every P_5
+    # member, as _per_class memoizes nothing with POSET_CAP at 0
+    with monkeypatch.context() as patch:
+        patch.setattr(gamma_module, "POSET_CAP", 0)
+        for member in p5.members:
+            assert chromatic_via_transfer(member) == chromatic_oracle(member)
     for i in random.Random(6).sample(range(len(p6)), 10):
         member = p6.members[i]
         assert chromatic_via_transfer(member) == chromatic_oracle(member)
@@ -929,9 +932,11 @@ def _chromatic_interval_oracle(edge_set):
     return RationalPoly.of(digits[e_top:])
 
 
-def test_chromatic_via_transfer_matches_the_interval_solve(p5, p6):
-    for member in p5.members:
-        assert _chromatic_transfer(member) == _chromatic_interval_oracle(member)
+def test_chromatic_via_transfer_matches_the_interval_solve(p5, p6, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(gamma_module, "POSET_CAP", 0)  # the uncached walk
+        for member in p5.members:
+            assert chromatic_via_transfer(member) == _chromatic_interval_oracle(member)
     rng = random.Random(8)
     dense = [i for i in range(len(p6)) if p6.members[i].edge_count >= 12]
     picks = rng.sample(range(len(p6)), 8) + rng.sample(dense, 3) + [len(p6) - 1]  # K6 last
@@ -947,15 +952,67 @@ def test_chromatic_via_transfer_matches_the_interval_solve(p5, p6):
         assert chromatic_via_transfer(member) == _chromatic_interval_oracle(member)
 
 
-def test_chromatic_via_transfer_memo_is_one_solve_per_class(p5, monkeypatch):
-    # from an empty memo, in shuffled order: every member equals the
-    # oracle whichever member of its class was solved first
+def _chromatic_subset_oracle(edge_set):
+    # Whitney's subset expansion before the broken-circuit cancellation:
+    # P_E(f) = sum over M <= E of (-1)^|M| f^c(M), with c(M) = v - |M| +
+    # nullity(M), as one signed tally of (|M|, nullity M) over the 2^|E|
+    # masks. Removing the lowest edge k of M lowers the nullity by one
+    # exactly when k lies on a cycle of M, that is, in core[M].
+    v = edge_set.v
+    _, core = bridgeless_cores(v, edge_set.bits)
+    nullity = [0] * len(core)
+    for k in reversed(range(edge_set.edge_count)):
+        step = 1 << k
+        nullity[step :: 2 * step] = [
+            n + bool(step & c) for n, c in zip(nullity[:: 2 * step], core[step :: 2 * step])
+        ]
+    coeffs = [0] * (v + 1)
+    for (size, n), count in Counter(zip(map(int.bit_count, range(len(core))), nullity)).items():
+        coeffs[v - size + n] += -count if size & 1 else count
+    return RationalPoly.of(coeffs)
+
+
+def test_forest_walk_matches_the_subset_expansion_on_p6_classes_and_k7(p6):
+    # one member of each of P_6's 77 classes, and K7, where v = 7 is above
+    # the memo's cap: the broken-circuit-free forests give the polynomial of
+    # the full 2^|E| subset expansion, and the walk counts every forest
+    firsts = [p6.members[idxs[0]] for _, idxs in graphs_module.iso_class_blocks(p6)]
+    assert len(firsts) == 77
+    for member in firsts:
+        poly = chromatic_via_transfer(member)
+        assert poly == _chromatic_subset_oracle(member) == chromatic_oracle(member)
+        assert _forest_counts(member)[0] == _forest_counts_oracle(member)
+    k7 = EdgeSet(7, (1 << 21) - 1)
+    assert chromatic_via_transfer(k7) == _chromatic_subset_oracle(k7) == chromatic_oracle(k7)
+
+
+def test_chromatic_via_transfer_on_k7_in_bounded_time():
+    # v = 7 has no memo, so this is the walk itself: 36,961 forests, where
+    # the subset expansion tallies 2^21 masks
+    k7 = EdgeSet(7, (1 << 21) - 1)
+    start = time.perf_counter()
+    poly = chromatic_via_transfer(k7)
+    assert time.perf_counter() - start < 1
+    assert poly == chromatic_oracle(k7)
+    assert poly.render("f") == "720f - 1764f^2 + 1624f^3 - 735f^4 + 175f^5 - 21f^6 + f^7"
+
+
+def test_forest_memo_is_one_walk_per_class_for_both_callers(p5, monkeypatch):
+    # from an empty memo, in shuffled order, the two callers taking turns
+    # to go first: every member equals both oracles whichever member of its
+    # class was walked first, and by which caller
     memo = {}
-    monkeypatch.setattr(gamma_module, "_chromatic_by_class", memo)
+    monkeypatch.setattr(gamma_module, "_forest_counts_by_class", memo)
     members = list(p5.members)
     random.Random(11).shuffle(members)
-    for member in members:
-        assert chromatic_via_transfer(member) == chromatic_oracle(member)
+    ab = Fraction(2, 7)
+    for i, member in enumerate(members):
+        if i % 2:
+            main, poly = main_term(member, ab), chromatic_via_transfer(member)
+        else:
+            poly, main = chromatic_via_transfer(member), main_term(member, ab)
+        assert poly == chromatic_oracle(member)
+        assert main == _main_term_oracle(member, ab)
     assert len(memo) == 16  # the isomorphism classes of P_5
 
 
@@ -966,16 +1023,15 @@ def _relabeled_edge_set(edge_set, perm):
 def test_per_class_memos_answer_relabeled_images(p5, monkeypatch):
     rng = random.Random(12)
     ab = Fraction(2, 7)
-    polys, forests = {}, {}
-    monkeypatch.setattr(gamma_module, "_chromatic_by_class", polys)
-    monkeypatch.setattr(gamma_module, "_forest_counts_by_class", forests)
+    memo = {}
+    monkeypatch.setattr(gamma_module, "_forest_counts_by_class", memo)
     for member in rng.sample(p5.members, 12):
         image = _relabeled_edge_set(member, rng.sample(range(5), 5))
         poly, main = chromatic_via_transfer(member), main_term(member, ab)
-        sizes = len(polys), len(forests)
+        size = len(memo)
         assert chromatic_via_transfer(image) == poly
         assert main_term(image, ab) == main
-        assert (len(polys), len(forests)) == sizes
+        assert len(memo) == size
 
 
 def test_per_class_memos_skip_canonical_forms_above_v6(monkeypatch):

@@ -120,6 +120,22 @@ def test_element_rejects_wrong_tuple_length():
             allowed_explicit(g, [spec])
 
 
+def test_index_of_rejects_residues_outside_their_factors():
+    # a residue is not reduced mod its factor's order, as an index is not
+    # reduced mod the group order
+    g = make_group([2, 4])
+    assert g.index_of((1, 3)) == 7
+    for spec in ((3, 1), (1, -1), (2, 0), (0, 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            g.index_of(spec)
+        with pytest.raises(ValueError, match="out of range"):
+            allowed_explicit(g, [spec])
+    a = allowed_explicit(g, [(1, 1), (1, 3)])
+    assert (1, 1) in a and (1, 3) in a
+    assert (3, 1) not in a and (1, -1) not in a and (1, 5) not in a
+    assert (1, 1, 0) not in a and (1,) not in a  # wrong length
+
+
 def test_allowed_explicit_rejects_bad_specs():
     g = make_group([6])
     for index in (6, 9, -1):
