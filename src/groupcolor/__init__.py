@@ -46,7 +46,6 @@ from .posetlin import (
     PolyMatrix,
     RationalPoly,
     mobius_matrix,
-    sign_diagonal,
     transfer_at,
     weighted_zeta_at,
     weighted_zeta_inverse_at,

@@ -4,12 +4,11 @@ and the reciprocity transfer matrix built from it.
 
 Each builder takes the point r as an exact rational or as a RationalPoly;
 passing VARIABLE gives the symbolic matrix, and every matrix is a PolyMatrix
-whose entries live in the ring r came from. The Mobius function has one
-recursion, mobius_recursion, which works on any down-closed family given by
-its down-sets; the library runs it on the whole poset, in mobius_table.
-Only the explicit matrices need it, and only they read the poset's
-down-sets; the vector paths in gamma apply J(r)^-1 by one weighted Yates
-pass over the edge masks of K_v instead.
+whose entries live in the ring r came from. Every builder reads one walk
+over the edge masks M inside a member H, each with its bridgeless core:
+mu(E, H) and the transfer entry M(r)(H, E) are signed sums over the masks
+with core E, and no builder reads the poset's down-sets. The vector paths
+in gamma apply J(r)^-1 and M(r) by weighted Yates passes over K_v instead.
 
 Matrix orientation: entry(h, e) multiplies coordinate e and contributes to
 coordinate h, so (M x)_H = sum_E entry(H, E) x_E. With the empty graph
@@ -201,7 +200,7 @@ def _render(x, var: str) -> str:
 @dataclass(frozen=True)
 class PolyMatrix:
     """Square matrix indexed by a subgraph poset, with entries that are all
-    Fractions or all RationalPolys, supported on the comparable pairs."""
+    Fractions or all RationalPolys."""
 
     poset: "SubgraphPoset"
     entries: tuple[tuple, ...]
@@ -219,31 +218,24 @@ class PolyMatrix:
         return self.entries[h][e]
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Product over the chains E <= G <= H; both factors must vanish off
-        the comparable pairs, as every matrix built here does."""
+        """Product over the nonzero entries of each row of both factors."""
         if other.poset is not self.poset and other.poset != self.poset:
             raise ValueError("matrices over different posets")
-        down = self.poset.down_sets
         zero = self.entries[0][0] * other.entries[0][0] * 0
+        other_rows = [[(e, b) for e, b in enumerate(row) if b] for row in other.entries]
         rows = []
-        for h, a_row in enumerate(self.entries):
+        for a_row in self.entries:
             out = [zero] * self.n
-            for g in down[h]:
-                a = a_row[g]
+            for g, a in enumerate(a_row):
                 if a:
-                    b_row = other.entries[g]
-                    for e in down[g]:
-                        if b_row[e]:
-                            out[e] = out[e] + a * b_row[e]
+                    for e, b in other_rows[g]:
+                        out[e] = out[e] + a * b
             rows.append(tuple(out))
         return PolyMatrix(self.poset, tuple(rows))
 
     def apply(self, vector: Sequence) -> tuple:
-        """The image M x: (M x)_H = sum over E <= H of entry(H, E) x_E."""
-        down = self.poset.down_sets
-        return tuple(
-            sum(row[e] * vector[e] for e in down[h]) for h, row in enumerate(self.entries)
-        )
+        """The image M x: (M x)_H = sum over E of entry(H, E) x_E."""
+        return tuple(sum(x * vector[e] for e, x in enumerate(row) if x) for row in self.entries)
 
     def render_rows(self, var: str = "r", paper_order: bool = False) -> list[list[str]]:
         """Rows of entry strings; paper_order lists the complete graph first
@@ -259,31 +251,34 @@ class PolyMatrix:
         )
 
 
-def mobius_recursion(down_sets: Sequence[Sequence[int]]) -> tuple[dict[int, int], ...]:
-    """mu(E, H) for every pair E <= H of a down-closed family, as one dict
-    per H keyed by E.
-
-    down_sets[h] lists the members below member h in increasing order,
-    ending with h itself, so the members are indexed along a linear
-    extension. Rota's recursion mu(E, H) = -sum over E <= G < H of mu(E, G)
-    then needs only the rows of the members G below H, and no order tests.
-    """
-    table: list[dict[int, int]] = []
-    for h, down in enumerate(down_sets):
-        mu_h: dict[int, int] = {}
-        for g in down[:-1]:
-            for e, mu in table[g].items():
-                if mu:
-                    mu_h[e] = mu_h.get(e, 0) - mu
-        mu_h[h] = 1
-        table.append(mu_h)
-    return tuple(table)
+def _submasks_by_core(poset: "SubgraphPoset", h: int):
+    """(index of core M, |M|) for every edge mask M inside member h, with
+    core M from ``bridgeless_cores``."""
+    _, core = poset.cores
+    index = poset.index_by_mask
+    top = poset.members[h].bits
+    m = top
+    while True:
+        yield index[core[m]], m.bit_count()
+        if not m:
+            return
+        m = (m - 1) & top
 
 
 @lru_cache(maxsize=None)
 def mobius_table(poset: "SubgraphPoset") -> tuple[dict[int, int], ...]:
-    """mu(E, H) for every pair E <= H of the whole poset, one dict per H."""
-    return mobius_recursion(poset.down_sets)
+    """mu(E, H) for every pair E <= H, one dict per H keyed by E: the sum
+    over edge masks M <= H with core M = E of (-1)^(|H| - |M|), by Rota's
+    closure theorem for the interior operator M -> core M ("On the
+    foundations of combinatorial theory I", 1964)."""
+    sizes = poset.sizes
+    table = []
+    for h, top in enumerate(sizes):
+        mu_h: dict[int, int] = {}
+        for e, size in _submasks_by_core(poset, h):
+            mu_h[e] = mu_h.get(e, 0) + (-1 if (top - size) & 1 else 1)
+        table.append(mu_h)
+    return tuple(table)
 
 
 def _power_table(x, max_power: int) -> list:
@@ -294,15 +289,16 @@ def _power_table(x, max_power: int) -> list:
 
 
 def weighted_zeta_at(poset: "SubgraphPoset", r) -> PolyMatrix:
-    """Edge-weighted zeta J(r): entry(H, E) = r^(|H| - |E|) when E <= H."""
+    """Edge-weighted zeta J(r): entry(H, E) = r^(|H| - |E|) when E <= H,
+    that is, when E is a mask inside H that is its own core."""
     r = _ring_element(r)
-    n = len(poset)
     sizes = poset.sizes
     powers = _power_table(r, max(sizes))
-    rows = [[r * 0] * n for _ in range(n)]
-    for h in range(n):
-        for e in poset.down_sets[h]:
-            rows[h][e] = powers[sizes[h] - sizes[e]]
+    rows = [[r * 0] * len(poset) for _ in sizes]
+    for h, row in enumerate(rows):
+        for e, size in _submasks_by_core(poset, h):
+            if sizes[e] == size:
+                row[e] = powers[sizes[h] - size]
     return PolyMatrix(poset, tuple(map(tuple, rows)))
 
 
@@ -330,22 +326,18 @@ def mobius_matrix(poset: "SubgraphPoset") -> PolyMatrix:
     return weighted_zeta_inverse_at(poset, 1)
 
 
-def _diagonal(poset: "SubgraphPoset", values) -> PolyMatrix:
-    n = len(poset)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for h, x in enumerate(values):
-        rows[h][h] = Fraction(x)
-    return PolyMatrix(poset, tuple(map(tuple, rows)))
-
-
-def sign_diagonal(poset: "SubgraphPoset") -> PolyMatrix:
-    """Diagonal matrix with entry (-1)^(edge count) per poset member."""
-    return _diagonal(poset, [(-1) ** size for size in poset.sizes])
-
-
 def transfer_at(poset: "SubgraphPoset", r) -> PolyMatrix:
-    """Reciprocity transfer matrix M(r) = J(1 - r) * (-1)^e * J(r)^(-1), as
-    a sum over the chains E <= G <= H of the poset."""
+    """Reciprocity transfer matrix M(r) = J(1 - r) (-1)^e J(r)^(-1): entry
+    (H, E) sums (-1)^|M| r^(|M| - |E|) over the edge masks M <= H with
+    core M = E. It meets M(r) J(r) = J(1 - r) (-1)^e, which fixes it: a
+    bridgeless E lies inside M exactly when it lies inside core M, so row H
+    of M(r) J(r) at E is a binomial sum over the masks between E and H."""
     r = _ring_element(r)
-    signed_inverse = sign_diagonal(poset) @ weighted_zeta_inverse_at(poset, r)
-    return weighted_zeta_at(poset, 1 - r) @ signed_inverse
+    sizes = poset.sizes
+    powers = _power_table(r, max(sizes))
+    rows = [[r * 0] * len(poset) for _ in sizes]
+    for h, row in enumerate(rows):
+        for e, size in _submasks_by_core(poset, h):
+            term = powers[size - sizes[e]]
+            row[e] = row[e] - term if size & 1 else row[e] + term
+    return PolyMatrix(poset, tuple(map(tuple, rows)))

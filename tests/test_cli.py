@@ -12,6 +12,7 @@ import pytest
 import groupcolor.gamma as gamma_module
 import groupcolor.graphs as graphs_module
 from groupcolor.cli import (
+    _forest_walk_charge,
     example1_report,
     example2_report,
     example3_report,
@@ -21,8 +22,8 @@ from groupcolor.cli import (
     render_allowed_spec,
     render_group_spec,
 )
-from groupcolor.gamma import gamma_vector
-from groupcolor.graphs import enumerate_poset
+from groupcolor.gamma import _forest_counts, gamma_vector
+from groupcolor.graphs import EdgeSet, enumerate_poset, iso_class_blocks
 from groupcolor.groups import allowed_explicit, make_group
 
 
@@ -125,12 +126,28 @@ def test_cmd_matrix_evaluated(capsys):
     assert data["r"] == "1/2"
 
 
+def _rendered_at(text: str, x: Fraction) -> Fraction:
+    # the value at x of a polynomial in RationalPoly.render's form,
+    # e.g. "1 - 5r + (3/4)r^2"
+    total = Fraction(0)
+    for term in text.replace(" - ", " + -").split(" + "):
+        sign = -1 if term.startswith("-") else 1
+        coeff, var, power = term.lstrip("-").partition("r")
+        coeff = Fraction(coeff.strip("()") or 1)
+        total += sign * coeff * x ** (int(power[1:]) if power else len(var))
+    return total
+
+
 def test_cmd_matrix_v5_needs_point(capsys):
-    code, _ = _run(capsys, ["matrix", "--v", "5", "--which", "M"])
-    assert code == 2
+    # the symbolic transfer matrix at v = 5 prints, and evaluates to --r
+    code, symbolic = _run_json(capsys, ["matrix", "--v", "5", "--which", "M"])
+    assert code == 0
     code, data = _run_json(capsys, ["matrix", "--v", "5", "--which", "M", "--r", "1/3"])
     assert code == 0
-    assert len(data["entries"]) == 314
+    assert len(data["entries"]) == len(symbolic["entries"]) == 314
+    third = Fraction(1, 3)
+    for row, evaluated in zip(symbolic["entries"], data["entries"]):
+        assert [_rendered_at(cell, third) for cell in row] == list(map(Fraction, evaluated))
 
 
 def test_cmd_matrix_blocks_and_bad_name(capsys):
@@ -173,16 +190,31 @@ def test_cmd_matrix_budget_exceeded(capsys):
 
 
 def test_cmd_chromatic_budget_exceeded(capsys):
-    # the budget charges 2^|E| per member, an upper bound on the forests the
-    # walk visits: summed over P_6 it is 3^15 = 11,399,025, under the
-    # default budget; one less is refused before any polynomial is computed
+    # the budget charges one forest walk per isomorphism class, at the sum
+    # over k <= min(|E|, v - 1) of C(|E|, k): summed over P_6's 77 classes
+    # it is 47,859; one less is refused before any polynomial is computed
     start = time.perf_counter()
-    assert main(["chromatic", "--v", "6", "--budget", "11399024"]) == 3
+    assert main(["chromatic", "--v", "6", "--budget", "47858"]) == 3
     assert time.perf_counter() - start < 30
-    # over P_4: 1 + 4 * 2^3 + 3 * 2^4 + 6 * 2^5 + 2^6 = 337
-    assert main(["chromatic", "--v", "4", "--budget", "336"]) == 3
-    assert main(["chromatic", "--v", "4", "--budget", "337"]) == 0
+    # over P_4's classes K4, diamond, C4, K3 and empty: 42 + 26 + 15 + 8 + 1
+    assert main(["chromatic", "--v", "4", "--budget", "91"]) == 3
+    assert main(["chromatic", "--v", "4", "--budget", "92"]) == 0
+    # one walk for an edge set: 82,160 on K7
+    k7 = "v=7;edges=" + ",".join(f"{a}{b}" for a in range(7) for b in range(a + 1, 7))
+    assert main(["chromatic", "--edgeset", k7, "--budget", "82159"]) == 3
+    assert main(["chromatic", "--edgeset", k7, "--budget", "1000000"]) == 0
     capsys.readouterr()
+
+
+def test_chromatic_charge_bounds_the_forest_walk(p4, p5, p6):
+    # the walk visits 85 / 1,271 / 32,288 / 36,961 forests on the classes of
+    # P_4, P_5 and P_6 and on K7, each at most its class's charge
+    k7 = EdgeSet(7, (1 << 21) - 1)
+    for poset in (p4, p5, p6):
+        for _, idxs in iso_class_blocks(poset):
+            member = poset.members[idxs[0]]
+            assert sum(_forest_counts(member)[0]) <= _forest_walk_charge(member)
+    assert sum(_forest_counts(k7)[0]) == 36961 <= _forest_walk_charge(k7) == 82160
 
 
 # sha256 of the exact stdout of each pinned command; a new hash here is a
@@ -192,6 +224,7 @@ GOLDEN_STDOUT = {
     "matrix --v 4 --which M --errata": "041643a6c3ae7fd8f9e95cbc1b77cfdc99c0a90f15800a61c8e04f9fbce5ed96",
     "matrix --v 4 --which Jinv --r 1/3": "4bff5fcd88cf105035c3ff444bcadde48b6bb99c2af9425a9f2feef946589c76",
     "matrix --v 5 --which M --r 2/3": "d415b4d0a6066999662aa7705ec2f96aa0ba3c7be6de8f2085809050a1000601",
+    "matrix --v 5 --which M": "62b4bdde2b1df6df232442fff7ed5b78ae0987226c092168acba260b92832d93",
     "poset --v 4 --format tsv": "5575f2d8780fbe9cdd10d781aa5eae27bda8389e95e425577a8e6a4813d70a04",
     "chromatic --v 5": "eedfe0874b95720db72ec0c554ca8544c68d905963a8b2efe79c5ba40b299a3c",
     "chromatic --v 6": "0c2221a79523532c030b4686b82e451d377f63b87111046f438e6ea49dab694b",
@@ -420,7 +453,8 @@ def test_cmd_chromatic_single_edgeset(capsys):
 
 def test_cmd_chromatic_refuses_more_edges_than_k7(capsys):
     # K7 minus 01, plus vertex 7 joined to 0 and 1: 22 edges, bridgeless,
-    # 2^22 subsets (under the default budget) but over the edge cap
+    # a forest charge of 280,600 (under the default budget) but over the
+    # edge cap
     edges = [f"{a}{b}" for a in range(7) for b in range(a + 1, 7) if (a, b) != (0, 1)]
     text = "v=8;edges=" + ",".join(edges + ["07", "17"])
     start = time.perf_counter()

@@ -53,9 +53,9 @@ from groupcolor.groups import (
     allowed_interval,
     make_group,
 )
-from groupcolor.posetlin import RationalPoly, mobius_recursion, mobius_table, weighted_zeta_at
+from groupcolor.posetlin import RationalPoly, weighted_zeta_at
 
-from conftest import low_positions
+from conftest import low_positions, mobius_recursion
 
 
 def _triangle_value(orders, allowed_residues) -> Fraction:
@@ -413,11 +413,11 @@ def test_histogram_budget(p4):
 
 
 def _gamma_plus_oracle(gamma, alpha):
-    # the Fraction loop that gamma_plus replaced
+    # the Fraction loop that gamma_plus replaced, on the Mobius recursion
     poset = gamma.poset
     sizes = poset.sizes
     out = []
-    for h, row in enumerate(mobius_table(poset)):
+    for h, row in enumerate(mobius_recursion(poset.down_sets)):
         acc = Fraction(0)
         for e, mu in row.items():
             if mu:

@@ -7,27 +7,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupcolor.cli import main
 from groupcolor.graphs import (
     EdgeSet,
     SubgraphPoset,
     bridgeless_subsets,
     down_sets_of,
+    enumerate_poset,
 )
 from groupcolor.posetlin import (
     VARIABLE,
     PolyMatrix,
     RationalPoly,
     mobius_matrix,
-    mobius_recursion,
     mobius_table,
-    sign_diagonal,
     transfer_at,
     weighted_zeta_at,
     weighted_zeta_inverse_at,
     zeta_matrix,
 )
 
-from conftest import low_positions
+from conftest import (
+    low_positions,
+    mobius_recursion,
+    sign_diagonal,
+    transfer_chain_product,
+    weighted_zeta_inverse_by_recursion,
+    weighted_zeta_on_down_sets,
+)
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=12
@@ -113,7 +120,8 @@ def test_product_degree_and_evaluation_hom(a, b, x):
 
 def _mobius_oracle(poset):
     """The quadratic recursion mu(E, H) = -sum over E < G <= H of mu(G, H),
-    with an order test per pair: the reference for mobius_recursion."""
+    with an order test per pair: the reference for mobius_table and for
+    the recursion oracle."""
     table = []
     for h in range(len(poset)):
         down = poset.down_sets[h]
@@ -181,6 +189,9 @@ def test_interval_mobius_matches_quadratic_oracle():
         interval = SubgraphPoset(6, tuple(EdgeSet(6, m) for m in masks))
         table = mobius_recursion(down_sets_of({m: i for i, m in enumerate(masks)}))
         assert list(table) == _mobius_oracle(interval)
+        # the library's walk on the interval in place, in the same order
+        in_place = tuple(EdgeSet(6, m) for m in bridgeless_subsets(6, member.bits))
+        assert mobius_table(SubgraphPoset(6, in_place)) == table
 
 
 def test_zeta_times_mobius_is_identity(p3, p4, p5):
@@ -193,11 +204,11 @@ def test_zeta_times_mobius_is_identity(p3, p4, p5):
 
 
 def test_builders_vanish_off_comparable_pairs(p3, p4, p5):
-    # PolyMatrix @ walks only the chains E <= G <= H, which is the full
-    # product exactly when both factors vanish off the comparable pairs
+    # every matrix is supported on the comparable pairs E <= H, as the
+    # chain-product oracle of the closed forms needs
     r = Fraction(2, 7)
     for poset in (p3, p4, p5):
-        matrices = [zeta_matrix(poset), mobius_matrix(poset), sign_diagonal(poset)]
+        matrices = [zeta_matrix(poset), mobius_matrix(poset)]
         for x in (r, VARIABLE) if poset.v <= 4 else (r,):
             matrices += [
                 weighted_zeta_at(poset, x),
@@ -322,58 +333,54 @@ def test_transfer_v3_row_sum_at_one(p3):
     assert sum(m1.entries[1]) == 0
 
 
-def _submasks_by_core(poset, h):
-    # (core M, |M|) for every edge mask M inside member h: the closed forms
-    # below walk these and never read the poset's order
-    _, core = poset.cores
-    top = poset.members[h].bits
-    m = top
-    while True:
-        yield poset.index_by_mask[core[m]], m.bit_count()
-        if not m:
-            return
-        m = (m - 1) & top
-
-
-def _transfer_closed_form(poset, r):
-    # M(r)(H, E) = sum over masks M <= H with core M = E of
-    # (-1)^|M| r^(|M| - |E|)
-    sizes = poset.sizes
-    rows = []
-    for h in range(len(poset)):
-        row = [r * 0] * len(poset)
-        for e, size in _submasks_by_core(poset, h):
-            term = r ** (size - sizes[e])
-            row[e] += -term if size & 1 else term
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _mobius_closed_form(poset):
-    # mu(E, H) = sum over masks M <= H with core M = E of (-1)^(|H| - |M|)
-    table = []
-    for h in range(len(poset)):
-        mu_h = {}
-        for e, size in _submasks_by_core(poset, h):
-            mu_h[e] = mu_h.get(e, 0) + (-1) ** (poset.sizes[h] - size)
-        table.append(mu_h)
-    return table
-
-
 def test_transfer_closed_form_matches_the_chain_product(p3, p4, p5):
-    # the identity behind gamma.apply_transfer and the chromatic subset
-    # expansion, at every entry, against J(1 - r) (-1)^e J(r)^-1
+    # transfer_at's submask walk against J(1 - r) (-1)^e J(r)^-1 summed over
+    # the chains of the down-sets, with mu by the recursion, at every entry
     for poset in (p3, p4, p5):
         for r in (Fraction(2, 7), Fraction(-3, 5)):
-            assert _transfer_closed_form(poset, r) == transfer_at(poset, r).entries
+            assert transfer_at(poset, r).entries == transfer_chain_product(poset, r).entries
     for poset in (p3, p4):
-        assert _transfer_closed_form(poset, VARIABLE) == transfer_at(poset, VARIABLE).entries
+        symbolic = transfer_chain_product(poset, VARIABLE)
+        assert transfer_at(poset, VARIABLE).entries == symbolic.entries
 
 
-def test_mobius_closed_form_matches_the_recursion(p4, p5):
-    # Rota's closure theorem for the interior operator M -> core M
-    for poset in (p4, p5):
-        assert _mobius_closed_form(poset) == list(mobius_table(poset))
+def test_mobius_closed_form_matches_the_recursion(p3, p4, p5):
+    # Rota's closure theorem for the interior operator M -> core M, and the
+    # weighted zeta pair read from the same walk, against the down-set oracles
+    for poset in (p3, p4, p5):
+        assert mobius_table(poset) == mobius_recursion(poset.down_sets)
+        points = (Fraction(2, 7), Fraction(-3, 5)) + ((VARIABLE,) if poset.v <= 4 else ())
+        for x in points:
+            assert weighted_zeta_at(poset, x).entries == weighted_zeta_on_down_sets(poset, x).entries
+            inverse = weighted_zeta_inverse_by_recursion(poset, x)
+            assert weighted_zeta_inverse_at(poset, x).entries == inverse.entries
+
+
+def test_matrices_never_read_the_down_sets(monkeypatch, capsys):
+    # every builder, the product, apply and the matrix command run on a
+    # fresh poset whose down-sets raise
+    def refuse(poset):
+        raise AssertionError("down_sets read")
+
+    monkeypatch.setattr(SubgraphPoset, "down_sets", property(refuse))
+    mobius_table.cache_clear()
+    for v in (3, 4):
+        poset = SubgraphPoset(v, enumerate_poset(v).members)
+        ones = [Fraction(1)] * len(poset)
+        for x in (Fraction(2, 7), VARIABLE):
+            j, inverse, m = (
+                weighted_zeta_at(poset, x),
+                weighted_zeta_inverse_at(poset, x),
+                transfer_at(poset, x),
+            )
+            assert (j @ inverse).is_identity()
+            assert (m @ transfer_at(poset, 1 - x)).is_identity()
+            assert m.apply(ones)[0] == x**0
+        assert (zeta_matrix(poset) @ mobius_matrix(poset)).is_identity()
+        assert mobius_table(poset)[0] == {0: 1}
+    for which in ("zeta", "mobius", "J", "Jinv", "M"):
+        assert main(["matrix", "--v", "4", "--which", which]) == 0
+    assert capsys.readouterr().out
 
 
 @given(rationals)
