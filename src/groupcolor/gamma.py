@@ -355,14 +355,13 @@ def _bridge_extension(core: list[int], scaled: list[int], p: int) -> list[int]:
     return list(map(mul, xs, map(p_pow.__getitem__, bridges)))
 
 
-def _lattice_inverse(v: int, places, ys: list[int], p: int, bridgeless) -> list[int]:
-    # Y from X in place, on the lattice of the edge positions ``places``;
+def _lattice_inverse(v: int, ys: list[int], p: int, bridgeless) -> list[int]:
+    # Y from X in place, on the lattice of the edge masks of K_v;
     # ArithmeticError names the first nonzero mask that bridgeless rejects
-    _lattice_pass(ys, len(places), sub, p)
+    _lattice_pass(ys, comb(v, 2), sub, p)
     for mask in compress(range(len(ys)), ys):
         if not bridgeless(mask):
-            bridged = EdgeSet(v, sum(1 << n for k, n in enumerate(places) if (mask >> k) & 1))
-            raise ArithmeticError(f"J(r)^-1 is nonzero on the bridged {bridged!r}")
+            raise ArithmeticError(f"J(r)^-1 is nonzero on the bridged {EdgeSet(v, mask)!r}")
     return ys
 
 
@@ -389,7 +388,7 @@ def _histogram_inverse(gamma: GammaVector, alpha: Fraction) -> list[int]:
     q_pow = [q**k for k in range(pairs + 1)]
     sizes = map(int.bit_count, range(len(gamma.counts)))
     ys = list(map(mul, gamma.counts, map(q_pow.__getitem__, sizes)))
-    return _lattice_inverse(poset.v, range(pairs), ys, p, poset.index_by_mask.__contains__)
+    return _lattice_inverse(poset.v, ys, p, poset.index_by_mask.__contains__)
 
 
 def _negate_odd_sizes(poset: SubgraphPoset, ys: list[int]) -> None:
@@ -436,9 +435,9 @@ def gamma_plus(gamma: GammaVector, alpha: Fraction) -> GammaVector:
     poset = gamma.poset
     p, q = Fraction(alpha).as_integer_ratio()
     scaled, common = _scaled(gamma, q)
-    places, core = poset.cores
+    _, core = poset.cores
     ys = _bridge_extension(core, scaled, p)
-    _lattice_inverse(poset.v, places, ys, p, lambda mask: core[mask] == mask)
+    _lattice_inverse(poset.v, ys, p, lambda mask: core[mask] == mask)
     return GammaVector(poset, _fractions(poset, ys, common, q), gamma.method + "+mobius")
 
 
@@ -539,9 +538,9 @@ def apply_transfer(
     p, q = Fraction(alpha_bar).as_integer_ratio()
     scaled, common = _scaled(gamma_bar, q)
     _negate_odd_sizes(poset, scaled)
-    places, core = poset.cores
+    _, core = poset.cores
     ys = _bridge_extension(core, scaled, -p)
-    _lattice_pass(ys, len(places), add, q)
+    _lattice_pass(ys, comb(poset.v, 2), add, q)
     return GammaVector(poset, _fractions(poset, ys, common, q), "transfer")
 
 

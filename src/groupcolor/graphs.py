@@ -36,22 +36,20 @@ class EdgeSet:
     def __post_init__(self):
         if self.v < 1:
             raise ValueError("need at least one vertex")
-        top = 1 << comb(self.v, 2)
-        if not 0 <= self.bits < top:
+        if self.bits < 0 or self.bits.bit_length() > comb(self.v, 2):
             raise ValueError(f"edge bitmask {self.bits:#b} out of range for v={self.v}")
 
     @classmethod
     def from_edges(cls, v: int, edges) -> "EdgeSet":
-        pairs = vertex_pairs(v)
-        index = {p: n for n, p in enumerate(pairs)}
         bits = 0
         for a, b in edges:
             if a == b:
                 raise ValueError(f"loop edge ({a},{a}) not allowed")
-            key = (min(a, b), max(a, b))
-            if key not in index:
-                raise ValueError(f"edge {key} out of range for v={v}")
-            bits |= 1 << index[key]
+            a, b = min(a, b), max(a, b)
+            if not 0 <= a < b < v:
+                raise ValueError(f"edge {(a, b)} out of range for v={v}")
+            # the position of (a, b) in vertex_pairs(v)
+            bits |= 1 << (a * (2 * v - a - 1) // 2 + b - a - 1)
         return cls(v, bits)
 
     @classmethod

@@ -5,7 +5,9 @@ its index 0..f-1 in a mixed-radix encoding (first factor most significant),
 so index 0 is always the identity and all tables are reproducible. The
 group is self-dual: the character indexed p pairs with the element q
 through the residues of both indices (pairing_by_index). The group law is
-add/neg/sub on indices and translate on bitmasks of indices.
+translate on bitmasks of indices: two masked shifts per cyclic factor. The
+index law add reads it on a mixed group and is (a + b) % f on a cyclic one
+and a ^ b on Z2^n; neg is one digit rule, each residue r to (-r) % n.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ from functools import cached_property
 from math import comb, prod
 
 MAX_GROUP_ORDER = 4096
-
-# Above this order the generic add() falls back to tuple arithmetic instead
-# of a precomputed f x f table.
-_ADD_TABLE_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -77,43 +75,22 @@ class FiniteAbelianGroup:
             return "xor"
         return "mixed"
 
-    @cached_property
-    def _add_table(self) -> list[list[int]] | None:
-        if self._mode != "mixed" or self.order > _ADD_TABLE_LIMIT:
-            return None
-        tuples = [self.residues_of(i) for i in range(self.order)]
-        table = []
-        for a in tuples:
-            row = [
-                self.index_of(tuple((x + y) % n for x, y, n in zip(a, b, self.cyclic_orders)))
-                for b in tuples
-            ]
-            table.append(row)
-        return table
-
     def add(self, a: int, b: int) -> int:
-        """Group law on element indices."""
+        """Group law on element indices; a mixed group reads it from translate."""
         if self._mode == "cyclic":
             return (a + b) % self.order
         if self._mode == "xor":
             return a ^ b
-        table = self._add_table
-        if table is not None:
-            return table[a][b]
-        ra, rb = self.residues_of(a), self.residues_of(b)
-        return self.index_of(tuple((x + y) % n for x, y, n in zip(ra, rb, self.cyclic_orders)))
+        return self.translate(1 << a, b).bit_length() - 1
 
     @cached_property
     def _neg_table(self) -> tuple[int, ...]:
-        if self._mode == "cyclic":
-            f = self.order
-            return tuple((-i) % f for i in range(f))
-        if self._mode == "xor":
-            return tuple(range(self.order))
-        return tuple(
-            self.index_of(tuple((-r) % n for r, n in zip(self.residues_of(i), self.cyclic_orders)))
-            for i in range(self.order)
-        )
+        # negs[i] is -i in the leading factors read so far; one more factor
+        # of order n sends the index i * n + r to negs[i] * n + (-r) % n
+        negs = [0]
+        for n in self.cyclic_orders:
+            negs = [x * n + (-r) % n for x in negs for r in range(n)]
+        return tuple(negs)
 
     @cached_property
     def _translation_lows(self) -> tuple[tuple[int, ...], ...]:
@@ -253,10 +230,8 @@ def allowed_hamming(n: int, k: int) -> AllowedSet:
     if not 0 <= k <= n:
         raise ValueError(f"k must be in 0..{n}, got {k}")
     group = make_group([2] * n)
-    mask = 0
-    for i in range(group.order):
-        if sum(group.residues_of(i)) > k:
-            mask |= 1 << i
+    # the residues of an index of Z2^n are its bits
+    mask = sum(1 << i for i in range(group.order) if i.bit_count() > k)
     return AllowedSet(group, mask)
 
 

@@ -206,6 +206,17 @@ def test_cmd_chromatic_budget_exceeded(capsys):
     capsys.readouterr()
 
 
+def test_cmd_chromatic_edgeset_charges_the_vertex_pair_table(capsys):
+    # the edge walks read v masks of C(v, 2) bits: 13,495,500,000 at
+    # v = 3000 is refused before any of them, 13,455,000 at v = 300 runs
+    start = time.perf_counter()
+    assert main(["chromatic", "--edgeset", "v=3000;edges=01,12,02"]) == 3
+    assert time.perf_counter() - start < 5
+    assert "vertex-pair table on 3000 vertices" in capsys.readouterr().err
+    assert main(["chromatic", "--edgeset", "v=300;edges=01,12,02", "--format", "tsv"]) == 0
+    capsys.readouterr()
+
+
 def test_chromatic_charge_bounds_the_forest_walk(p4, p5, p6):
     # the walk visits 85 / 1,271 / 32,288 / 36,961 forests on the classes of
     # P_4, P_5 and P_6 and on K7, each at most its class's charge

@@ -64,6 +64,8 @@ def test_edgeset_rejects_bad_input():
     with pytest.raises(ValueError):
         EdgeSet.from_edges(3, [(0, 5)])
     with pytest.raises(ValueError):
+        EdgeSet.from_edges(3, [(-1, 2)])
+    with pytest.raises(ValueError):
         EdgeSet(3, 1 << 3)
     with pytest.raises(ValueError):
         EdgeSet.from_text("v=3;edges=0x")
