@@ -223,6 +223,8 @@ def cmd_matrix(ns: argparse.Namespace) -> int:
     _check_dense_cells(poset, ns.budget)
     if ns.errata and (ns.which != "M" or ns.v != 4 or r is not None):
         raise ValueError("--errata applies to the symbolic transfer matrix at v=4")
+    if r is not None and ns.which in ("zeta", "mobius"):
+        raise ValueError(f"--r does not apply to --which {ns.which}: zeta is J(1), mobius J(1)^-1")
     matrix = _MATRIX_BUILDERS[ns.which](poset, VARIABLE if r is None else r)
     rows = matrix.render_rows(paper_order=ns.paper_order)
     payload = {

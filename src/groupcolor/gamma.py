@@ -26,6 +26,7 @@ from .graphs import (
     SubgraphPoset,
     _incident,
     _lattice_pass,
+    _spanning_forest,
     canonical_bits,
     components,
     cycle_basis,
@@ -136,8 +137,8 @@ def gamma_cyclespace(
     """Enumerate the coboundary image only: fix one root color per component
     and count the allowed colorings of the other v - c vertices, at most
     f^(v - c)."""
-    roots, _ = cycle_basis(edge_set)
-    free = [u for u in range(edge_set.v) if u not in roots]
+    path, _ = _spanning_forest(edge_set.v, edge_set.bits)
+    free = [u for u in range(edge_set.v) if path[u]]
     return _count_colorings(edge_set, allowed, free, budget, "coboundary image too large")
 
 

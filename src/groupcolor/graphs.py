@@ -55,7 +55,11 @@ class EdgeSet:
     @classmethod
     def from_text(cls, text: str) -> "EdgeSet":
         """Parse "v=4;edges=01,02,12" or "v=4;mask=0b000111"."""
-        fields = dict(part.split("=", 1) for part in text.strip().split(";") if part)
+        parts = [part for part in text.strip().split(";") if part]
+        for part in parts:
+            if "=" not in part:
+                raise ValueError(f"edge set field {part!r} is not key=value: {text!r}")
+        fields = dict(part.split("=", 1) for part in parts)
         if "v" not in fields:
             raise ValueError(f"edge set text needs a v= field: {text!r}")
         v = int(fields["v"])
@@ -102,11 +106,16 @@ class EdgeSet:
 
 @lru_cache(maxsize=None)
 def _incident(v: int) -> tuple[int, ...]:
-    # per vertex, the mask of the vertex pairs that touch it
-    masks = [0] * v
-    for n, (a, b) in enumerate(vertex_pairs(v)):
-        masks[a] |= 1 << n
-        masks[b] |= 1 << n
+    # per vertex a, the mask of the vertex pairs that touch it: the block of
+    # pairs (a, b > a) from start[a], and the pair (x, a) of each x < a, set
+    # in a byte buffer so that the table costs its v C(v, 2) output bits
+    start = [x * (2 * v - x - 1) // 2 for x in range(v)]
+    masks = []
+    for a in range(v):
+        buf = bytearray((comb(v, 2) + 7) // 8)
+        for n in (start[x] + a - x - 1 for x in range(a)):
+            buf[n >> 3] |= 1 << (n & 7)
+        masks.append(int.from_bytes(buf, "little") | ((1 << (v - a - 1)) - 1) << start[a])
     return tuple(masks)
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, prod
+from math import prod
 
 MAX_GROUP_ORDER = 4096
 
@@ -263,8 +263,3 @@ def allowed_explicit(group: FiniteAbelianGroup, elements) -> AllowedSet:
 def character_sum(allowed: AllowedSet, p: int) -> complex:
     """sum_{q in A} <p, q> over the allowed set, for the character index p."""
     return sum(pairing_by_index(allowed.group, p, q) for q in allowed.indices())
-
-
-def hamming_weight_tail(n: int, k: int) -> Fraction:
-    """Exact density of weight > k in (Z/2)^n, i.e. alpha for allowed_hamming."""
-    return Fraction(sum(comb(n, w) for w in range(k + 1, n + 1)), 2**n)

@@ -7,8 +7,10 @@ passing VARIABLE gives the symbolic matrix, and every matrix is a PolyMatrix
 whose entries live in the ring r came from. Every builder reads one walk
 over the edge masks M inside a member H, each with its bridgeless core:
 mu(E, H) and the transfer entry M(r)(H, E) are signed sums over the masks
-with core E, and no builder reads the poset's down-sets. The vector paths
-in gamma apply J(r)^-1 and M(r) by weighted Yates passes over K_v instead.
+with core E. J(r) and J(r)^-1 read the Mobius table's keys at H, the E <= H,
+so J(r) sets r^(|H| - |M|) where M is its own core. No builder reads the
+poset's down-sets; the vector paths in gamma apply J(r)^-1 and M(r) by
+weighted Yates passes over K_v instead.
 
 Matrix orientation: entry(h, e) multiplies coordinate e and contributes to
 coordinate h, so (M x)_H = sum_E entry(H, E) x_E. With the empty graph
@@ -78,9 +80,6 @@ class RationalPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -143,13 +142,6 @@ class RationalPoly:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def compose(self, inner: "RationalPoly") -> "RationalPoly":
-        """Substitute another polynomial for the variable."""
-        acc = RationalPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + RationalPoly.constant(c)
         return acc
 
     def render(self, var: str = "r") -> str:
@@ -288,32 +280,30 @@ def _power_table(x, max_power: int) -> list:
     return out
 
 
-def weighted_zeta_at(poset: "SubgraphPoset", r) -> PolyMatrix:
-    """Edge-weighted zeta J(r): entry(H, E) = r^(|H| - |E|) when E <= H,
-    that is, when E is a mask inside H that is its own core."""
+def _on_mobius_keys(poset: "SubgraphPoset", r, times_mu: bool) -> PolyMatrix:
+    """entry(H, E) = r^(|H| - |E|), times mu(E, H) if times_mu, at every key
+    E of mobius_table(poset)[H]."""
     r = _ring_element(r)
     sizes = poset.sizes
     powers = _power_table(r, max(sizes))
     rows = [[r * 0] * len(poset) for _ in sizes]
-    for h, row in enumerate(rows):
-        for e, size in _submasks_by_core(poset, h):
-            if sizes[e] == size:
-                row[e] = powers[sizes[h] - size]
+    for row, top, mu_h in zip(rows, sizes, mobius_table(poset)):
+        for e, mu in mu_h.items():
+            row[e] = powers[top - sizes[e]] * mu if times_mu else powers[top - sizes[e]]
     return PolyMatrix(poset, tuple(map(tuple, rows)))
+
+
+def weighted_zeta_at(poset: "SubgraphPoset", r) -> PolyMatrix:
+    """Edge-weighted zeta J(r): entry(H, E) = r^(|H| - |E|) when E <= H.
+    The keys of the Mobius table at H are exactly those E: each is the core
+    of a mask inside H, and each E <= H is the core of the mask E itself."""
+    return _on_mobius_keys(poset, r, False)
 
 
 def weighted_zeta_inverse_at(poset: "SubgraphPoset", r) -> PolyMatrix:
-    """Inverse of J(r): entry(H, E) = mu(E, H) r^(|H| - |E|)."""
-    r = _ring_element(r)
-    n = len(poset)
-    sizes = poset.sizes
-    table = mobius_table(poset)
-    powers = _power_table(r, max(sizes))
-    rows = [[r * 0] * n for _ in range(n)]
-    for h in range(n):
-        for e, mu in table[h].items():
-            rows[h][e] = powers[sizes[h] - sizes[e]] * mu
-    return PolyMatrix(poset, tuple(map(tuple, rows)))
+    """Inverse of J(r): entry(H, E) = mu(E, H) r^(|H| - |E|), at the same
+    keys E <= H of the Mobius table."""
+    return _on_mobius_keys(poset, r, True)
 
 
 def zeta_matrix(poset: "SubgraphPoset") -> PolyMatrix:

@@ -4,7 +4,7 @@ from typing import Sequence
 import pytest
 
 from groupcolor.graphs import EdgeSet, enumerate_poset
-from groupcolor.posetlin import PolyMatrix, _power_table, _ring_element
+from groupcolor.posetlin import PolyMatrix, RationalPoly, _power_table, _ring_element
 
 
 def low_positions(masks: list[int]) -> list[int]:
@@ -16,6 +16,14 @@ def low_positions(masks: list[int]) -> list[int]:
         top |= mask
     places = [n for n in range(top.bit_length()) if (top >> n) & 1]
     return [sum(1 << k for k, n in enumerate(places) if (mask >> n) & 1) for mask in masks]
+
+
+def compose(p: RationalPoly, inner: RationalPoly) -> RationalPoly:
+    """Substitute another polynomial for the variable."""
+    acc = RationalPoly.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * inner + RationalPoly.constant(c)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,15 @@ def test_cmd_matrix_blocks_and_bad_name(capsys):
     assert code == 2
 
 
+def test_cmd_matrix_point_is_refused_for_zeta_and_mobius(capsys):
+    for which, r in (("zeta", "2/3"), ("mobius", "5")):
+        assert main(["matrix", "--v", "3", "--which", which, "--r", r, "--format", "tsv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "J(1)" in err and "Traceback" not in err
+    code, _ = _run(capsys, ["matrix", "--v", "3", "--which", "zeta"])
+    assert code == 0
+
+
 def test_cmd_matrix_errata(capsys):
     code, data = _run_json(capsys, ["matrix", "--v", "4", "--which", "M", "--errata"])
     assert code == 0

@@ -158,6 +158,16 @@ def test_methods_agree_on_p4(p4, orders, build):
         assert gamma_fourier(member, allowed) == pytest.approx(float(exact), abs=1e-9)
 
 
+def test_cyclespace_takes_its_roots_from_the_spanning_forest(p4, monkeypatch):
+    def refuse(edge_set):
+        raise AssertionError("cycle_basis called")
+
+    monkeypatch.setattr(gamma_module, "cycle_basis", refuse)
+    for allowed in (allowed_interval(make_group([5]), 1), allowed_hamming(3, 1)):
+        for member in p4.members:
+            assert gamma_cyclespace(member, allowed) == gamma_bruteforce(member, allowed)
+
+
 def test_orientation_flip_gives_same_probability(k3_v3, c4_v4):
     # recompute brute force with every edge read high-to-low; symmetry of
     # the allowed set makes the answer identical

@@ -16,6 +16,7 @@ from groupcolor.graphs import (
     EdgeSet,
     _canonical_forms,
     _circuits,
+    _incident,
     _lattice_pass,
     _relabelings,
     bridgeless_cores,
@@ -71,6 +72,17 @@ def test_edgeset_rejects_bad_input():
         EdgeSet.from_text("v=3;edges=0x")
     with pytest.raises(ValueError):
         EdgeSet.from_text("edges=01")
+    with pytest.raises(ValueError, match="'x' is not key=value"):
+        EdgeSet.from_text("v=3;mask=0b111;x")
+
+
+@pytest.mark.parametrize("v", [*range(2, 41), 200])
+def test_incident_matches_the_per_pair_loop(v):
+    masks = [0] * v
+    for n, (a, b) in enumerate(vertex_pairs(v)):
+        masks[a] |= 1 << n
+        masks[b] |= 1 << n
+    assert _incident(v) == tuple(masks)
 
 
 def test_components_examples(k4_v4):

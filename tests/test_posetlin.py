@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groupcolor.posetlin as posetlin_module
 from groupcolor.cli import main
 from groupcolor.graphs import (
     EdgeSet,
@@ -28,6 +29,7 @@ from groupcolor.posetlin import (
 )
 
 from conftest import (
+    compose,
     low_positions,
     mobius_recursion,
     sign_diagonal,
@@ -79,13 +81,6 @@ def test_evaluation_is_horner_of_coefficients():
     x = Fraction(2, 3)
     naive = sum(c * x**k for k, c in enumerate(p.coeffs))
     assert p(x) == naive == Fraction(1 - Fraction(10, 3) + Fraction(40, 9) - Fraction(64, 27))
-
-
-def test_compose():
-    p = _vals(1, -5, 10, -8)
-    flip = _vals(1, -1)
-    assert p.compose(flip).compose(flip) == p
-    assert p.compose(flip)(Fraction(1, 3)) == p(Fraction(2, 3))
 
 
 def test_render_canonical_forms():
@@ -305,7 +300,7 @@ def test_transfer_empty_column_degree_and_constant_term(p4, k4_v4, c4_v4):
     m = transfer_at(p4, VARIABLE)
     for es in (EdgeSet.from_edges(4, [(0, 1), (0, 2), (1, 2)]), c4_v4, k4_v4):
         p = m.entry(p4.index_of(es), 0)
-        assert p.constant_term() == 1
+        assert p(0) == 1
         assert p.degree <= es.edge_count
 
 
@@ -314,7 +309,7 @@ def test_transfer_involution_symbolic(p3, p4):
     for poset in (p3, p4):
         m = transfer_at(poset, VARIABLE)
         m_flipped = transfer_at(poset, flip)
-        assert m_flipped.entries == tuple(tuple(x.compose(flip) for x in row) for row in m.entries)
+        assert m_flipped.entries == tuple(tuple(compose(x, flip) for x in row) for row in m.entries)
         assert (m @ m_flipped).is_identity()
 
 
@@ -381,6 +376,35 @@ def test_matrices_never_read_the_down_sets(monkeypatch, capsys):
     for which in ("zeta", "mobius", "J", "Jinv", "M"):
         assert main(["matrix", "--v", "4", "--which", which]) == 0
     assert capsys.readouterr().out
+
+
+def test_zeta_family_reads_the_cached_mobius_table(p4, monkeypatch):
+    # J(r) and J(r)^-1 take their pairs E <= H from the Mobius table's keys,
+    # so once the table is built no submask walk runs for them
+    mobius_table(p4)
+
+    def refuse(poset, h):
+        raise AssertionError("submask walk")
+
+    monkeypatch.setattr(posetlin_module, "_submasks_by_core", refuse)
+    for x in (Fraction(2, 7), VARIABLE):
+        assert weighted_zeta_at(p4, x).entries == weighted_zeta_on_down_sets(p4, x).entries
+        inverse = weighted_zeta_inverse_by_recursion(p4, x)
+        assert weighted_zeta_inverse_at(p4, x).entries == inverse.entries
+    assert zeta_matrix(p4).entries == weighted_zeta_on_down_sets(p4, 1).entries
+    assert mobius_matrix(p4).entries == weighted_zeta_inverse_by_recursion(p4, 1).entries
+
+
+def test_transfer_at_one_is_the_signed_mobius_function(p3, p4, p5):
+    # at r = 1 the transfer entry sums (-1)^|M| over the masks M <= H with
+    # core E, which is (-1)^|H| mu(E, H): the identity that ties the two
+    # aggregates of the submask walk together
+    for poset in (p3, p4, p5):
+        table = mobius_recursion(poset.down_sets)
+        m = transfer_at(poset, 1)
+        for h, top in enumerate(poset.sizes):
+            want = tuple((-1) ** top * table[h].get(e, 0) for e in range(len(poset)))
+            assert m.entries[h] == want
 
 
 @given(rationals)
