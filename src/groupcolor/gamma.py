@@ -559,8 +559,8 @@ _forest_counts_by_class: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
 def _per_class(memo: dict, kernel, edge_set: EdgeSet):
     # kernel(edge_set), computed once per isomorphism class for
     # v <= POSET_CAP. Above the cap the kernel runs on every call:
-    # the canonical form needs _relabelings(v), C(v, 2) v! entries, about
-    # 1.1M at v = 8 and 163M at v = 10.
+    # canonical_bits refuses v > POSET_CAP, whose relabeling table would
+    # hold C(v, 2) v! lanes, 163M at v = 10.
     v = edge_set.v
     if v > POSET_CAP:
         return kernel(edge_set)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, repeat
@@ -24,6 +26,14 @@ POSET_CAP = 6
 @lru_cache(maxsize=None)
 def vertex_pairs(v: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(v), 2))
+
+
+def _int_field(fields: dict[str, str], key: str, base: int) -> int:
+    # one integer field of EdgeSet.from_text, named in its error
+    try:
+        return int(fields[key], base)
+    except ValueError:
+        raise ValueError(f"edge set field {key}={fields[key]!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -60,11 +70,19 @@ class EdgeSet:
             if "=" not in part:
                 raise ValueError(f"edge set field {part!r} is not key=value: {text!r}")
         fields = dict(part.split("=", 1) for part in parts)
+        unknown = [key for key in fields if key not in ("v", "edges", "mask")]
+        if unknown:
+            names = ", ".join(map(repr, unknown))
+            raise ValueError(f"edge set text has unknown field(s) {names}: {text!r}")
+        if len(fields) < len(parts):
+            raise ValueError(f"edge set text repeats a field: {text!r}")
         if "v" not in fields:
             raise ValueError(f"edge set text needs a v= field: {text!r}")
-        v = int(fields["v"])
+        if "mask" in fields and "edges" in fields:
+            raise ValueError(f"edge set text takes edges= or mask=, not both: {text!r}")
+        v = _int_field(fields, "v", 10)
         if "mask" in fields:
-            return cls(v, int(fields["mask"], 0))
+            return cls(v, _int_field(fields, "mask", 0))
         if "edges" in fields:
             spec = fields["edges"].strip()
             edges = []
@@ -427,19 +445,19 @@ def enumerate_poset(v: int) -> SubgraphPoset:
 
 
 @lru_cache(maxsize=None)
-def _relabelings(v: int) -> tuple[tuple[int, ...], ...]:
-    """Column tables of the v! vertex relabelings: for each edge position n,
-    the bit of n's image under every permutation, in ``permutations`` order.
-    Built from one column of images per vertex, whole columns at a time."""
+def _relabelings(v: int) -> tuple[int, ...]:
+    """Packed column table of the v! vertex relabelings, v <= POSET_CAP:
+    for each edge position n, one int whose 16-bit lane k (native byte
+    order) is the bit of n's image under permutation k, in
+    ``permutations`` order. C(v, 2) <= 15 edge bits fit one lane. Built
+    from one column of images per vertex, whole columns at a time."""
     images = list(zip(*permutations(range(v))))  # images[a][k]: perm k's image of a
     bit_of = [0] * (v * v)  # bit_of[x * v + y]: the bit of the pair {x, y}
     for n, (a, b) in enumerate(vertex_pairs(v)):
         bit_of[a * v + b] = bit_of[b * v + a] = 1 << n
     scaled = [list(map(v.__mul__, column)) for column in images]
-    return tuple(
-        tuple(map(bit_of.__getitem__, map(add, scaled[a], images[b])))
-        for a, b in vertex_pairs(v)
-    )
+    columns = (map(bit_of.__getitem__, map(add, scaled[a], images[b])) for a, b in vertex_pairs(v))
+    return tuple(int.from_bytes(array("H", column), sys.byteorder) for column in columns)
 
 
 # per v, every mask whose orbit has been swept -> the minimum of that orbit
@@ -449,25 +467,32 @@ _canonical_forms: dict[int, dict[int, int]] = {}
 def canonical_bits(v: int, bits: int) -> int:
     """Minimum bitmask over all vertex relabelings; class representative.
 
-    On the first mask of a class, its whole orbit is swept at once: the
-    orbit is the OR of the ``_relabelings`` columns of its edges, one
-    ``map`` per edge, and every mask of the orbit is memoized with the
+    Only for v <= POSET_CAP: above it the relabeling table would hold
+    C(v, 2) v! lanes (163M at v = 10), so a larger v raises ValueError.
+
+    On the first mask of a class, its whole orbit is swept at once: one
+    big-int OR per edge of the mask over the packed ``_relabelings``
+    columns puts every image of the mask in its own lane, one decode reads
+    the lanes back, and every mask of the orbit is memoized with the
     orbit's minimum, so each later member of the class is one dict lookup.
     The memo keeps at most 2^C(v, 2) masks per v; over the members of P_6
     it holds at most their 13,667.
     """
+    if v > POSET_CAP:
+        raise ValueError(f"canonical forms need v <= {POSET_CAP}, got v={v}")
     if bits & (bits - 1) == 0:
         return min(bits, 1)  # no edge, or one edge relabeled onto (0, 1)
     forms = _canonical_forms.setdefault(v, {})
     canon = forms.get(bits)
     if canon is None:
-        columns = _relabelings(v)
-        first, *rest = [columns[n] for n in range(len(columns)) if (bits >> n) & 1]
-        orbit = first
-        for column in rest:
-            orbit = list(map(or_, orbit, column))
-        canon = min(orbit)
-        forms.update(dict.fromkeys(orbit, canon))
+        orbit = 0
+        for n, column in enumerate(_relabelings(v)):
+            if (bits >> n) & 1:
+                orbit |= column
+        lanes = array("H")
+        lanes.frombytes(orbit.to_bytes(2 * math.factorial(v), sys.byteorder))
+        canon = min(lanes)
+        forms.update(dict.fromkeys(lanes, canon))
     return canon
 
 
@@ -480,7 +505,11 @@ def _cycle_lengths(edge_set: EdgeSet) -> list[int] | None:
 
 
 def class_label(v: int, bits: int) -> str:
-    """Human name for the isomorphism class of a bridgeless edge set."""
+    """Human name for the isomorphism class of a bridgeless edge set.
+
+    A class with no name is labeled by its canonical form, so for it v must
+    be at most POSET_CAP (``canonical_bits`` raises ValueError above).
+    """
     es = EdgeSet(v, bits)
     e = es.edge_count
     if e == 0:

@@ -483,6 +483,21 @@ def test_cmd_chromatic_refuses_more_edges_than_k7(capsys):
     assert "cap of 21" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("v=3;edges=01;colour=2", "'colour'"),
+        ("v=x;edges=01", "v='x'"),
+        ("v=3;mask=zz", "mask='zz'"),
+        ("v=3;mask=0b111;edges=01", "not both"),
+    ],
+)
+def test_cmd_chromatic_edgeset_names_the_bad_field(capsys, text, named):
+    assert main(["chromatic", "--edgeset", text]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and named in err and "Traceback" not in err
+
+
 def test_cmd_chromatic_needs_target(capsys):
     code, _ = _run(capsys, ["chromatic"])
     assert code == 2

@@ -1045,7 +1045,7 @@ def test_per_class_memos_answer_relabeled_images(p5, monkeypatch):
 
 
 def test_per_class_memos_skip_canonical_forms_above_v6(monkeypatch):
-    # canonical_bits at v > 6 would build _relabelings(v), C(v, 2) v! entries
+    # canonical_bits refuses v > 6, so the memos must not ask it for a key
     monkeypatch.setattr(graphs_module, "_canonical_forms", {})
     triangle = [(0, 1), (1, 2), (0, 2)]
     k4_above = [(a, b) for a in range(4, 8) for b in range(a + 1, 8)]

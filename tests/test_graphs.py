@@ -3,6 +3,7 @@ deletion-contraction chromatic oracle, cross-checked against networkx."""
 
 import math
 import random
+import sys
 from itertools import combinations, permutations
 from math import comb
 from operator import add, or_, sub
@@ -74,6 +75,16 @@ def test_edgeset_rejects_bad_input():
         EdgeSet.from_text("edges=01")
     with pytest.raises(ValueError, match="'x' is not key=value"):
         EdgeSet.from_text("v=3;mask=0b111;x")
+    with pytest.raises(ValueError, match="unknown field.*'colour'"):
+        EdgeSet.from_text("v=3;edges=01;colour=2")
+    with pytest.raises(ValueError, match="field v='x' is not an integer"):
+        EdgeSet.from_text("v=x;edges=01")
+    with pytest.raises(ValueError, match="field mask='zz' is not an integer"):
+        EdgeSet.from_text("v=3;mask=zz")
+    with pytest.raises(ValueError, match="not both"):
+        EdgeSet.from_text("v=3;mask=0b111;edges=01")
+    with pytest.raises(ValueError, match="repeats a field"):
+        EdgeSet.from_text("v=3;v=4;edges=01")
 
 
 @pytest.mark.parametrize("v", [*range(2, 41), 200])
@@ -399,6 +410,13 @@ def _relabeled(v, bits, perm):
     return image
 
 
+def _lanes(column, v):
+    # the 16-bit lanes of one packed _relabelings column, lane k first
+    width = 2 * math.factorial(v)
+    data = column.to_bytes(width, sys.byteorder)
+    return [int.from_bytes(data[2 * k : 2 * k + 2], sys.byteorder) for k in range(width // 2)]
+
+
 @pytest.mark.parametrize("v", [3, 4, 5, 6])
 def test_relabelings_columns_match_permutation_loop(v):
     pairs = vertex_pairs(v)
@@ -408,7 +426,27 @@ def test_relabelings_columns_match_permutation_loop(v):
         tuple(_relabeled(v, 1 << n, perm) for n in range(len(pairs)))
         for perm in permutations(range(v))
     ]
-    assert list(zip(*columns)) == per_permutation
+    assert list(zip(*(_lanes(column, v) for column in columns))) == per_permutation
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 4, 5])
+def test_canonical_bits_matches_permutation_loop_on_every_mask(v):
+    _canonical_forms.clear()
+    for bits in range(1 << comb(v, 2)):
+        assert canonical_bits(v, bits) == _canonical_oracle(v, bits)
+
+
+def test_canonical_bits_refuses_v_above_the_cap():
+    _canonical_forms.pop(7, None)
+    # a triangle plus a pendant edge: no named class, so class_label needs
+    # the canonical form
+    bits = EdgeSet.from_edges(7, [(0, 1), (1, 2), (0, 2), (2, 3)]).bits
+    with pytest.raises(ValueError, match="v <= 6"):
+        canonical_bits(7, 0b11)
+    with pytest.raises(ValueError, match="v <= 6"):
+        class_label(7, bits)
+    assert 7 not in _canonical_forms
+    assert class_label(7, EdgeSet.from_edges(7, [(0, 1), (1, 2), (0, 2)]).bits) == "K3"
 
 
 def test_canonical_bits_does_not_depend_on_call_order(p6):
