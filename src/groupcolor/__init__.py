@@ -24,7 +24,6 @@ from .graphs import (
     SubgraphPoset,
     chromatic_oracle,
     components,
-    cycle_basis,
     enumerate_poset,
     girth,
     is_isthmus_free,

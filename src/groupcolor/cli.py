@@ -2,14 +2,15 @@
 probability vectors, reciprocity verification, chromatic cross-checks, and
 reproduction of the three bundled worked examples.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 work budget exceeded.
+Exit codes: 0 success, 1 verification failure, or stdout closed before the
+output was written, 2 usage or parse error, 3 work budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -107,6 +108,14 @@ def _split_set_items(body: str) -> list[str]:
     return [item.strip() for item in items if item.strip()]
 
 
+def _spec_int(text: str, spec: str) -> int:
+    # one number of an allowed-set spec, with the spec named in its error
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"allowed-set spec {spec!r}: {text.strip()!r} is not an integer") from None
+
+
 def parse_allowed_spec(spec: str, group: FiniteAbelianGroup) -> AllowedSet:
     """Grammar: "interval:k", "hamming:k", "nonzero", "set:{0,3}" with
     elements given as indices or residue tuples like (1,0)."""
@@ -114,11 +123,11 @@ def parse_allowed_spec(spec: str, group: FiniteAbelianGroup) -> AllowedSet:
     if spec == "nonzero":
         return allowed_complement_identity(group)
     if spec.startswith("interval:"):
-        return allowed_interval(group, int(spec.split(":", 1)[1]))
+        return allowed_interval(group, _spec_int(spec.split(":", 1)[1], spec))
     if spec.startswith("hamming:"):
         if any(n != 2 for n in group.cyclic_orders):
             raise ValueError("hamming allowed sets need a Z2^n group")
-        k = int(spec.split(":", 1)[1])
+        k = _spec_int(spec.split(":", 1)[1], spec)
         fresh = allowed_hamming(len(group.cyclic_orders), k)
         return AllowedSet(group, fresh.mask)
     if spec.startswith("set:{") and spec.endswith("}"):
@@ -126,9 +135,10 @@ def parse_allowed_spec(spec: str, group: FiniteAbelianGroup) -> AllowedSet:
         elements = []
         for item in _split_set_items(body):
             if item.startswith("(") and item.endswith(")"):
-                elements.append(tuple(int(t) for t in item[1:-1].split(",") if t.strip()))
+                residues = item[1:-1].split(",")
+                elements.append(tuple(_spec_int(t, spec) for t in residues if t.strip()))
             else:
-                elements.append(int(item))
+                elements.append(_spec_int(item, spec))
         return allowed_explicit(group, elements)
     raise ValueError(f"bad allowed-set spec {spec!r}")
 
@@ -664,8 +674,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("chromatic", help="transfer specialization vs deletion-contraction")
-    p.add_argument("--v", type=int, default=None)
-    p.add_argument("--edgeset", default=None, help='e.g. "v=4;edges=01,02,12"')
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--v", type=int)
+    target.add_argument("--edgeset", help='e.g. "v=4;edges=01,02,12"')
     _add_common(p, group_args=False)
     p.set_defaults(func=cmd_chromatic)
 
@@ -683,11 +694,14 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    if ns.command == "chromatic" and ns.v is None and ns.edgeset is None:
-        print("error: chromatic needs --v or --edgeset", file=sys.stderr)
-        return 2
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -29,7 +29,6 @@ from .graphs import (
     _spanning_forest,
     canonical_bits,
     components,
-    cycle_basis,
     girth,
     is_isthmus_free,
     vertex_pairs,
@@ -142,28 +141,46 @@ def gamma_cyclespace(
     return _count_colorings(edge_set, allowed, free, budget, "coboundary image too large")
 
 
+def _chord_flows(edge_set: EdgeSet) -> list[list[tuple[int, int]]]:
+    """The flows on E, free on the m chords (the edges off a spanning
+    forest): per edge of E in position order, the (chord index, sign) pairs
+    whose signed sum is that edge's value. A chord (a, b), a < b, runs from
+    a to b and carries +g; its fundamental cycle returns from b to a along
+    the forest, so a forest edge in path[b] carries +g and one in path[a]
+    carries -g, each read from the end whose forest path holds it."""
+    path, tree = _spanning_forest(edge_set.v, edge_set.bits)
+    pairs = vertex_pairs(edge_set.v)
+    flows = {n: [] for n in range(len(pairs)) if (edge_set.bits >> n) & 1}
+    chords = [n for n in flows if not (tree >> n) & 1]
+    for ci, n in enumerate(chords):
+        a, b = pairs[n]
+        up, down = (path[b] & ~path[a]) | (1 << n), path[a] & ~path[b]
+        for k, flow in flows.items():
+            if (up >> k) & 1:
+                flow.append((ci, 1))
+            elif (down >> k) & 1:
+                flow.append((ci, -1))
+    return list(flows.values())
+
+
 def gamma_fourier(
     edge_set: EdgeSet, allowed: AllowedSet, budget: int = DEFAULT_BUDGET
 ) -> float:
     """Character double sum over the dual cycle space; floating cross-check.
 
-    The kernel of the boundary map is enumerated through the fundamental
-    cycles of a spanning forest: f^(e - v + c) edge characters in total.
-    An imaginary residue above FOURIER_TOL means the kernel enumeration is
-    wrong.
+    The kernel of the boundary map is enumerated as the chord flows of a
+    spanning forest (_chord_flows): f^(e - v + c) edge characters in total.
+    How a forest edge is oriented does not matter: A = -A, so the factor
+    A^(p) of each edge is real and A^(p) = A^(-p). An imaginary residue
+    above FOURIER_TOL means the kernel enumeration is wrong.
     """
     group = allowed.group
     f = group.order
-    _, cycles = cycle_basis(edge_set)
-    m = len(cycles)
+    m = edge_set.edge_count - edge_set.v + components(edge_set)
     if f**m > budget:
         raise BudgetExceededError("dual cycle space too large", f**m, budget)
+    incidence = _chord_flows(edge_set)
     char_sums = [character_sum(allowed, p) for p in range(f)]
-    # for each edge position, the (cycle index, sign) pairs through it
-    incidence: list[list[tuple[int, int]]] = [[] for _ in range(edge_set.edge_count)]
-    for ci, cycle in enumerate(cycles):
-        for pos, sign in cycle:
-            incidence[pos].append((ci, sign))
     add = group.add
     neg = group.neg
     total = 0j

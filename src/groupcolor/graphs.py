@@ -59,7 +59,10 @@ class EdgeSet:
             if not 0 <= a < b < v:
                 raise ValueError(f"edge {(a, b)} out of range for v={v}")
             # the position of (a, b) in vertex_pairs(v)
-            bits |= 1 << (a * (2 * v - a - 1) // 2 + b - a - 1)
+            bit = 1 << (a * (2 * v - a - 1) // 2 + b - a - 1)
+            if bits & bit:
+                raise ValueError(f"edge {(a, b)} is repeated")
+            bits |= bit
         return cls(v, bits)
 
     @classmethod
@@ -183,42 +186,6 @@ def is_isthmus_free(edge_set: EdgeSet) -> bool:
         a, b = pairs[low.bit_length() - 1]
         covered |= path[a] ^ path[b]
     return covered == edge_set.bits
-
-
-def cycle_basis(
-    edge_set: EdgeSet,
-) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """Component roots and the fundamental cycles of a spanning forest.
-
-    Each cycle belongs to one non-tree edge (a, b), a < b, and is the closed
-    walk a -> b along it, then back to a along the forest. It is listed as
-    ((position in edges(), sign), ...) in position order, with sign +1 where
-    the walk runs from the lower to the higher end of the edge; the signed
-    sums at every vertex cancel, so the cycles span the cycle space.
-    """
-    v, bits = edge_set.v, edge_set.bits
-    path, tree = _spanning_forest(v, bits)
-    pairs = vertex_pairs(v)
-    indices = [n for n in range(len(pairs)) if (bits >> n) & 1]
-    cycles = []
-    for n in indices:
-        if (tree >> n) & 1:
-            continue
-        a, b = pairs[n]
-        back = path[a] ^ path[b]
-        cycle = []
-        for pos, m in enumerate(indices):
-            edge = 1 << m
-            if m == n:
-                cycle.append((pos, 1))
-            elif back & edge:
-                # the walk climbs from b and descends to a; it climbs an
-                # edge from its child end, the end whose path holds it
-                sign = 1 if path[pairs[m][0]] & edge else -1
-                cycle.append((pos, -sign if path[a] & edge else sign))
-        cycles.append(tuple(cycle))
-    roots = tuple(u for u in range(v) if not path[u])
-    return roots, tuple(cycles)
 
 
 def girth(edge_set: EdgeSet):

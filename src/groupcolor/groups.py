@@ -117,9 +117,6 @@ class FiniteAbelianGroup:
     def neg(self, a: int) -> int:
         return self._neg_table[a]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def __repr__(self):
         return f"FiniteAbelianGroup({list(self.cyclic_orders)})"
 

@@ -3,9 +3,14 @@ determinism of the emitted JSON."""
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +85,10 @@ def test_allowed_spec_rejects():
     # a residue tuple longer than the group's factor list is rejected, not cut
     argv = ["gamma", "--v", "3", "--group", "Z2^3", "--allowed", "set:{(1,0,0,1)}"]
     assert main(argv) == 2
+    # a number that is not an integer is named with its spec
+    for spec, group in (("interval:x", g5), ("set:{a}", g5), ("hamming:", make_group([2, 2]))):
+        with pytest.raises(ValueError, match=re.escape(f"spec {spec!r}: ")):
+            parse_allowed_spec(spec, group)
 
 
 def test_allowed_spec_canonical_render():
@@ -490,6 +499,7 @@ def test_cmd_chromatic_refuses_more_edges_than_k7(capsys):
         ("v=x;edges=01", "v='x'"),
         ("v=3;mask=zz", "mask='zz'"),
         ("v=3;mask=0b111;edges=01", "not both"),
+        ("v=3;edges=01,12,20,01", "edge (0, 1) is repeated"),
     ],
 )
 def test_cmd_chromatic_edgeset_names_the_bad_field(capsys, text, named):
@@ -499,8 +509,26 @@ def test_cmd_chromatic_edgeset_names_the_bad_field(capsys, text, named):
 
 
 def test_cmd_chromatic_needs_target(capsys):
-    code, _ = _run(capsys, ["chromatic"])
-    assert code == 2
+    # exactly one of --v and --edgeset
+    for argv, said in (
+        (["chromatic"], "one of the arguments --v --edgeset is required"),
+        (["chromatic", "--v", "3", "--edgeset", "v=3;edges=01,12,02"], "not allowed with"),
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and said in err and "Traceback" not in err
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "groupcolor.cli", "poset", "--v", "6"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
 
 
 def test_cmd_examples_all(capsys):

@@ -21,6 +21,7 @@ from groupcolor.gamma import (
     BudgetExceededError,
     GammaVector,
     _bridge_extension,
+    _chord_flows,
     _forest_counts,
     _superset_sums,
     apply_transfer,
@@ -38,11 +39,11 @@ from groupcolor.gamma import (
 )
 from groupcolor.graphs import (
     EdgeSet,
+    _spanning_forest,
     bridgeless_cores,
     bridgeless_subsets,
     chromatic_oracle,
     components,
-    cycle_basis,
     down_sets_of,
 )
 from groupcolor.groups import (
@@ -135,6 +136,7 @@ def test_fourier_c4_proper_three_colorings(c4_v4):
         ([6], lambda g: allowed_explicit(g, [0, 3])),
         # here the Fourier sum on P_4 depends on the signs of the cycles
         ([7], lambda g: allowed_explicit(g, [1, 2, 5, 6])),
+        ([2, 4], lambda g: allowed_explicit(g, [(1, 0), (0, 1), (0, 3)])),
     ],
 )
 def test_methods_agree_on_p4(p4, orders, build):
@@ -158,14 +160,16 @@ def test_methods_agree_on_p4(p4, orders, build):
         assert gamma_fourier(member, allowed) == pytest.approx(float(exact), abs=1e-9)
 
 
-def test_cyclespace_takes_its_roots_from_the_spanning_forest(p4, monkeypatch):
-    def refuse(edge_set):
-        raise AssertionError("cycle_basis called")
-
-    monkeypatch.setattr(gamma_module, "cycle_basis", refuse)
-    for allowed in (allowed_interval(make_group([5]), 1), allowed_hamming(3, 1)):
-        for member in p4.members:
-            assert gamma_cyclespace(member, allowed) == gamma_bruteforce(member, allowed)
+def test_fourier_matches_cyclespace_on_p5_mixed_group(p5):
+    # every member of nullity at most 3: f^m <= 512 flows each
+    allowed = allowed_explicit(make_group([2, 4]), [(1, 0), (0, 1), (0, 3)])
+    checked = 0
+    for member in p5.members:
+        if member.edge_count - member.v + components(member) <= 3:
+            exact = gamma_cyclespace(member, allowed)
+            assert gamma_fourier(member, allowed) == pytest.approx(float(exact), abs=1e-9)
+            checked += 1
+    assert checked == 258
 
 
 def test_orientation_flip_gives_same_probability(k3_v3, c4_v4):
@@ -186,37 +190,46 @@ def test_orientation_flip_gives_same_probability(k3_v3, c4_v4):
 
 
 def test_cycle_count_matches_nullity(p4):
+    # one flow list per edge, over m = e - v + c chords
     for member in p4.members:
-        roots, cycles = cycle_basis(member)
-        assert len(roots) == components(member)
-        assert len(cycles) == member.edge_count - member.v + components(member)
+        flows = _chord_flows(member)
+        assert len(flows) == member.edge_count
+        chords = {ci for flow in flows for ci, _ in flow}
+        assert chords == set(range(member.edge_count - member.v + components(member)))
 
 
 def test_fundamental_cycles_have_zero_boundary(p4):
+    # a chord (i, j), i < j, runs from i to j; a forest edge runs from the
+    # end whose forest path holds it towards the root
     group = make_group([3])
     f = group.order
     for member in p4.members:
         if member.edge_count == 0:
             continue
-        edges = member.edges()
-        _, cycles = cycle_basis(member)
-        m = len(cycles)
+        path, tree = _spanning_forest(member.v, member.bits)
+        ends = []
+        for i, j in member.edges():
+            bit = EdgeSet.from_edges(member.v, [(i, j)]).bits
+            ends.append((j, i) if tree & bit and path[j] & bit else (i, j))
+        flows = _chord_flows(member)
+        m = member.edge_count - member.v + components(member)
         kernel = set()
         for assignment in product(range(f), repeat=m):
-            p_vec = [0] * len(edges)
-            for g, cycle in zip(assignment, cycles):
-                for pos, sign in cycle:
+            p_vec = [0] * len(ends)
+            for pos, flow in enumerate(flows):
+                for ci, sign in flow:
+                    g = assignment[ci]
                     p_vec[pos] = group.add(p_vec[pos], g if sign > 0 else group.neg(g))
             p_vec = tuple(p_vec)
             kernel.add(p_vec)
             # boundary at each vertex: sum of incoming minus outgoing labels
             for u in range(member.v):
                 acc = 0
-                for pos, (i, j) in enumerate(edges):
-                    if j == u:
+                for pos, (tail, head) in enumerate(ends):
+                    if head == u:
                         acc = group.add(acc, p_vec[pos])
-                    if i == u:
-                        acc = group.sub(acc, p_vec[pos])
+                    if tail == u:
+                        acc = group.add(acc, group.neg(p_vec[pos]))
                 assert acc == 0
         assert len(kernel) == f**m
 
@@ -226,12 +239,11 @@ def test_coboundary_image_size(p4):
     # image has one element per coloring with every root fixed
     group = make_group([3])
     for member in p4.members:
-        roots, _ = cycle_basis(member)
         images = {
-            tuple(group.sub(coloring[j], coloring[i]) for i, j in member.edges())
+            tuple(group.add(coloring[j], group.neg(coloring[i])) for i, j in member.edges())
             for coloring in product(range(group.order), repeat=member.v)
         }
-        assert len(images) == group.order ** (member.v - len(roots))
+        assert len(images) == group.order ** (member.v - components(member))
 
 
 def test_budget_errors(k4_v4):

@@ -67,6 +67,12 @@ def test_edgeset_rejects_bad_input():
         EdgeSet.from_edges(3, [(0, 5)])
     with pytest.raises(ValueError):
         EdgeSet.from_edges(3, [(-1, 2)])
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is repeated"):
+        EdgeSet.from_edges(3, [(0, 1), (1, 2), (0, 1)])
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is repeated"):
+        EdgeSet.from_edges(3, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="repeated"):
+        EdgeSet.from_text("v=3;edges=01,12,20,01")
     with pytest.raises(ValueError):
         EdgeSet(3, 1 << 3)
     with pytest.raises(ValueError):
