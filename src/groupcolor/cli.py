@@ -15,7 +15,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, log10
 
 from .gamma import (
     BudgetExceededError,
@@ -38,6 +38,7 @@ from .graphs import (
     poset_to_json,
 )
 from .groups import (
+    MAX_GROUP_ORDER,
     AllowedSet,
     FiniteAbelianGroup,
     allowed_complement_identity,
@@ -56,14 +57,18 @@ from .posetlin import (
 )
 
 _GROUP_FACTOR = re.compile(r"^Z(\d+)(?:\^(\d+))?$")
+# the decimal exponent of a rational literal, as Fraction reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
 
 # the triangle, whose coordinate examples 2 and 3 tabulate
 _K3 = EdgeSet(3, 0b111)
 
 
 def parse_group_spec(spec: str) -> FiniteAbelianGroup:
-    """Grammar: "Z5", "Z2^4" (power), "Z3xZ9" (product), combinable."""
+    """Grammar: "Z5", "Z2^4" (power), "Z3xZ9" (product), combinable. An
+    order above MAX_GROUP_ORDER is refused before any power is expanded."""
     orders: list[int] = []
+    order = 1
     for token in spec.strip().split("x"):
         m = _GROUP_FACTOR.match(token.strip())
         if not m:
@@ -72,6 +77,12 @@ def parse_group_spec(spec: str) -> FiniteAbelianGroup:
         count = int(m.group(2)) if m.group(2) else 1
         if count < 1:
             raise ValueError(f"bad power in group factor {token!r}")
+        if n < 2:
+            raise ValueError(f"bad group factor {token!r}: cyclic orders must be >= 2")
+        # n^k passes the cap once 2^k does, so k is capped at its bit length
+        order *= n ** min(count, MAX_GROUP_ORDER.bit_length())
+        if order > MAX_GROUP_ORDER:
+            raise ValueError(f"group {spec.strip()!r} has order above the cap {MAX_GROUP_ORDER}")
         orders.extend([n] * count)
     return make_group(orders)
 
@@ -167,6 +178,16 @@ def _emit_tsv(header: list[str], rows: list[list]) -> None:
 
 
 def _rational(text: str) -> Fraction:
+    # Fraction builds 10^|e| for a decimal exponent e, about 10 s at e = 10^7;
+    # past the digit limit of int -> str the point itself cannot be printed
+    exponent = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if exponent and limit:
+        digits = exponent.group(1).lstrip("+-").replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or "0") > limit:
+            raise ValueError(
+                f"--r {text!r}: exponent past the {limit}-digit limit for printing an integer"
+            )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -225,6 +246,21 @@ def _check_dense_cells(poset, budget: int) -> int:
     return cells
 
 
+def _check_printable_point(r: Fraction, v: int) -> None:
+    # Every entry is an integer polynomial in r of degree d <= C(v, 2) whose
+    # coefficients are signed counts of edge masks, at most 2^d in absolute
+    # sum, so at r = p/q its numerator and denominator stay below
+    # (2 max(|p|, q))^d. Refuse a point where that bound could pass the digit
+    # limit of int -> str, which the rendering would hit after the build.
+    limit = sys.get_int_max_str_digits()
+    d = comb(v, 2)
+    if limit and d * log10(2 * max(abs(r.numerator), r.denominator)) >= limit:
+        raise ValueError(
+            f"--r is too large: entries at v={v} could reach (2 max(|p|, q))^{d}, "
+            f"over the {limit}-digit limit for printing an integer"
+        )
+
+
 def cmd_matrix(ns: argparse.Namespace) -> int:
     poset = enumerate_poset(ns.v)
     r = _rational(ns.r) if ns.r is not None else None
@@ -235,6 +271,8 @@ def cmd_matrix(ns: argparse.Namespace) -> int:
         raise ValueError("--errata applies to the symbolic transfer matrix at v=4")
     if r is not None and ns.which in ("zeta", "mobius"):
         raise ValueError(f"--r does not apply to --which {ns.which}: zeta is J(1), mobius J(1)^-1")
+    if r is not None:
+        _check_printable_point(r, ns.v)
     matrix = _MATRIX_BUILDERS[ns.which](poset, VARIABLE if r is None else r)
     rows = matrix.render_rows(paper_order=ns.paper_order)
     payload = {
@@ -242,10 +280,7 @@ def cmd_matrix(ns: argparse.Namespace) -> int:
         "which": ns.which,
         "paper_order": ns.paper_order,
         "r": str(r) if r is not None else None,
-        "order": [
-            member.bits
-            for member in (reversed(poset.members) if ns.paper_order else poset.members)
-        ],
+        "order": list(reversed(poset.masks) if ns.paper_order else poset.masks),
         "entries": rows,
     }
     if ns.blocks:

@@ -6,7 +6,8 @@ chromatic specialization.
 For an edge set E and a symmetric allowed set A, the E coordinate is the
 probability that a uniformly random coloring of the vertices has every edge
 difference inside A. Exact rational arithmetic everywhere except the
-Fourier cross-check, which is floating point by design.
+Fourier cross-check, which is floating point by design. Only the per-member
+methods and the rendered edges read the poset's members as EdgeSets.
 """
 
 from __future__ import annotations
@@ -338,7 +339,7 @@ def gamma_vector(
         counts = _difference_histogram(v, allowed, budget)
         _superset_sums(counts, comb(v, 2))
         total = allowed.group.order ** (v - 1)
-        values = _shared_fractions(poset, _on_members(poset, counts), total)
+        values = _fractions(poset, counts, total)
         return GammaVector(poset, values, "histogram", counts)
     check_method_budget(poset.members, allowed, method, budget)
     fn = METHODS[method]
@@ -392,8 +393,8 @@ def _scaled(gamma: GammaVector, q: int) -> tuple[list[int], int]:
     common = lcm(*(x.denominator for x in gamma.values))
     poset = gamma.poset
     scaled = [0] * len(poset.cores[1])
-    for member, x in zip(poset.members, gamma.values):
-        scaled[member.bits] = x.numerator * (common // x.denominator) * q**member.edge_count
+    for mask, size, x in zip(poset.masks, poset.sizes, gamma.values):
+        scaled[mask] = x.numerator * (common // x.denominator) * q**size
     return scaled, common
 
 
@@ -411,21 +412,18 @@ def _histogram_inverse(gamma: GammaVector, alpha: Fraction) -> list[int]:
 
 def _negate_odd_sizes(poset: SubgraphPoset, ys: list[int]) -> None:
     # (-1)^|H| ys[H] in place at every member H; ys vanishes off them
-    for mask in (m.bits for m in poset.members if m.edge_count & 1):
-        ys[mask] = -ys[mask]
+    for mask, size in zip(poset.masks, poset.sizes):
+        if size & 1:
+            ys[mask] = -ys[mask]
 
 
-def _on_members(poset: SubgraphPoset, ys: list[int]) -> list[int]:
-    # ys at the members' masks, in member order
-    return list(map(ys.__getitem__, poset.index_by_mask))
-
-
-def _shared_fractions(poset: SubgraphPoset, numerators: list[int], common: int, q: int = 1) -> tuple:
-    # Fraction(numerators[i], common q^|H|) for member i = H. The members
-    # come in runs of one size, so one denominator; in each run one Fraction
-    # is made per distinct numerator and shared, since the values of an
-    # isomorphism class repeat (16 classes among the 314 members of P_5).
+def _fractions(poset: SubgraphPoset, ys: list[int], common: int, q: int = 1) -> tuple:
+    # Fraction(ys[H], common q^|H|) at each member H, in member order. The
+    # members come in runs of one size, so one denominator; in each run one
+    # Fraction is made per distinct numerator and shared, since the values
+    # of an isomorphism class repeat (16 classes among the 314 members of P_5).
     sizes = poset.sizes
+    numerators = list(map(ys.__getitem__, poset.masks))
     out = []
     while len(out) < len(sizes):
         size = sizes[len(out)]
@@ -434,11 +432,6 @@ def _shared_fractions(poset: SubgraphPoset, numerators: list[int], common: int, 
         made = {n: Fraction(n, denominator) for n in set(chunk)}
         out += map(made.__getitem__, chunk)
     return tuple(out)
-
-
-def _fractions(poset: SubgraphPoset, ys: list[int], common: int, q: int) -> tuple:
-    # one Fraction(Y_H, L q^|H|) per member H
-    return _shared_fractions(poset, _on_members(poset, ys), common, q)
 
 
 def gamma_plus(gamma: GammaVector, alpha: Fraction) -> GammaVector:
@@ -529,11 +522,10 @@ def verify_reciprocity(
     ys_a = _histogram_inverse(g_a, allowed.alpha)
     ys_bar = _histogram_inverse(g_bar, allowed.alpha_bar)
     _negate_odd_sizes(poset, ys_bar)
-    nums_a, nums_bar = _on_members(poset, ys_a), _on_members(poset, ys_bar)
     common = allowed.group.order ** (poset.v - 1)
     q = allowed.alpha.denominator
-    lhs = _shared_fractions(poset, nums_a, common, q)
-    rhs = lhs if nums_a == nums_bar else _shared_fractions(poset, nums_bar, common, q)
+    lhs = _fractions(poset, ys_a, common, q)
+    rhs = lhs if ys_a == ys_bar else _fractions(poset, ys_bar, common, q)
     return ReciprocityReport(poset, allowed.alpha, lhs, rhs, g_a, g_bar)
 
 

@@ -1,5 +1,6 @@
 """Labeled graphs on a fixed vertex set, stored as edge bitmasks, and the
-poset of bridgeless (isthmus-free) edge sets ordered by inclusion.
+poset of bridgeless (isthmus-free) edge sets ordered by inclusion, held as
+its member masks and the core table of K_v they were read from.
 
 Edge index order is lexicographic on pairs (i, j) with i < j, 0-based, so
 bitmask encodings are stable across runs. Isolated vertices always count
@@ -12,7 +13,7 @@ import json
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, repeat
 from math import comb
@@ -215,20 +216,27 @@ class SubgraphPoset:
 
     The sort order is a linear extension of inclusion: if E is a subset of
     H then index(E) <= index(H). The empty graph is always member 0.
+    ``cores`` is the ``bridgeless_cores`` of K_v whose fixed points are the
+    ``masks``; equality and hashing read ``v`` and ``masks`` only.
     """
 
     v: int
-    members: tuple[EdgeSet, ...]
+    masks: tuple[int, ...]
+    cores: tuple[list[int], array] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.masks)
 
     def __iter__(self):
         return iter(self.members)
 
     @cached_property
+    def members(self) -> tuple[EdgeSet, ...]:
+        return tuple(EdgeSet(self.v, mask) for mask in self.masks)
+
+    @cached_property
     def index_by_mask(self) -> dict[int, int]:
-        return {m.bits: i for i, m in enumerate(self.members)}
+        return {mask: i for i, mask in enumerate(self.masks)}
 
     def index_of(self, edge_set: EdgeSet) -> int:
         if edge_set.v != self.v:
@@ -239,7 +247,7 @@ class SubgraphPoset:
             raise ValueError(f"{edge_set!r} is not isthmus-free") from None
 
     def leq(self, i: int, j: int) -> bool:
-        return self.members[i].bits & ~self.members[j].bits == 0
+        return self.masks[i] & ~self.masks[j] == 0
 
     @cached_property
     def down_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -248,12 +256,7 @@ class SubgraphPoset:
 
     @cached_property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(m.edge_count for m in self.members)
-
-    @cached_property
-    def cores(self) -> tuple[list[int], list[int]]:
-        """``bridgeless_cores`` of K_v: every edge mask's bridgeless core."""
-        return bridgeless_cores(self.v, (1 << comb(self.v, 2)) - 1)
+        return tuple(map(int.bit_count, self.masks))
 
 
 def _lattice_pass(values: list, bits: int, op, scale: int = 1) -> None:
@@ -310,7 +313,7 @@ def _circuits(v: int, bits: int) -> list[int]:
     return found
 
 
-def bridgeless_cores(v: int, bits: int) -> tuple[list[int], list[int]]:
+def bridgeless_cores(v: int, bits: int) -> tuple[list[int], array]:
     """The bridgeless core of every subset of the edge set ``bits``: the
     union of the cycles inside it, which is the subset minus its bridges.
 
@@ -318,7 +321,7 @@ def bridgeless_cores(v: int, bits: int) -> tuple[list[int], list[int]]:
     edge of ``bits``. ``core`` is seeded with C at every cycle C (from
     ``_circuits``) and then ORed over subsets in one Yates pass, so
     ``core[M]`` is the OR of the cycles inside M, and M is bridgeless iff
-    ``core[M] == M``.
+    ``core[M] == M``. The table is an ``array('I')``, 4 bytes a mask.
     """
     places = [n for n in range(bits.bit_length()) if (bits >> n) & 1]
     local = {1 << n: 1 << k for k, n in enumerate(places)}
@@ -331,17 +334,15 @@ def bridgeless_cores(v: int, bits: int) -> tuple[list[int], list[int]]:
             mask |= local[low]
         core[mask] = mask
     _lattice_pass(core, len(places), or_)
-    return places, core
+    return places, array("I", core)
 
 
-def bridgeless_subsets(v: int, bits: int) -> list[int]:
-    """Bitmasks of every bridgeless subset of the edge set ``bits`` on v
-    vertices, sorted by (edge count, mask): a linear extension of inclusion
-    with the empty set first. They are the masks equal to their
-    ``bridgeless_cores``, spread back onto the edge positions."""
-    places, core = bridgeless_cores(v, bits)
+def _fixed_points(places: list[int], core: array) -> list[int]:
+    """The masks equal to their ``bridgeless_cores`` core, spread back onto
+    the edge positions and sorted by (edge count, mask): a linear extension
+    of inclusion with the empty set first."""
     found = [mask for mask, kept in enumerate(core) if kept == mask]
-    if bits & (bits + 1):  # not the lowest positions: spread the local masks
+    if places != list(range(len(places))):  # not the lowest positions: spread the local masks
         spread = [0] * len(core)
         for k, n in enumerate(places):
             spread[1 << k] = 1 << n
@@ -349,6 +350,12 @@ def bridgeless_subsets(v: int, bits: int) -> list[int]:
         found = [spread[mask] for mask in found]
     found.sort(key=lambda m: (m.bit_count(), m))
     return found
+
+
+def bridgeless_subsets(v: int, bits: int) -> list[int]:
+    """Bitmasks of every bridgeless subset of the edge set ``bits`` on v
+    vertices, sorted by (edge count, mask): the fixed points of its cores."""
+    return _fixed_points(*bridgeless_cores(v, bits))
 
 
 def down_sets_of(index: dict[int, int]) -> tuple[tuple[int, ...], ...]:
@@ -407,8 +414,8 @@ def enumerate_poset(v: int) -> SubgraphPoset:
     """Enumerate every bridgeless edge set on v labeled vertices, 2 <= v <= POSET_CAP."""
     if not 2 <= v <= POSET_CAP:
         raise ValueError(f"v must be in 2..{POSET_CAP}, got {v}")
-    complete = (1 << comb(v, 2)) - 1
-    return SubgraphPoset(v, tuple(EdgeSet(v, m) for m in bridgeless_subsets(v, complete)))
+    places, core = bridgeless_cores(v, (1 << comb(v, 2)) - 1)
+    return SubgraphPoset(v, tuple(_fixed_points(places, core)), (places, core))
 
 
 @lru_cache(maxsize=None)
@@ -504,9 +511,9 @@ def iso_class_blocks(poset: SubgraphPoset) -> list[tuple[str, tuple[int, ...]]]:
     canonical bitmask, so the complete graph is first and empty is last.
     """
     groups: dict[int, list[int]] = {}
-    for i, member in enumerate(poset.members):
-        groups.setdefault(canonical_bits(poset.v, member.bits), []).append(i)
-    keyed = sorted(groups.items(), key=lambda kv: (-EdgeSet(poset.v, kv[0]).edge_count, kv[0]))
+    for i, mask in enumerate(poset.masks):
+        groups.setdefault(canonical_bits(poset.v, mask), []).append(i)
+    keyed = sorted(groups.items(), key=lambda kv: (-kv[0].bit_count(), kv[0]))
     return [(class_label(poset.v, canon), tuple(idxs)) for canon, idxs in keyed]
 
 
@@ -567,5 +574,5 @@ def poset_rows(poset: SubgraphPoset) -> list[dict]:
 
 def poset_to_json(poset: SubgraphPoset) -> str:
     return json.dumps(
-        {"v": poset.v, "count": len(poset.members), "members": poset_rows(poset)}, indent=2
+        {"v": poset.v, "count": len(poset), "members": poset_rows(poset)}, indent=2
     )

@@ -5,7 +5,8 @@ and the reciprocity transfer matrix built from it.
 Each builder takes the point r as an exact rational or as a RationalPoly;
 passing VARIABLE gives the symbolic matrix, and every matrix is a PolyMatrix
 whose entries live in the ring r came from. Every builder reads one walk
-over the edge masks M inside a member H, each with its bridgeless core:
+over the edge masks M inside a member mask H, each with its bridgeless core
+from the table the poset was enumerated with, and never an EdgeSet:
 mu(E, H) and the transfer entry M(r)(H, E) are signed sums over the masks
 with core E. J(r) and J(r)^-1 read the Mobius table's keys at H, the E <= H,
 so J(r) sets r^(|H| - |M|) where M is its own core. No builder reads the
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graphs import SubgraphPoset
@@ -225,10 +226,6 @@ class PolyMatrix:
             rows.append(tuple(out))
         return PolyMatrix(self.poset, tuple(rows))
 
-    def apply(self, vector: Sequence) -> tuple:
-        """The image M x: (M x)_H = sum over E of entry(H, E) x_E."""
-        return tuple(sum(x * vector[e] for e, x in enumerate(row) if x) for row in self.entries)
-
     def render_rows(self, var: str = "r", paper_order: bool = False) -> list[list[str]]:
         """Rows of entry strings; paper_order lists the complete graph first
         (reversed linear extension) for side-by-side comparison."""
@@ -245,10 +242,10 @@ class PolyMatrix:
 
 def _submasks_by_core(poset: "SubgraphPoset", h: int):
     """(index of core M, |M|) for every edge mask M inside member h, with
-    core M from ``bridgeless_cores``."""
+    core M from the poset's stored ``cores`` table."""
     _, core = poset.cores
     index = poset.index_by_mask
-    top = poset.members[h].bits
+    top = poset.masks[h]
     m = top
     while True:
         yield index[core[m]], m.bit_count()

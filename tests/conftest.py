@@ -18,6 +18,11 @@ def low_positions(masks: list[int]) -> list[int]:
     return [sum(1 << k for k, n in enumerate(places) if (mask >> n) & 1) for mask in masks]
 
 
+def apply(matrix: PolyMatrix, vector: Sequence) -> tuple:
+    """The image M x: (M x)_H = sum over E of entry(H, E) x_E."""
+    return tuple(sum(x * vector[e] for e, x in enumerate(row) if x) for row in matrix.entries)
+
+
 def compose(p: RationalPoly, inner: RationalPoly) -> RationalPoly:
     """Substitute another polynomial for the variable."""
     acc = RationalPoly.zero()

@@ -62,6 +62,17 @@ def test_group_spec_rejects():
             parse_group_spec(bad)
 
 
+def test_group_spec_over_the_cap_is_refused_before_it_is_built(capsys):
+    # the order is checked factor by factor, so the power is never expanded
+    start = time.perf_counter()
+    code = main(["verify", "--v", "3", "--group", "Z2^400000", "--allowed", "nonzero"])
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "'Z2^400000'" in err and "4096" in err and "Traceback" not in err
+    assert parse_group_spec("Z2^12").cyclic_orders == (2,) * 12
+
+
 def test_allowed_spec_parsing():
     g5 = make_group([5])
     assert parse_allowed_spec("interval:1", g5).indices() == (2, 3)
@@ -176,6 +187,20 @@ def test_cmd_matrix_point_is_refused_for_zeta_and_mobius(capsys):
     assert code == 0
 
 
+def test_cmd_matrix_point_too_large_to_print_is_refused_up_front(capsys):
+    # entries of degree C(4, 2) = 6 at these points would pass the default
+    # 4300-digit limit for printing an integer; the last two are refused
+    # before Fraction builds 10^(10^8)
+    for r in ("1e1000000", "-1e800", "1e100000000", "1e-100000000"):
+        start = time.perf_counter()
+        code = main(["matrix", "--v", "4", "--which", "M", f"--r={r}"])
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        limit = sys.get_int_max_str_digits()
+        assert "--r" in err and f"{limit}-digit" in err and "Traceback" not in err
+
+
 def test_cmd_matrix_errata(capsys):
     code, data = _run_json(capsys, ["matrix", "--v", "4", "--which", "M", "--errata"])
     assert code == 0
@@ -255,6 +280,8 @@ GOLDEN_STDOUT = {
     "matrix --v 5 --which M --r 2/3": "d415b4d0a6066999662aa7705ec2f96aa0ba3c7be6de8f2085809050a1000601",
     "matrix --v 5 --which M": "62b4bdde2b1df6df232442fff7ed5b78ae0987226c092168acba260b92832d93",
     "poset --v 4 --format tsv": "5575f2d8780fbe9cdd10d781aa5eae27bda8389e95e425577a8e6a4813d70a04",
+    "poset --v 5": "1b11c3272dbe4e5f521d0bb3429bf7121935aa3468d16c6faa26316e21876406",
+    "poset --v 6 --format tsv": "4b1f2ea629aee0093fa202eba98458a54da7bbe145e7de7b5a5f867b99548cb4",
     "chromatic --v 5": "eedfe0874b95720db72ec0c554ca8544c68d905963a8b2efe79c5ba40b299a3c",
     "chromatic --v 6": "0c2221a79523532c030b4686b82e451d377f63b87111046f438e6ea49dab694b",
     "examples --which all": "39c10a7fffd69886a24167f486f72b0812eed1013f167d04d850272f14255598",

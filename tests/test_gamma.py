@@ -8,6 +8,7 @@ oracle shares no code with the library paths it checks.
 
 import random
 import time
+from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -54,9 +55,9 @@ from groupcolor.groups import (
     allowed_interval,
     make_group,
 )
-from groupcolor.posetlin import RationalPoly, weighted_zeta_at
+from groupcolor.posetlin import RationalPoly, mobius_table, transfer_at, weighted_zeta_at
 
-from conftest import low_positions, mobius_recursion
+from conftest import apply, low_positions, mobius_recursion
 
 
 def _triangle_value(orders, allowed_residues) -> Fraction:
@@ -520,7 +521,7 @@ def test_gamma_plus_reconstruction(p4):
     allowed = allowed_hamming(3, 1)
     vec = gamma_vector(p4, allowed)
     plus = gamma_plus(vec, allowed.alpha)
-    back = weighted_zeta_at(p4, allowed.alpha).apply(plus.values)
+    back = apply(weighted_zeta_at(p4, allowed.alpha), plus.values)
     assert back == vec.values
 
 
@@ -712,22 +713,40 @@ def test_bridge_extension_matches_the_histogram_at_every_mask(request, v, name):
         ]
 
 
-def test_gamma_plus_checks_the_bridged_masks_vanish(p4, monkeypatch):
+def test_gamma_plus_checks_the_bridged_masks_vanish(p4):
     # cores that call the member K4 bridged, its core K4 minus its top edge:
     # the extension drops K4's own value, and the inverse is nonzero there
-    real = graphs_module.bridgeless_cores
-
-    def broken(v, bits):
-        places, core = real(v, bits)
-        core[-1] ^= 1 << (len(places) - 1)
-        return places, core
-
-    monkeypatch.setattr(graphs_module, "bridgeless_cores", broken)
-    poset = graphs_module.SubgraphPoset(4, p4.members)  # its cores not yet cached
+    places, core = p4.cores
+    broken = array("I", core)
+    broken[-1] ^= 1 << (len(places) - 1)
+    poset = graphs_module.SubgraphPoset(4, p4.masks, (places, broken))
     values = gamma_vector(p4, allowed_interval(make_group([7]), 1)).values
     vec = GammaVector(poset, values, "histogram")
     with pytest.raises(ArithmeticError, match="bridged EdgeSet\\(v=4;edges=01,02,03,12,13,23\\)"):
         gamma_plus(vec, Fraction(1, 3))
+
+
+def test_the_poset_keeps_the_one_cores_table_it_was_built_from(monkeypatch):
+    # enumerate_poset computes the cores of K_v once, and every path that
+    # reads cores afterwards reads that table; none builds the EdgeSets
+    calls = []
+    real = graphs_module.bridgeless_cores
+
+    def spy(v, bits):
+        calls.append((v, bits))
+        return real(v, bits)
+
+    monkeypatch.setattr(graphs_module, "bridgeless_cores", spy)
+    poset = graphs_module.enumerate_poset(4)
+    assert calls == [(4, (1 << 6) - 1)]
+    allowed = allowed_interval(make_group([7]), 1)
+    transfer_at(poset, allowed.alpha_bar)
+    mobius_table.__wrapped__(poset)  # past the cache, which P_4 may have filled
+    gamma_plus(gamma_vector(poset, allowed), allowed.alpha)
+    apply_transfer(poset, allowed.alpha_bar, gamma_vector(poset, allowed.complement()))
+    verify_reciprocity(poset, allowed)
+    assert len(calls) == 1
+    assert "members" not in vars(poset)
 
 
 def test_reciprocity_checks_the_fourier_lemma_on_the_histogram(p4, monkeypatch):
@@ -746,16 +765,11 @@ def test_reciprocity_checks_the_fourier_lemma_on_the_histogram(p4, monkeypatch):
         verify_reciprocity(p4, allowed_interval(make_group([7]), 1))
 
 
-def test_histogram_reciprocity_reads_no_cores(p4, monkeypatch):
+def test_histogram_reciprocity_reads_no_cores(p4):
     allowed = allowed_interval(make_group([7]), 1)
     by_cycle = gamma_vector(p4, allowed, "cycle")
     plus_by_cycle = gamma_plus(by_cycle, allowed.alpha)  # the extension route, with cores
-
-    def refuse(v, bits):
-        raise AssertionError("bridgeless_cores called")
-
-    monkeypatch.setattr(graphs_module, "bridgeless_cores", refuse)
-    poset = graphs_module.SubgraphPoset(4, p4.members)  # its cores not yet cached
+    poset = graphs_module.SubgraphPoset(4, p4.masks, None)  # no cores to read
     report = verify_reciprocity(poset, allowed)
     assert report.ok
     assert report.rhs is report.lhs  # equal integer numerators share one tuple

@@ -12,6 +12,7 @@ from groupcolor.cli import main
 from groupcolor.graphs import (
     EdgeSet,
     SubgraphPoset,
+    bridgeless_cores,
     bridgeless_subsets,
     down_sets_of,
     enumerate_poset,
@@ -29,6 +30,7 @@ from groupcolor.posetlin import (
 )
 
 from conftest import (
+    apply,
     compose,
     low_positions,
     mobius_recursion,
@@ -176,17 +178,18 @@ def test_mobius_table_matches_quadratic_oracle(p3, p4, p5):
 
 
 def test_interval_mobius_matches_quadratic_oracle():
+    k6_cores = bridgeless_cores(6, (1 << 15) - 1)
     for edges in _V6_MEMBERS:
         member = EdgeSet.from_edges(6, edges)
         assert member.edge_count <= 10
         # on the lowest edge positions, where down_sets_of takes them
         masks = low_positions(bridgeless_subsets(6, member.bits))
-        interval = SubgraphPoset(6, tuple(EdgeSet(6, m) for m in masks))
+        interval = SubgraphPoset(6, tuple(masks), None)  # the oracle reads no cores
         table = mobius_recursion(down_sets_of({m: i for i, m in enumerate(masks)}))
         assert list(table) == _mobius_oracle(interval)
         # the library's walk on the interval in place, in the same order
-        in_place = tuple(EdgeSet(6, m) for m in bridgeless_subsets(6, member.bits))
-        assert mobius_table(SubgraphPoset(6, in_place)) == table
+        in_place = SubgraphPoset(6, tuple(bridgeless_subsets(6, member.bits)), k6_cores)
+        assert mobius_table(in_place) == table
 
 
 def test_zeta_times_mobius_is_identity(p3, p4, p5):
@@ -319,7 +322,7 @@ def test_transfer_at_zero_and_half(p4):
     assert m0.entries == j1_signed.entries
 
     ones = [Fraction(1)] * len(p4)
-    image = transfer_at(p4, Fraction(1, 2)).apply(ones)
+    image = apply(transfer_at(p4, Fraction(1, 2)), ones)
     assert image[0] == 1
 
 
@@ -360,7 +363,8 @@ def test_matrices_never_read_the_down_sets(monkeypatch, capsys):
     monkeypatch.setattr(SubgraphPoset, "down_sets", property(refuse))
     mobius_table.cache_clear()
     for v in (3, 4):
-        poset = SubgraphPoset(v, enumerate_poset(v).members)
+        fresh = enumerate_poset(v)
+        poset = SubgraphPoset(v, fresh.masks, fresh.cores)
         ones = [Fraction(1)] * len(poset)
         for x in (Fraction(2, 7), VARIABLE):
             j, inverse, m = (
@@ -370,7 +374,7 @@ def test_matrices_never_read_the_down_sets(monkeypatch, capsys):
             )
             assert (j @ inverse).is_identity()
             assert (m @ transfer_at(poset, 1 - x)).is_identity()
-            assert m.apply(ones)[0] == x**0
+            assert apply(m, ones)[0] == x**0
         assert (zeta_matrix(poset) @ mobius_matrix(poset)).is_identity()
         assert mobius_table(poset)[0] == {0: 1}
     for which in ("zeta", "mobius", "J", "Jinv", "M"):
