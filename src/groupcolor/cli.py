@@ -67,22 +67,34 @@ _K3 = EdgeSet(3, 0b111)
 def parse_group_spec(spec: str) -> FiniteAbelianGroup:
     """Grammar: "Z5", "Z2^4" (power), "Z3xZ9" (product), combinable. An
     order above MAX_GROUP_ORDER is refused before any power is expanded."""
+    spec = spec.strip()
+    over_cap = f"group {spec!r} has order above the cap {MAX_GROUP_ORDER}"
+
+    def number(digits: str) -> int:
+        # a number with more digits than the cap is over it, and so is such a
+        # power of an order >= 2; refused here, as int would refuse a string
+        # past the interpreter's digit limit with a message naming no spec
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_GROUP_ORDER)):
+            raise ValueError(over_cap)
+        return int(digits)
+
     orders: list[int] = []
     order = 1
-    for token in spec.strip().split("x"):
+    for token in spec.split("x"):
         m = _GROUP_FACTOR.match(token.strip())
         if not m:
             raise ValueError(f"bad group factor {token!r} (want e.g. Z5, Z2^4)")
-        n = int(m.group(1))
-        count = int(m.group(2)) if m.group(2) else 1
-        if count < 1:
-            raise ValueError(f"bad power in group factor {token!r}")
+        n = number(m.group(1))
         if n < 2:
             raise ValueError(f"bad group factor {token!r}: cyclic orders must be >= 2")
+        count = number(m.group(2)) if m.group(2) else 1
+        if count < 1:
+            raise ValueError(f"bad power in group factor {token!r}")
         # n^k passes the cap once 2^k does, so k is capped at its bit length
         order *= n ** min(count, MAX_GROUP_ORDER.bit_length())
         if order > MAX_GROUP_ORDER:
-            raise ValueError(f"group {spec.strip()!r} has order above the cap {MAX_GROUP_ORDER}")
+            raise ValueError(over_cap)
         orders.extend([n] * count)
     return make_group(orders)
 
@@ -347,8 +359,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         "allowed": render_allowed_spec(ns.allowed),
         **report.to_dict(),
     }
-    passed = sum(1 for c in payload["coordinates"] if c["equal"])
-    payload["summary"] = f"{'PASS' if report.ok else 'FAIL'} {passed}/{len(poset)}"
+    payload["summary"] = f"{'PASS' if report.ok else 'FAIL'} {report.passed}/{len(poset)}"
     if ns.format == "tsv":
         _emit_tsv(
             ["mask", "lhs", "rhs", "equal"],

@@ -16,6 +16,7 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress, product, repeat
 from math import comb, lcm
 from numbers import Rational
@@ -463,9 +464,13 @@ class ReciprocityReport:
     gamma: GammaVector
     gamma_complement: GammaVector
 
-    @property
+    @cached_property
     def per_coordinate(self) -> tuple[bool, ...]:
         return tuple(a == b for a, b in zip(self.lhs, self.rhs))
+
+    @property
+    def passed(self) -> int:
+        return sum(self.per_coordinate)
 
     @property
     def ok(self) -> bool:
@@ -483,7 +488,7 @@ class ReciprocityReport:
                     "edges": member.to_text(),
                     "lhs": str(self.lhs[i]),
                     "rhs": str(self.rhs[i]),
-                    "equal": self.lhs[i] == self.rhs[i],
+                    "equal": self.per_coordinate[i],
                 }
             )
         return {

@@ -192,11 +192,14 @@ class AllowedSet:
 
 
 def make_group(cyclic_orders) -> FiniteAbelianGroup:
-    """Build a product of cyclic groups; rejects orders < 2 and orders above
-    MAX_GROUP_ORDER."""
+    """Build a product of cyclic groups; rejects cyclic orders < 2, and a
+    group order above MAX_GROUP_ORDER as soon as the running product passes it."""
     group = FiniteAbelianGroup(tuple(int(n) for n in cyclic_orders))
-    if group.order > MAX_GROUP_ORDER:
-        raise ValueError(f"group order {group.order} exceeds cap {MAX_GROUP_ORDER}")
+    order = 1
+    for n in group.cyclic_orders:
+        order *= n
+        if order > MAX_GROUP_ORDER:
+            raise ValueError(f"group order exceeds cap {MAX_GROUP_ORDER}")
     return group
 
 

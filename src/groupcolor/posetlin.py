@@ -4,14 +4,14 @@ and the reciprocity transfer matrix built from it.
 
 Each builder takes the point r as an exact rational or as a RationalPoly;
 passing VARIABLE gives the symbolic matrix, and every matrix is a PolyMatrix
-whose entries live in the ring r came from. Every builder reads one walk
-over the edge masks M inside a member mask H, each with its bridgeless core
-from the table the poset was enumerated with, and never an EdgeSet:
-mu(E, H) and the transfer entry M(r)(H, E) are signed sums over the masks
-with core E. J(r) and J(r)^-1 read the Mobius table's keys at H, the E <= H,
-so J(r) sets r^(|H| - |M|) where M is its own core. No builder reads the
-poset's down-sets; the vector paths in gamma apply J(r)^-1 and M(r) by
-weighted Yates passes over K_v instead.
+whose entries live in the ring r came from. Every builder reads one integer
+tally per member H, from one walk over the edge masks M inside H and their
+stored cores, never an EdgeSet: T[d] at E <= H is the signed count of the
+masks with core E and |M| = |E| + d, mu(E, H) is (-1)^|H| sum_d T[d] and
+M(r)(H, E) the integer polynomial sum_d T[d] r^d. J(r) and J(r)^-1 read the
+Mobius table's keys at H, the E <= H, so J(r) sets r^(|H| - |M|) where M is
+its own core. No builder reads the poset's down-sets; the vector paths in
+gamma apply J(r)^-1 and M(r) by weighted Yates passes over K_v instead.
 
 Matrix orientation: entry(h, e) multiplies coordinate e and contributes to
 coordinate h, so (M x)_H = sum_E entry(H, E) x_E. With the empty graph
@@ -40,7 +40,7 @@ def _as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class RationalPoly:
-    """Dense univariate polynomial with exact rational coefficients.
+    """Dense univariate polynomial with exact coefficients, int or Fraction.
 
     Coefficients are ascending; no trailing zeros are stored, so the zero
     polynomial has an empty coefficient tuple and degree -1.
@@ -54,7 +54,7 @@ class RationalPoly:
 
     @classmethod
     def of(cls, coefficients) -> "RationalPoly":
-        coeffs = [_as_fraction(c) for c in coefficients]
+        coeffs = [c if isinstance(c, int) else _as_fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return cls(tuple(coeffs))
@@ -111,7 +111,7 @@ class RationalPoly:
             return self.scale(other)
         if self.is_zero or other.is_zero:
             return RationalPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -121,10 +121,9 @@ class RationalPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "RationalPoly":
-        c = _as_fraction(c)
-        if c == 0:
-            return RationalPoly.zero()
-        return RationalPoly(tuple(c * a for a in self.coeffs))
+        if not isinstance(c, int):
+            c = _as_fraction(c)
+        return RationalPoly.of([c * a for a in self.coeffs])
 
     def __pow__(self, n: int) -> "RationalPoly":
         if n < 0:
@@ -240,17 +239,22 @@ class PolyMatrix:
         )
 
 
-def _submasks_by_core(poset: "SubgraphPoset", h: int):
-    """(index of core M, |M|) for every edge mask M inside member h, with
-    core M from the poset's stored ``cores`` table."""
+def _tally(poset: "SubgraphPoset", h: int) -> dict[int, list[int]]:
+    """T[d] for each member E <= H = member h, keyed by E: the sum of
+    (-1)^|M| over the edge masks M <= H with core M = E and |M| - |E| = d."""
     _, core = poset.cores
-    index = poset.index_by_mask
+    index, sizes = poset.index_by_mask, poset.sizes
     top = poset.masks[h]
+    tally: dict[int, list[int]] = {}
     m = top
     while True:
-        yield index[core[m]], m.bit_count()
+        e = index[core[m]]
+        if e not in tally:
+            tally[e] = [0] * (sizes[h] - sizes[e] + 1)
+        size = m.bit_count()
+        tally[e][size - sizes[e]] += -1 if size & 1 else 1
         if not m:
-            return
+            return tally
         m = (m - 1) & top
 
 
@@ -259,15 +263,11 @@ def mobius_table(poset: "SubgraphPoset") -> tuple[dict[int, int], ...]:
     """mu(E, H) for every pair E <= H, one dict per H keyed by E: the sum
     over edge masks M <= H with core M = E of (-1)^(|H| - |M|), by Rota's
     closure theorem for the interior operator M -> core M ("On the
-    foundations of combinatorial theory I", 1964)."""
-    sizes = poset.sizes
-    table = []
-    for h, top in enumerate(sizes):
-        mu_h: dict[int, int] = {}
-        for e, size in _submasks_by_core(poset, h):
-            mu_h[e] = mu_h.get(e, 0) + (-1 if (top - size) & 1 else 1)
-        table.append(mu_h)
-    return tuple(table)
+    foundations of combinatorial theory I", 1964), read off the tally."""
+    return tuple(
+        {e: (-1) ** top * sum(t) for e, t in _tally(poset, h).items()}
+        for h, top in enumerate(poset.sizes)
+    )
 
 
 def _power_table(x, max_power: int) -> list:
@@ -316,15 +316,15 @@ def mobius_matrix(poset: "SubgraphPoset") -> PolyMatrix:
 def transfer_at(poset: "SubgraphPoset", r) -> PolyMatrix:
     """Reciprocity transfer matrix M(r) = J(1 - r) (-1)^e J(r)^(-1): entry
     (H, E) sums (-1)^|M| r^(|M| - |E|) over the edge masks M <= H with
-    core M = E. It meets M(r) J(r) = J(1 - r) (-1)^e, which fixes it: a
-    bridgeless E lies inside M exactly when it lies inside core M, so row H
-    of M(r) J(r) at E is a binomial sum over the masks between E and H."""
+    core M = E: sum_d T[d] r^d, one route for every ring. It meets
+    M(r) J(r) = J(1 - r) (-1)^e, which fixes it: a bridgeless E lies inside
+    M exactly when it lies inside core M, so row H of M(r) J(r) at E is a
+    binomial sum over the masks between E and H."""
     r = _ring_element(r)
-    sizes = poset.sizes
-    powers = _power_table(r, max(sizes))
-    rows = [[r * 0] * len(poset) for _ in sizes]
+    powers = _power_table(r, max(poset.sizes))
+    zero = r * 0
+    rows = [[zero] * len(poset) for _ in poset.sizes]
     for h, row in enumerate(rows):
-        for e, size in _submasks_by_core(poset, h):
-            term = powers[size - sizes[e]]
-            row[e] = row[e] - term if size & 1 else row[e] + term
+        for e, t in _tally(poset, h).items():
+            row[e] = sum([c * x for c, x in zip(t, powers) if c], zero)
     return PolyMatrix(poset, tuple(map(tuple, rows)))

@@ -73,6 +73,20 @@ def test_group_spec_over_the_cap_is_refused_before_it_is_built(capsys):
     assert parse_group_spec("Z2^12").cyclic_orders == (2,) * 12
 
 
+def test_group_spec_with_too_many_digits_is_refused_by_name(capsys):
+    # an order or a power with more digits than the cap is over the cap, and
+    # is refused before int meets a string past the interpreter's digit limit
+    for spec in ("Z" + "7" * 5000, "Z2^" + "7" * 5000):
+        code = main(["verify", "--v", "3", "--group", spec, "--allowed", "nonzero"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert repr(spec) in err and "4096" in err and "Traceback" not in err
+    # leading zeros add no order, and a zero power is still a bad power
+    assert parse_group_spec("Z" + "0" * 5000 + "5").cyclic_orders == (5,)
+    with pytest.raises(ValueError, match="bad power"):
+        parse_group_spec("Z2^" + "0" * 5000)
+
+
 def test_allowed_spec_parsing():
     g5 = make_group([5])
     assert parse_allowed_spec("interval:1", g5).indices() == (2, 3)
@@ -448,6 +462,7 @@ def test_cmd_verify_failure_exit_code(capsys, monkeypatch):
 
     class FakeReport:
         ok = False
+        passed = 0
 
         def to_dict(self):
             return {"ok": False, "alpha": "1/2", "alpha_bar": "1/2", "coordinates": []}
@@ -455,7 +470,7 @@ def test_cmd_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "verify_reciprocity", lambda *a, **k: FakeReport())
     code, data = _run_json(capsys, ["verify", "--v", "3", "--group", "Z5", "--allowed", "nonzero"])
     assert code == 1
-    assert data["summary"].startswith("FAIL")
+    assert data["summary"] == "FAIL 0/2"
 
 
 def test_cmd_chromatic_all_members(capsys):

@@ -787,6 +787,11 @@ def test_reciprocity_reports_a_mismatch(p4, monkeypatch):
     monkeypatch.setattr(AllowedSet, "complement", lambda self: stand_in)
     report = verify_reciprocity(p4, allowed)
     assert not report.ok
+    # one equality tuple, made once, behind ok, the pass count and the dict
+    assert report.per_coordinate is report.per_coordinate
+    assert report.passed == len(p4) - len(report.failing_indices()) < len(p4)
+    equal = [c["equal"] for c in report.to_dict()["coordinates"]]
+    assert equal == list(report.per_coordinate)
     assert report.lhs == _gamma_plus_by_substitution(report.gamma, allowed.alpha)
     assert report.rhs == _verify_rhs_by_substitution(report.gamma_complement, allowed.alpha_bar)
 

@@ -35,6 +35,10 @@ def test_make_group_rejects_bad_input():
         make_group([0])
     with pytest.raises(ValueError):
         make_group([2] * 13)  # 8192 over the default order cap
+    # refused while the orders are multiplied, so an order too long to
+    # print as an int is never formatted
+    with pytest.raises(ValueError, match="exceeds cap 4096"):
+        make_group([2] * 20000)
 
 
 def test_identity_is_index_zero():

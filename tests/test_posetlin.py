@@ -384,13 +384,13 @@ def test_matrices_never_read_the_down_sets(monkeypatch, capsys):
 
 def test_zeta_family_reads_the_cached_mobius_table(p4, monkeypatch):
     # J(r) and J(r)^-1 take their pairs E <= H from the Mobius table's keys,
-    # so once the table is built no submask walk runs for them
+    # so once the table is built no tally is made for them
     mobius_table(p4)
 
     def refuse(poset, h):
-        raise AssertionError("submask walk")
+        raise AssertionError("submask tally")
 
-    monkeypatch.setattr(posetlin_module, "_submasks_by_core", refuse)
+    monkeypatch.setattr(posetlin_module, "_tally", refuse)
     for x in (Fraction(2, 7), VARIABLE):
         assert weighted_zeta_at(p4, x).entries == weighted_zeta_on_down_sets(p4, x).entries
         inverse = weighted_zeta_inverse_by_recursion(p4, x)
@@ -409,6 +409,21 @@ def test_transfer_at_one_is_the_signed_mobius_function(p3, p4, p5):
         for h, top in enumerate(poset.sizes):
             want = tuple((-1) ** top * table[h].get(e, 0) for e in range(len(poset)))
             assert m.entries[h] == want
+
+
+def test_symbolic_transfer_has_integer_coefficients(p5):
+    # each entry is sum_d T[d] r^d over an integer tally, so the symbolic
+    # matrix holds integer polynomials, and evaluating one at a point gives
+    # the entry transfer_at builds at that point
+    symbolic = transfer_at(p5, VARIABLE)
+    for row in symbolic.entries:
+        for x in row:
+            assert all(type(c) is int for c in x.coeffs)
+    for r in (Fraction(2, 7), Fraction(-3, 5)):
+        evaluated = transfer_at(p5, r)
+        assert evaluated.entries == tuple(tuple(x(r) for x in row) for row in symbolic.entries)
+    with pytest.raises(TypeError):
+        RationalPoly.of([0.5])
 
 
 @given(rationals)
