@@ -660,9 +660,20 @@ def cmd_examples(ns: argparse.Namespace) -> int:
 # Parser wiring
 
 
+def _budget(text: str) -> int:
+    # a negative budget refuses all work; argparse names --budget in the error
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, *, group_args: bool) -> None:
     sub.add_argument("--format", choices=["json", "tsv"], default="json")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     if group_args:
         sub.add_argument("--group", required=True, help="e.g. Z5, Z2^3, Z3xZ9")
         sub.add_argument(
@@ -707,8 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="cycle",
         help=(
             "auto: one histogram sweep of f^(v-1) colorings for all members; "
-            "brute, cycle, fourier: one computation per member; each row's "
-            "seconds is the whole vector's time over the member count"
+            "brute, cycle, fourier: one computation per isomorphism class; "
+            "each row's seconds is the whole vector's time over the member count"
         ),
     )
     _add_common(p, group_args=True)

@@ -294,26 +294,53 @@ def _difference_histogram(v: int, allowed: AllowedSet, budget: int) -> list[int]
     return hist
 
 
+def _class_key(edge_set: EdgeSet) -> tuple[int, int] | None:
+    # (v, canonical form) of the edge set's isomorphism class for
+    # v <= POSET_CAP, else None: canonical_bits refuses v > POSET_CAP, whose
+    # relabeling table would hold C(v, 2) v! lanes, 163M at v = 10.
+    v = edge_set.v
+    return None if v > POSET_CAP else (v, canonical_bits(v, edge_set.bits))
+
+
+def _per_class(memo: dict, kernel, edge_set: EdgeSet):
+    # kernel(edge_set), computed once per isomorphism class for
+    # v <= POSET_CAP; above the cap the kernel runs on every call
+    key = _class_key(edge_set)
+    if key is None:
+        return kernel(edge_set)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = kernel(edge_set)
+    return value
+
+
 def check_method_budget(members, allowed: AllowedSet, method: str, budget: int) -> None:
     """Raise BudgetExceededError, before any coloring, when a per-member
-    method's work summed over the members is over budget: f^v colorings per
-    member for brute, f^(v - c) for cycle, and f^(e - v + c) character
-    terms for fourier, with c the member's component count. For brute and
+    method's work is over budget. Gamma is a graph invariant, so
+    gamma_vector runs the method once per isomorphism class, and the work
+    is summed over one representative per class of the members (over every
+    member above POSET_CAP, where no class key is read): f^v colorings per
+    representative for brute, f^(v - c) for cycle, and f^(e - v + c)
+    character terms for fourier, with c its component count. For brute and
     cycle this is an upper bound: their count prunes the colorings that
     fail an edge, and visits far fewer when the allowed set is small."""
     f = allowed.group.order
+    reps = {}
+    for member in members:
+        key = _class_key(member)
+        reps.setdefault(member if key is None else key, member)
     if method == "brute":
-        work = sum(f**member.v for member in members)
+        work = sum(f**rep.v for rep in reps.values())
     elif method == "cycle":
-        work = sum(f ** (member.v - components(member)) for member in members)
+        work = sum(f ** (rep.v - components(rep)) for rep in reps.values())
     elif method == "fourier":
-        work = sum(
-            f ** (member.edge_count - member.v + components(member)) for member in members
-        )
+        work = sum(f ** (rep.edge_count - rep.v + components(rep)) for rep in reps.values())
     else:
         raise ValueError(f"unknown method {method!r}; want auto, brute, cycle, or fourier")
     if work > budget:
-        raise BudgetExceededError(f"{method} method over {len(members)} edge sets", work, budget)
+        raise BudgetExceededError(
+            f"{method} method over {len(members)} edge sets in {len(reps)} classes", work, budget
+        )
 
 
 def gamma_vector(
@@ -332,8 +359,10 @@ def gamma_vector(
     (1937) and of Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets
     Mobius" (STOC 2007, arXiv:cs/0611101). The result is tagged
     "histogram" and keeps the superset sums at every mask as its counts. A
-    name from METHODS applies that per-member method to every member
-    instead, after checking its summed work against budget.
+    name from METHODS applies that per-member method instead, once per
+    isomorphism class through a memo local to the call, after checking its
+    work over one representative per class against budget; every member of
+    a class gets its first member's value.
     """
     if method == "auto":
         v = poset.v
@@ -344,7 +373,12 @@ def gamma_vector(
         return GammaVector(poset, values, "histogram", counts)
     check_method_budget(poset.members, allowed, method, budget)
     fn = METHODS[method]
-    values = tuple(fn(member, allowed, budget) for member in poset.members)
+
+    def kernel(member: EdgeSet):
+        return fn(member, allowed, budget)
+
+    memo: dict = {}
+    values = tuple(_per_class(memo, kernel, member) for member in poset.members)
     return GammaVector(poset, values, method)
 
 
@@ -570,56 +604,69 @@ def apply_transfer(
 _forest_counts_by_class: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
 
 
-def _per_class(memo: dict, kernel, edge_set: EdgeSet):
-    # kernel(edge_set), computed once per isomorphism class for
-    # v <= POSET_CAP. Above the cap the kernel runs on every call:
-    # canonical_bits refuses v > POSET_CAP, whose relabeling table would
-    # hold C(v, 2) v! lanes, 163M at v = 10.
-    v = edge_set.v
-    if v > POSET_CAP:
-        return kernel(edge_set)
-    key = v, canonical_bits(v, edge_set.bits)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = kernel(edge_set)
-    return value
-
-
 def _forest_counts(edge_set: EdgeSet) -> tuple[list[int], list[int]]:
-    # counts[k]: the forests of k edges inside edge_set; nbc[k]: those with
-    # no broken circuit, a circuit less its highest edge. A depth-first walk
-    # adds edges in increasing position, each only when it joins two
-    # components, so every forest is reached once. The components are an
-    # undoable union-find with no path compression, so resetting the one
-    # link set before a recursive call restores them after it. touch[root]
-    # masks the edges with an end in the component: edge n, the highest so
-    # far, completes a broken circuit exactly when a higher edge joins the
-    # two components it merges, when touch[a] & touch[b] reaches 2 << n.
+    """counts[k]: the forests of k edges inside edge_set, for k up to
+    min(v - 1, |E|); nbc[k]: those with no broken circuit, a circuit less
+    its highest edge.
+
+    A depth-first walk adds edges in increasing position, so every forest
+    is reached once. Each node holds its candidates as a mask: the edges
+    above its highest that join two of its components. Joining components
+    a and b makes their cross mask touch[a] & touch[b] inside, so the
+    child's candidates are the rest of the node's less that mask, and no
+    edge is ever probed that would close a cycle. touch[root] masks the
+    edges with an end in the component; the components are an undoable
+    union-find with no path compression, so resetting the one link after a
+    recursive call restores them. Every candidate is a forest one edge
+    larger, so a node adds its candidate count to the next level; a child
+    with no candidates of its own is not entered. Edge n, the highest so
+    far, completes a broken circuit exactly when a higher edge joins the
+    two components it merges, when the cross mask reaches 2 << n.
+
+    At the last level, k + 1 = v - c with c the components of E, the
+    forest has c + 1 components, and every edge not inside one of them
+    joins the same two parts, so each candidate completes a spanning
+    forest. Only the highest edge of that cross mask leaves it free, and
+    it is a candidate exactly when there is one: the level is counted in
+    bulk, with no union.
+    """
     v, bits = edge_set.v, edge_set.bits
-    edges = [(n, a, b) for n, (a, b) in enumerate(vertex_pairs(v)) if (bits >> n) & 1]
-    counts = [0] * (min(v - 1, len(edges)) + 1)
+    pairs = vertex_pairs(v)
+    counts = [0] * (min(v - 1, bits.bit_count()) + 1)
     nbc = counts.copy()
+    counts[0] = nbc[0] = 1
+    top = v - components(edge_set)  # the edges of a spanning forest
     parent = list(range(v))
     touch = [mask & bits for mask in _incident(v)]
 
-    def grow(start: int, k: int, free: bool) -> None:
-        counts[k] += 1
-        nbc[k] += free
-        for pos in range(start, len(edges)):
-            n, a, b = edges[pos]
+    def grow(rest: int, k: int, free: bool) -> None:
+        # the node's forest has k - 1 edges; rest holds its candidates
+        counts[k] += rest.bit_count()
+        if k == top:
+            nbc[k] += free
+            return
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a, b = pairs[low.bit_length() - 1]
             while parent[a] != a:
                 a = parent[a]
             while parent[b] != b:
                 b = parent[b]
-            if a != b:
+            joined, other = touch[a], touch[b]
+            cross = joined & other
+            child_free = free and cross < low << 1
+            nbc[k] += child_free
+            later = rest & ~cross
+            if later:
                 parent[b] = a
-                joined, other = touch[a], touch[b]
                 touch[a] = joined | other
-                grow(pos + 1, k + 1, free and joined & other < 2 << n)
+                grow(later, k + 1, child_free)
                 touch[a] = joined
                 parent[b] = b
 
-    grow(0, 0, True)
+    if top:
+        grow(bits, 1, True)
     return counts, nbc
 
 

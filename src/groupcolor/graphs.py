@@ -106,8 +106,11 @@ class EdgeSet:
         tokens = ",".join(f"{a}{b}" for a, b in self.edges())
         return f"v={self.v};edges={tokens}"
 
-    @cached_property
+    @property
     def edge_count(self) -> int:
+        # not cached: a cached value joins the instance dict, and when some
+        # members cache it before ``adjacency`` and others after, CPython
+        # stops sharing their dict keys (2 MiB more over P_6's members)
         return self.bits.bit_count()
 
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -446,9 +449,11 @@ def canonical_bits(v: int, bits: int) -> int:
 
     On the first mask of a class, its whole orbit is swept at once: one
     big-int OR per edge of the mask over the packed ``_relabelings``
-    columns puts every image of the mask in its own lane, one decode reads
-    the lanes back, and every mask of the orbit is memoized with the
-    orbit's minimum, so each later member of the class is one dict lookup.
+    columns puts every image of the mask in its own lane, and one decode
+    reads the lanes back. Each image repeats once per automorphism, so the
+    lanes are first reduced to the orbit's distinct masks; the minimum is
+    taken over those, and each is memoized with it once, so each later
+    member of the class is one dict lookup.
     The memo keeps at most 2^C(v, 2) masks per v; over the members of P_6
     it holds at most their 13,667.
     """
@@ -465,40 +470,41 @@ def canonical_bits(v: int, bits: int) -> int:
                 orbit |= column
         lanes = array("H")
         lanes.frombytes(orbit.to_bytes(2 * math.factorial(v), sys.byteorder))
-        canon = min(lanes)
-        forms.update(dict.fromkeys(lanes, canon))
+        distinct = set(lanes)
+        canon = min(distinct)
+        forms.update(zip(distinct, repeat(canon)))
     return canon
-
-
-def _cycle_lengths(edge_set: EdgeSet) -> list[int] | None:
-    # lengths of the cycles when every non-isolated vertex has degree 2;
-    # then every component is one circuit
-    if any(len(nbrs) not in (0, 2) for nbrs in edge_set.adjacency):
-        return None
-    return sorted(map(int.bit_count, _circuits(edge_set.v, edge_set.bits)), reverse=True)
 
 
 def class_label(v: int, bits: int) -> str:
     """Human name for the isomorphism class of a bridgeless edge set.
 
-    A class with no name is labeled by its canonical form, so for it v must
-    be at most POSET_CAP (``canonical_bits`` raises ValueError above).
+    Read from the mask alone: each vertex degree is the size of the mask
+    ANDed with the vertex's ``_incident`` mask, and a set whose active
+    vertices all have degree 2 is named by its cycles' lengths. A v below 1
+    or a mask outside the C(v, 2) edge positions raises ValueError, as
+    EdgeSet does. A class with no name is labeled by its canonical form, so
+    for it v must be at most POSET_CAP (``canonical_bits`` raises ValueError
+    above).
     """
-    es = EdgeSet(v, bits)
-    e = es.edge_count
-    if e == 0:
+    # EdgeSet's checks, repeated: building one is what this avoids
+    if v < 1:
+        raise ValueError("need at least one vertex")
+    if bits < 0 or bits.bit_length() > comb(v, 2):
+        raise ValueError(f"edge bitmask {bits:#b} out of range for v={v}")
+    if not bits:
         return "empty"
-    adj = es.adjacency
-    active = [u for u in range(v) if adj[u]]
-    na = len(active)
-    cycles = _cycle_lengths(es)
-    if cycles is not None:
+    degs = sorted(((bits & mask).bit_count() for mask in _incident(v)), reverse=True)
+    while not degs[-1]:
+        degs.pop()
+    na, e = len(degs), bits.bit_count()
+    if degs[0] == degs[-1] == 2:  # every component is one circuit
+        cycles = sorted(map(int.bit_count, _circuits(v, bits)), reverse=True)
         return "+".join(f"C{n}" for n in cycles) if cycles != [3] else "K3"
     if e == comb(na, 2):
         return f"K{na}"
     if na == 4 and e == 5:
         return "diamond"
-    degs = sorted((len(adj[u]) for u in active), reverse=True)
     if na == 5 and e == 6 and degs == [4, 2, 2, 2, 2]:
         return "bowtie"
     return f"g{na}v{e}e_{canonical_bits(v, bits):x}"

@@ -427,19 +427,43 @@ def test_cmd_verify_budget_exceeded(capsys):
     assert capsys.readouterr().out.endswith("PASS 13667/13667\n")
 
 
-def test_per_member_commands_check_the_whole_command_budget(capsys):
-    # the cycle method sums 7^(6 - c) over the 13,667 members of P_6
-    start = time.perf_counter()
-    assert main(["gamma", "--v", "6", "--group", "Z7", "--allowed", "interval:1"]) == 3
-    assert time.perf_counter() - start < 30
-    # over P_4: 1 + 4 f^2 + 3 f^3 + 6 f^3 + f^3, 307 at f = 3; verify's
-    # two lattice solves make 2 * 6 * 2^5 = 384 steps
+def test_per_member_commands_check_the_whole_command_budget(capsys, monkeypatch):
+    # the per-member methods run once per isomorphism class, so the budget
+    # charges one representative of each: over P_4's empty set, K3, C4,
+    # diamond and K4, cycle sums 1 + 9 + 27 + 27 + 27 = 91 at f = 3;
+    # verify's two lattice solves make 2 * 6 * 2^5 = 384 steps
     argv = ["gamma", "--v", "4", "--group", "Z3", "--allowed", "nonzero"]
-    assert main(argv + ["--budget", "306"]) == 3
-    assert main(argv + ["--budget", "307"]) == 0
+    assert main(argv + ["--budget", "90"]) == 3
+    assert main(argv + ["--budget", "91"]) == 0
     assert main(["verify", "--v", "4", "--group", "Z3", "--allowed", "nonzero", "--budget", "383"]) == 3
     assert main(["verify", "--v", "4", "--group", "Z3", "--allowed", "nonzero", "--budget", "384"]) == 0
     capsys.readouterr()
+    # at v = 6, fourier at Z7 is charged 7^10 for K6 alone, and is refused
+    # before any character sum
+    def refused(*args):
+        raise AssertionError("a character sum ran before the budget check")
+
+    monkeypatch.setattr(gamma_module, "character_sum", refused)
+    start = time.perf_counter()
+    argv = ["gamma", "--v", "6", "--group", "Z7", "--allowed", "interval:1", "--method", "fourier"]
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 30
+    err = capsys.readouterr().err
+    needs = int(re.search(r"needs (\d+) > budget 100000000", err).group(1))
+    assert needs >= 7**10
+    assert "fourier method over 13667 edge sets in 77 classes" in err
+
+
+def test_budget_refuses_a_negative_value(capsys):
+    argv = ["gamma", "--v", "4", "--group", "Z5", "--allowed", "interval:1"]
+    assert main(argv + ["--budget", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --budget: must be at least 0, got -5" in captured.err
+    assert main(argv + ["--budget", "five"]) == 2
+    assert "argument --budget: invalid int value: 'five'" in capsys.readouterr().err
+    # zero is a budget: it refuses the work with exit 3, not as a usage error
+    assert main(argv + ["--budget", "0"]) == 3
 
 
 def test_cmd_gamma_auto_runs_p6_at_the_default_budget(capsys):
@@ -450,11 +474,17 @@ def test_cmd_gamma_auto_runs_p6_at_the_default_budget(capsys):
     assert len(rows) == 13667
     assert {row["method"] for row in rows} == {"auto"}
     assert rows[0]["value"] == "1" and rows[-1]["value"] == "0"  # empty, then K6
-    # the same values as the per-member cycle method at v = 4
-    small = ["gamma", "--v", "4", "--group", "Z7", "--allowed", "interval:1"]
-    _, auto = _run_json(capsys, small + ["--method", "auto"])
-    _, cycle = _run_json(capsys, small)
-    assert [r["value"] for r in auto["values"]] == [r["value"] for r in cycle["values"]]
+    # the per-member methods run once per class, so the default cycle
+    # method, charged 1,038,311, runs here too, and it and brute give the
+    # histogram's value at every member
+    code, cycle = _run_json(capsys, argv)
+    assert code == 0
+    assert [r["value"] for r in cycle["values"]] == [r["value"] for r in rows]
+    poset = enumerate_poset(6)
+    allowed = parse_allowed_spec("interval:1", make_group([7]))
+    expected = gamma_vector(poset, allowed).values
+    assert gamma_vector(poset, allowed, "brute").values == expected
+    assert [str(x) for x in expected] == [r["value"] for r in rows]
 
 
 def test_cmd_verify_failure_exit_code(capsys, monkeypatch):

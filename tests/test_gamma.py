@@ -488,8 +488,8 @@ def test_reciprocity_mobius_budget(p5):
 
 
 # work of each per-member method over P_4 with f = 3, summed by hand over
-# the empty set, 4 triangles, 3 four-cycles, 6 diamonds and K4
-P4_METHOD_WORK = {"brute": 15 * 3**4, "cycle": 307, "fourier": 103}
+# one representative of each class: the empty set, K3, C4, the diamond and K4
+P4_METHOD_WORK = {"brute": 5 * 3**4, "cycle": 1 + 9 + 27 + 27 + 27, "fourier": 1 + 3 + 3 + 9 + 27}
 
 
 @pytest.mark.parametrize("method", sorted(P4_METHOD_WORK))
@@ -881,10 +881,51 @@ def _forest_counts_oracle(edge_set):
     ]
 
 
+def _nbc_counts_oracle(edge_set):
+    # per size, the forests inside E that contain no broken circuit: no
+    # circuit of E less its highest edge. The circuits are the connected
+    # subsets whose vertices all have degree 0 or 2, found over all 2^|E|
+    # subsets with one component more than a forest of that size
+    v = edge_set.v
+    places = [1 << n for n in range(edge_set.bits.bit_length()) if (edge_set.bits >> n) & 1]
+    pairs = list(combinations(range(v), 2))
+    touching = [sum(1 << n for n, pair in enumerate(pairs) if u in pair) for u in range(v)]
+    subsets = [sum(chosen) for k in range(len(places) + 1) for chosen in combinations(places, k)]
+    broken = [
+        mask ^ (1 << mask.bit_length() - 1)
+        for mask in subsets
+        if mask
+        and all((mask & t).bit_count() in (0, 2) for t in touching)
+        and components(EdgeSet(v, mask)) == v - mask.bit_count() + 1
+    ]
+    counts = [0] * (min(v - 1, len(places)) + 1)
+    for mask in subsets:
+        k = mask.bit_count()
+        if k < len(counts) and components(EdgeSet(v, mask)) == v - k:
+            counts[k] += not any(b & ~mask == 0 for b in broken)
+    return counts
+
+
+def _random_edge_sets(seed, count):
+    # edge sets on 1 to 9 vertices with at most 14 edges, bridges allowed
+    rng = random.Random(seed)
+    found = []
+    for _ in range(count):
+        v = rng.randint(1, 9)
+        pairs = comb(v, 2)
+        chosen = rng.sample(range(pairs), rng.randint(0, min(pairs, 14)))
+        found.append(EdgeSet(v, sum(1 << n for n in chosen)))
+    return found
+
+
 def test_forest_counts_match_subset_brute_force(p5, p6):
     sample = [p6.members[i] for i in random.Random(11).sample(range(len(p6)), 8)]
-    for member in [*p5.members, *sample, p6.members[-1]]:  # K6 last
-        assert _forest_counts(member)[0] == _forest_counts_oracle(member)
+    k6 = p6.members[-1]
+    edge_sets = [*p5.members, *sample, k6, *_random_edge_sets(14, 40)]
+    for edge_set in edge_sets:
+        counts, nbc = _forest_counts(edge_set)
+        assert counts == _forest_counts_oracle(edge_set), edge_set
+        assert nbc == _nbc_counts_oracle(edge_set), edge_set
 
 
 def test_main_term_spec_values(k3_v3, c4_v4):
@@ -1029,13 +1070,17 @@ def test_forest_walk_matches_the_subset_expansion_on_p6_classes_and_k7(p6):
 
 def test_chromatic_via_transfer_on_k7_in_bounded_time():
     # v = 7 has no memo, so this is the walk itself: 36,961 forests, where
-    # the subset expansion tallies 2^21 masks
+    # the subset expansion tallies 2^21 masks; C(21, 3) - 35 of them have
+    # three edges, and the 7! broken-circuit-free ones are the coefficients
     k7 = EdgeSet(7, (1 << 21) - 1)
     start = time.perf_counter()
     poly = chromatic_via_transfer(k7)
     assert time.perf_counter() - start < 1
     assert poly == chromatic_oracle(k7)
     assert poly.render("f") == "720f - 1764f^2 + 1624f^3 - 735f^4 + 175f^5 - 21f^6 + f^7"
+    counts, nbc = _forest_counts(k7)
+    assert counts == [1, 21, 210, 1295, 5250, 13377, 16807] and sum(counts) == 36961
+    assert nbc == [1, 21, 175, 735, 1624, 1764, 720] and sum(nbc) == 5040
 
 
 def test_forest_memo_is_one_walk_per_class_for_both_callers(p5, monkeypatch):

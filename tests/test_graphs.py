@@ -3,6 +3,7 @@ deletion-contraction chromatic oracle, cross-checked against networkx."""
 
 import math
 import random
+import re
 import sys
 from itertools import combinations, permutations
 from math import comb
@@ -359,6 +360,49 @@ def test_cycle_class_labels_match_networkx(p6):
     assert seen == {"K3", "C4", "C5", "C6", "C3+C3"}
 
 
+def _class_label_oracle(v, bits):
+    """class_label as it read an EdgeSet and its adjacency lists, with the
+    cycle lengths of a 2-regular set taken as networkx component sizes."""
+    es = EdgeSet(v, bits)
+    e = es.edge_count
+    if e == 0:
+        return "empty"
+    adj = es.adjacency
+    active = [u for u in range(v) if adj[u]]
+    na = len(active)
+    if all(len(adj[u]) == 2 for u in active):
+        graph = nx.Graph(es.edges())
+        cycles = sorted(map(len, nx.connected_components(graph)), reverse=True)
+        return "+".join(f"C{n}" for n in cycles) if cycles != [3] else "K3"
+    if e == comb(na, 2):
+        return f"K{na}"
+    if na == 4 and e == 5:
+        return "diamond"
+    degs = sorted((len(adj[u]) for u in active), reverse=True)
+    if na == 5 and e == 6 and degs == [4, 2, 2, 2, 2]:
+        return "bowtie"
+    return f"g{na}v{e}e_{canonical_bits(v, bits):x}"
+
+
+def test_class_label_matches_the_edge_set_oracle_on_every_mask():
+    # every mask of K_2 .. K_6, bridged ones included: 33,866 in all
+    checked = 0
+    for v in range(2, 7):
+        for bits in range(1 << comb(v, 2)):
+            assert class_label(v, bits) == _class_label_oracle(v, bits), (v, bits)
+            checked += 1
+    assert checked == 33866
+
+
+def test_class_label_refuses_what_edge_set_refuses():
+    for v, bits in ((0, 0), (-2, 0), (1, 1), (3, 0b1000), (4, -1), (6, 1 << 15)):
+        with pytest.raises(ValueError) as raised:
+            EdgeSet(v, bits)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
+            class_label(v, bits)
+    assert class_label(1, 0) == "empty"
+
+
 def test_iso_class_incidence_patterns(p4):
     blocks = dict(iso_class_blocks(p4))
     for c4 in blocks["C4"]:
@@ -440,6 +484,17 @@ def test_canonical_bits_matches_permutation_loop_on_every_mask(v):
     _canonical_forms.clear()
     for bits in range(1 << comb(v, 2)):
         assert canonical_bits(v, bits) == _canonical_oracle(v, bits)
+
+
+def test_canonical_bits_memoizes_each_orbit_mask_once(monkeypatch):
+    # the 720 lanes of a triangle's sweep hold its 20 images, each 36 times
+    forms = {}
+    monkeypatch.setitem(_canonical_forms, 6, forms)
+    triangle = EdgeSet.from_edges(6, [(3, 4), (4, 5), (3, 5)]).bits
+    assert canonical_bits(6, triangle) == 0b100011
+    assert len(forms) == comb(6, 3)
+    assert set(forms.values()) == {0b100011}
+    assert all(_canonical_oracle(6, bits) == 0b100011 for bits in forms)
 
 
 def test_canonical_bits_refuses_v_above_the_cap():
