@@ -59,6 +59,8 @@ from .posetlin import (
 _GROUP_FACTOR = re.compile(r"^Z(\d+)(?:\^(\d+))?$")
 # the decimal exponent of a rational literal, as Fraction reads it
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
+# a comma between the items of an explicit set: no ")" follows it before a "("
+_ITEM_COMMA = re.compile(r",(?![^()]*\))")
 
 # the triangle, whose coordinate examples 2 and 3 tabulate
 _K3 = EdgeSet(3, 0b111)
@@ -114,21 +116,12 @@ def render_group_spec(group: FiniteAbelianGroup) -> str:
     return "x".join(parts)
 
 
-def _split_set_items(body: str) -> list[str]:
-    items, depth, cur = [], 0, ""
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            items.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        items.append(cur)
-    return [item.strip() for item in items if item.strip()]
+def _set_items(spec: str) -> list[str]:
+    # the stripped items of "set:{...}", split at the commas outside
+    # parentheses; a blank body is the empty set, and an empty item is kept
+    # for _spec_int to refuse
+    body = spec[len("set:{") : -1]
+    return [item.strip() for item in _ITEM_COMMA.split(body)] if body.strip() else []
 
 
 def _spec_int(text: str, spec: str) -> int:
@@ -136,7 +129,8 @@ def _spec_int(text: str, spec: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"allowed-set spec {spec!r}: {text.strip()!r} is not an integer") from None
+        problem = f"{text.strip()!r} is not an integer" if text.strip() else "a number is missing"
+        raise ValueError(f"allowed-set spec {spec!r}: {problem}") from None
 
 
 def parse_allowed_spec(spec: str, group: FiniteAbelianGroup) -> AllowedSet:
@@ -154,12 +148,10 @@ def parse_allowed_spec(spec: str, group: FiniteAbelianGroup) -> AllowedSet:
         fresh = allowed_hamming(len(group.cyclic_orders), k)
         return AllowedSet(group, fresh.mask)
     if spec.startswith("set:{") and spec.endswith("}"):
-        body = spec[len("set:{") : -1]
         elements = []
-        for item in _split_set_items(body):
+        for item in _set_items(spec):
             if item.startswith("(") and item.endswith(")"):
-                residues = item[1:-1].split(",")
-                elements.append(tuple(_spec_int(t, spec) for t in residues if t.strip()))
+                elements.append(tuple(_spec_int(t, spec) for t in item[1:-1].split(",")))
             else:
                 elements.append(_spec_int(item, spec))
         return allowed_explicit(group, elements)
@@ -172,7 +164,7 @@ def render_allowed_spec(spec: str) -> str:
     spec = spec.strip()
     if spec.startswith("set:{") and spec.endswith("}"):
         # canonicalize to index form; needs no group because indices stay put
-        items = _split_set_items(spec[len("set:{") : -1])
+        items = _set_items(spec)
         if all(not item.startswith("(") for item in items):
             return "set:{" + ",".join(str(i) for i in sorted(int(x) for x in items)) + "}"
         return "set:{" + ",".join(items) + "}"

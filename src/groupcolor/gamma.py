@@ -211,11 +211,12 @@ METHODS = {
 }
 
 
-def _superset_sums(hist: list[int], bits: int) -> None:
+def _superset_sums(hist: list[int]) -> None:
     # in place: hist[M] becomes the sum of hist[N] over every N containing
-    # M (Yates' fast zeta transform); reversed, supersets become subsets
+    # M (Yates' fast zeta transform), on the lattice of len(hist) masks;
+    # reversed, supersets become subsets
     hist.reverse()
-    _lattice_pass(hist, bits, add)
+    _lattice_pass(hist, add)
     hist.reverse()
 
 
@@ -367,7 +368,7 @@ def gamma_vector(
     if method == "auto":
         v = poset.v
         counts = _difference_histogram(v, allowed, budget)
-        _superset_sums(counts, comb(v, 2))
+        _superset_sums(counts)
         total = allowed.group.order ** (v - 1)
         values = _fractions(poset, counts, total)
         return GammaVector(poset, values, "histogram", counts)
@@ -412,7 +413,7 @@ def _bridge_extension(core: list[int], scaled: list[int], p: int) -> list[int]:
 def _lattice_inverse(v: int, ys: list[int], p: int, bridgeless) -> list[int]:
     # Y from X in place, on the lattice of the edge masks of K_v;
     # ArithmeticError names the first nonzero mask that bridgeless rejects
-    _lattice_pass(ys, comb(v, 2), sub, p)
+    _lattice_pass(ys, sub, p)
     for mask in compress(range(len(ys)), ys):
         if not bridgeless(mask):
             raise ArithmeticError(f"J(r)^-1 is nonzero on the bridged {EdgeSet(v, mask)!r}")
@@ -438,8 +439,7 @@ def _histogram_inverse(gamma: GammaVector, alpha: Fraction) -> list[int]:
     # counts of a histogram vector of the set whose density is alpha
     poset = gamma.poset
     p, q = alpha.as_integer_ratio()
-    pairs = comb(poset.v, 2)
-    q_pow = [q**k for k in range(pairs + 1)]
+    q_pow = [q**k for k in range(len(gamma.counts).bit_length())]
     sizes = map(int.bit_count, range(len(gamma.counts)))
     ys = list(map(mul, gamma.counts, map(q_pow.__getitem__, sizes)))
     return _lattice_inverse(poset.v, ys, p, poset.index_by_mask.__contains__)
@@ -589,7 +589,7 @@ def apply_transfer(
     _negate_odd_sizes(poset, scaled)
     _, core = poset.cores
     ys = _bridge_extension(core, scaled, -p)
-    _lattice_pass(ys, comb(poset.v, 2), add, q)
+    _lattice_pass(ys, add, q)
     return GammaVector(poset, _fractions(poset, ys, common, q), "transfer")
 
 

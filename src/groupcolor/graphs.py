@@ -37,9 +37,10 @@ def _int_field(fields: dict[str, str], key: str, base: int) -> int:
         raise ValueError(f"edge set field {key}={fields[key]!r} is not an integer") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeSet:
-    """Subset of the unordered vertex pairs on v labeled vertices."""
+    """Subset of the unordered vertex pairs on v labeled vertices: two
+    slots, the vertex count and the edge bitmask, and no instance dict."""
 
     v: int
     bits: int
@@ -108,22 +109,11 @@ class EdgeSet:
 
     @property
     def edge_count(self) -> int:
-        # not cached: a cached value joins the instance dict, and when some
-        # members cache it before ``adjacency`` and others after, CPython
-        # stops sharing their dict keys (2 MiB more over P_6's members)
         return self.bits.bit_count()
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         pairs = vertex_pairs(self.v)
         return tuple(pairs[n] for n in range(len(pairs)) if (self.bits >> n) & 1)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.v)]
-        for a, b in self.edges():
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        return tuple(tuple(ns) for ns in nbrs)
 
     def __repr__(self):
         return f"EdgeSet({self.to_text()})"
@@ -193,10 +183,16 @@ def is_isthmus_free(edge_set: EdgeSet) -> bool:
 
 
 def girth(edge_set: EdgeSet):
-    """Length of the shortest cycle; math.inf for forests."""
-    adj = edge_set.adjacency
+    """Length of the shortest cycle; math.inf for forests. Each edge (a, b)
+    closes a cycle one longer than the shortest path from a to b that
+    avoids it, found by BFS over neighbour lists built from the edges."""
+    edges = edge_set.edges()
+    adj: list[list[int]] = [[] for _ in range(edge_set.v)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
     best = math.inf
-    for a, b in edge_set.edges():
+    for a, b in edges:
         # BFS distance a -> b avoiding the edge itself
         dist = {a: 0}
         frontier = [a]
@@ -230,9 +226,6 @@ class SubgraphPoset:
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __iter__(self):
-        return iter(self.members)
-
     @cached_property
     def members(self) -> tuple[EdgeSet, ...]:
         return tuple(EdgeSet(self.v, mask) for mask in self.masks)
@@ -262,12 +255,13 @@ class SubgraphPoset:
         return tuple(map(int.bit_count, self.masks))
 
 
-def _lattice_pass(values: list, bits: int, op, scale: int = 1) -> None:
-    """One Yates pass over the Boolean lattice, in place: for each bit k
-    below ``bits`` in turn, values[M] = op(values[M], scale * values[M - k])
-    at every M holding bit k (``len(values)`` is 2^bits). With ``add`` it
-    makes subset sums, with ``sub`` subset Mobius inversion, with ``or_``
-    subset ORs; ``sub`` at scale p inverts the weighted zeta at p.
+def _lattice_pass(values: list, op, scale: int = 1) -> None:
+    """One Yates pass over the Boolean lattice, in place. The list holds one
+    value per mask of n bits, so its length 2^n gives n. For each bit k
+    below n in turn, values[M] = op(values[M], scale * values[M - k]) at
+    every M holding bit k. With ``add`` it makes subset sums, with ``sub``
+    subset Mobius inversion, with ``or_`` subset ORs; ``sub`` at scale p
+    inverts the weighted zeta at p.
 
     The masks holding bit k are updated from masks without it, so each step
     is a ``map`` over list slices: one slice per block of 2^(k+1) masks when
@@ -276,7 +270,7 @@ def _lattice_pass(values: list, bits: int, op, scale: int = 1) -> None:
     """
     size = len(values)
     weigh = (lambda lower: lower) if scale == 1 else (lambda lower: map(mul, lower, repeat(scale)))
-    for k in range(bits):
+    for k in range(size.bit_length() - 1):
         step = 1 << k
         span = 2 * step
         if step <= size // span:
@@ -336,7 +330,7 @@ def bridgeless_cores(v: int, bits: int) -> tuple[list[int], array]:
             cycle ^= low
             mask |= local[low]
         core[mask] = mask
-    _lattice_pass(core, len(places), or_)
+    _lattice_pass(core, or_)
     return places, array("I", core)
 
 
@@ -349,7 +343,7 @@ def _fixed_points(places: list[int], core: array) -> list[int]:
         spread = [0] * len(core)
         for k, n in enumerate(places):
             spread[1 << k] = 1 << n
-        _lattice_pass(spread, len(places), or_)
+        _lattice_pass(spread, or_)
         found = [spread[mask] for mask in found]
     found.sort(key=lambda m: (m.bit_count(), m))
     return found
@@ -392,7 +386,7 @@ def down_sets_of(index: dict[int, int]) -> tuple[tuple[int, ...], ...]:
     for mask, pos in index.items():
         position[mask] = pos
         below[mask] = 1
-    _lattice_pass(below, top.bit_length(), add)
+    _lattice_pass(below, add)
     rows = [[0] * below[mask] for mask in index]
     del below
     fill = [0] * len(index)

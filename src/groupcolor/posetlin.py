@@ -185,10 +185,6 @@ def _ring_element(r):
     return r if isinstance(r, RationalPoly) else _as_fraction(r)
 
 
-def _render(x, var: str) -> str:
-    return x.render(var) if isinstance(x, RationalPoly) else str(x)
-
-
 @dataclass(frozen=True)
 class PolyMatrix:
     """Square matrix indexed by a subgraph poset, with entries that are all
@@ -225,11 +221,12 @@ class PolyMatrix:
             rows.append(tuple(out))
         return PolyMatrix(self.poset, tuple(rows))
 
-    def render_rows(self, var: str = "r", paper_order: bool = False) -> list[list[str]]:
-        """Rows of entry strings; paper_order lists the complete graph first
-        (reversed linear extension) for side-by-side comparison."""
+    def render_rows(self, paper_order: bool = False) -> list[list[str]]:
+        """Rows of entry strings, polynomials in r; paper_order lists the
+        complete graph first (reversed linear extension) for side-by-side
+        comparison."""
         idx = range(self.n - 1, -1, -1) if paper_order else range(self.n)
-        return [[_render(self.entries[h][e], var) for e in idx] for h in idx]
+        return [[str(self.entries[h][e]) for e in idx] for h in idx]
 
     def is_identity(self) -> bool:
         return not any(

@@ -116,6 +116,28 @@ def test_allowed_spec_rejects():
             parse_allowed_spec(spec, group)
 
 
+def test_allowed_spec_refuses_an_empty_element_or_residue(capsys):
+    # an empty item or residue is refused by name, never dropped: these ran
+    # as (1,0), as the empty set and as {1,4}
+    for group, spec in (
+        ("Z2xZ4", "set:{(1,,0)}"),
+        ("Z2xZ4", "set:{(1,0),}"),
+        ("Z2xZ4", "set:{()}"),
+        ("Z5", "set:{,}"),
+        ("Z5", "set:{1,,4}"),
+        ("Z5", "set:{1,4,}"),
+    ):
+        code = main(["gamma", "--v", "3", "--group", group, "--allowed", spec])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", spec
+        assert repr(spec) in err and "Traceback" not in err
+    # a blank body is still the empty set
+    for spec in ("set:{}", "set:{ }"):
+        code, data = _run_json(capsys, ["gamma", "--v", "3", "--group", "Z5", "--allowed", spec])
+        assert code == 0
+        assert data["allowed"] == "set:{}" and data["alpha"] == "0"
+
+
 def test_allowed_spec_canonical_render():
     assert render_allowed_spec(" interval:2 ") == "interval:2"
     assert render_allowed_spec("set:{3,0}") == "set:{0,3}"
@@ -303,6 +325,8 @@ GOLDEN_STDOUT = {
     "verify --v 5 --group Z7 --allowed interval:1 --format tsv": "57f7912fa43483bef32e77b268b2106bf11ed4062306070388b5af4792472f50",
     "verify --v 4 --group Z2xZ4 --allowed set:{(0,1),(0,3),(1,0)}": "fdd1738b41c7eed65b213add15b104a33b86ecdeee44a81f068e5175d24be273",
     "verify --v 4 --group Z6 --allowed set:{1,3,5}": "43a07ba0cc3b67e806a63d51c9a5a13f637232032006591aaf0d1223d5c99dee",
+    "verify --v 6 --group Z7 --allowed interval:1 --format tsv": "ec51f056d15f51efe32200487a12305ac646e8a16c94da3dde43b8c2d431f5a7",
+    "verify --v 6 --group Z2^3 --allowed hamming:1": "c36c982ea320889ea1cc1b9f85063e273c23ad95b68385adaa8624d15487a1e9",
 }
 
 

@@ -422,7 +422,7 @@ def test_superset_sums_match_the_direct_sum():
     for bits in range(7):
         hist = [rng.randrange(100) for _ in range(1 << bits)]
         summed = list(hist)
-        _superset_sums(summed, bits)
+        _superset_sums(summed)
         assert summed == [
             sum(hist[n] for n in range(len(hist)) if n & m == m) for m in range(len(hist))
         ]
@@ -672,6 +672,16 @@ def test_lattice_route_matches_forward_substitution(request, v, method):
 @pytest.mark.parametrize("name", sorted(V6_SETS))
 def test_lattice_route_matches_forward_substitution_at_v6(p6, name):
     _assert_lattice_route_matches_substitution(p6, V6_SETS[name](), "auto")
+
+
+@pytest.mark.parametrize("name", sorted(HISTOGRAM_GROUPS))
+@pytest.mark.parametrize("v", [3, 4, 5])
+def test_verify_on_the_empty_and_the_full_set_matches_forward_substitution(request, v, name):
+    # alpha is 0 on one side of each, so that side's solve has step weight 0
+    poset = request.getfixturevalue(f"p{v}")
+    nothing, everything, _ = _histogram_sets(name)
+    for allowed in (nothing, everything):
+        _assert_lattice_route_matches_substitution(poset, allowed, "auto")
 
 
 def test_apply_transfer_matches_forward_substitution_at_the_ends(p4):

@@ -124,6 +124,19 @@ def test_girth_examples(k3_v3, c4_v4):
     assert girth(EdgeSet(4, 0)) == math.inf
 
 
+def test_girth_matches_networkx_on_every_member_of_p6(p6):
+    assert [girth(member) for member in p6.members] == [
+        nx.girth(_nx_graph(member)) for member in p6.members
+    ]
+
+
+def test_edge_set_holds_two_slots():
+    es = EdgeSet(3, 7)
+    assert EdgeSet.__slots__ == ("v", "bits")
+    with pytest.raises(AttributeError):
+        es.__dict__
+
+
 def test_poset_counts(p3, p4):
     assert len(p3) == 2
     assert len(p4) == 15
@@ -158,7 +171,7 @@ def test_bridgeless_subsets_of_complete_graph_is_the_poset(v):
     plain = [m for m in range(complete + 1) if is_isthmus_free(EdgeSet(v, m))]
     plain.sort(key=lambda m: (m.bit_count(), m))
     assert bridgeless_subsets(v, complete) == plain
-    assert [m.bits for m in enumerate_poset(v)] == plain
+    assert list(enumerate_poset(v).masks) == plain
 
 
 def test_bridgeless_subsets_of_a_member_is_its_down_set(p4, p5):
@@ -291,7 +304,7 @@ def test_lattice_pass_matches_a_per_bit_loop(op):
         if op is or_:
             values = [abs(x) for x in values]
         passed = list(values)
-        _lattice_pass(passed, bits, op)
+        _lattice_pass(passed, op)
         assert passed == _per_bit_loop(values, bits, op)
 
 
@@ -302,7 +315,7 @@ def test_lattice_pass_weights_each_step(scale):
         for bits in range(7):
             values = [rng.randrange(-50, 1000) for _ in range(1 << bits)]
             passed = list(values)
-            _lattice_pass(passed, bits, op, scale)
+            _lattice_pass(passed, op, scale)
             assert passed == _per_bit_loop(values, bits, op, scale)
 
 
@@ -367,7 +380,10 @@ def _class_label_oracle(v, bits):
     e = es.edge_count
     if e == 0:
         return "empty"
-    adj = es.adjacency
+    adj = [[] for _ in range(v)]
+    for a, b in es.edges():
+        adj[a].append(b)
+        adj[b].append(a)
     active = [u for u in range(v) if adj[u]]
     na = len(active)
     if all(len(adj[u]) == 2 for u in active):
