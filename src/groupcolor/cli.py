@@ -13,9 +13,8 @@ import json
 import os
 import re
 import sys
-import time
 from fractions import Fraction
-from math import comb, log10
+from math import comb, inf, log10
 
 from .gamma import (
     BudgetExceededError,
@@ -32,10 +31,10 @@ from .gamma import (
 from .graphs import (
     EdgeSet,
     chromatic_oracle,
+    components,
     enumerate_poset,
+    girth,
     iso_class_blocks,
-    poset_rows,
-    poset_to_json,
 )
 from .groups import (
     MAX_GROUP_ORDER,
@@ -158,27 +157,64 @@ def parse_allowed_spec(spec: str, group: FiniteAbelianGroup) -> AllowedSet:
     raise ValueError(f"bad allowed-set spec {spec!r}")
 
 
-def render_allowed_spec(spec: str) -> str:
-    """Canonical form of an allowed-set spec string (whitespace stripped;
-    explicit sets rewritten as sorted indices)."""
+def render_allowed_spec(spec: str, allowed: AllowedSet) -> str:
+    """Canonical form of an allowed-set spec string: whitespace stripped, and
+    an explicit set rewritten from its parsed elements, sorted and distinct,
+    as indices, or as residue tuples if any item was one. Index order is the
+    lexicographic order of the residues, first factor most significant."""
     spec = spec.strip()
-    if spec.startswith("set:{") and spec.endswith("}"):
-        # canonicalize to index form; needs no group because indices stay put
-        items = _set_items(spec)
-        if all(not item.startswith("(") for item in items):
-            return "set:{" + ",".join(str(i) for i in sorted(int(x) for x in items)) + "}"
-        return "set:{" + ",".join(items) + "}"
-    return spec
+    if not spec.startswith("set:{"):
+        return spec
+    items = allowed.indices()
+    if any(item.startswith("(") for item in _set_items(spec)):
+        residues = map(allowed.group.residues_of, items)
+        return "set:{" + ",".join(f"({','.join(map(str, r))})" for r in residues) + "}"
+    return "set:{" + ",".join(map(str, items)) + "}"
 
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _emit_tsv(header: list[str], rows: list[list]) -> None:
-    print("\t".join(header))
-    for row in rows:
-        print("\t".join(str(cell) for cell in row))
+def _emit_members(
+    fmt: str,
+    fields: dict,
+    key: str,
+    columns: dict,
+    trailer: dict | None = None,
+    tsv_omits: tuple[str, ...] = (),
+) -> None:
+    """Print one row per poset member. The columns are iterables in member
+    order. JSON holds the fields, then the rows as objects under key, then
+    the trailer. TSV prints the column names, the rows, and each trailer
+    value on a line of its own; a column named in tsv_omits is left out,
+    and is never read."""
+    trailer = trailer or {}
+    if fmt == "json":
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        _emit_json({**fields, key: rows, **trailer})
+        return
+    names = [name for name in columns if name not in tsv_omits]
+    cells = zip(*(columns[name] for name in names))
+    lines = ["\t".join(names), *("\t".join(map(str, row)) for row in cells)]
+    print("\n".join([*lines, *map(str, trailer.values())]))
+
+
+def _edge_texts(poset):
+    # a generator, so a column that is never read builds no members and no text
+    for member in poset.members:
+        yield member.to_text()
+
+
+def _class_columns(blocks, size: int, row_of) -> tuple:
+    # the columns, in member order, of one row per isomorphism class: row_of
+    # takes a class's label and member indices, and each member gets the row
+    rows = [None] * size
+    for label, idxs in blocks:
+        row = row_of(label, idxs)
+        for i in idxs:
+            rows[i] = row
+    return tuple(zip(*rows))
 
 
 def _rational(text: str) -> Fraction:
@@ -204,11 +240,25 @@ def _rational(text: str) -> Fraction:
 
 def cmd_poset(ns: argparse.Namespace) -> int:
     poset = enumerate_poset(ns.v)
-    if ns.format == "tsv":
-        rows = poset_rows(poset)
-        _emit_tsv(list(rows[0]), [list(row.values()) for row in rows])
-    else:
-        print(poset_to_json(poset))
+
+    def invariants(label, idxs):
+        # girth and component count do not change under relabeling, so they
+        # are read on the class's first member
+        first = poset.members[idxs[0]]
+        g = girth(first)
+        return components(first), "inf" if g == inf else g, label
+
+    counts, girths, labels = _class_columns(iso_class_blocks(poset), len(poset), invariants)
+    columns = {
+        "index": range(len(poset)),
+        "mask": poset.masks,
+        "edges": _edge_texts(poset),
+        "edge_count": map(int.bit_count, poset.masks),
+        "components": counts,
+        "girth": girths,
+        "iso_class": labels,
+    }
+    _emit_members(ns.format, {"v": poset.v, "count": len(poset)}, "members", columns)
     return 0
 
 
@@ -266,6 +316,10 @@ def _check_printable_point(r: Fraction, v: int) -> None:
 
 
 def cmd_matrix(ns: argparse.Namespace) -> int:
+    # the TSV holds the entries alone
+    for flag in ("blocks", "errata"):
+        if ns.format == "tsv" and getattr(ns, flag):
+            raise ValueError(f"--{flag} is not printed with --format tsv; use --format json")
     poset = enumerate_poset(ns.v)
     r = _rational(ns.r) if ns.r is not None else None
     # the cell count also bounds the builders' submask walk: sum 2^|H| is
@@ -311,32 +365,20 @@ def cmd_gamma(ns: argparse.Namespace) -> int:
     group = parse_group_spec(ns.group)
     allowed = parse_allowed_spec(ns.allowed, group)
     poset = enumerate_poset(ns.v)
-    # one call gives every value; each row gets an equal share of its time
-    t0 = time.perf_counter()
     values = gamma_vector(poset, allowed, ns.method, ns.budget).values
-    seconds = round((time.perf_counter() - t0) / len(poset), 6)
-    rows = [
-        {
-            "mask": member.bits,
-            "edges": member.to_text(),
-            "value": str(value),
-            "method": ns.method,
-            "seconds": seconds,
-        }
-        for member, value in zip(poset.members, values)
-    ]
-    payload = {
+    fields = {
         "v": ns.v,
         "group": render_group_spec(group),
-        "allowed": render_allowed_spec(ns.allowed),
+        "allowed": render_allowed_spec(ns.allowed, allowed),
         "alpha": str(allowed.alpha),
-        "values": rows,
     }
-    if ns.format == "tsv":
-        header = ["mask", "edges", "value", "method", "seconds"]
-        _emit_tsv(header, [[row[h] for h in header] for row in rows])
-    else:
-        _emit_json(payload)
+    columns = {
+        "mask": poset.masks,
+        "edges": _edge_texts(poset),
+        "value": map(str, values),
+        "method": [ns.method] * len(poset),
+    }
+    _emit_members(ns.format, fields, "values", columns)
     return 0
 
 
@@ -345,21 +387,25 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     allowed = parse_allowed_spec(ns.allowed, group)
     poset = enumerate_poset(ns.v)
     report = verify_reciprocity(poset, allowed, budget=ns.budget)
-    payload = {
+    fields = {
         "v": ns.v,
         "group": render_group_spec(group),
-        "allowed": render_allowed_spec(ns.allowed),
-        **report.to_dict(),
+        "allowed": render_allowed_spec(ns.allowed, allowed),
+        "alpha": str(report.alpha),
+        "alpha_bar": str(1 - report.alpha),
+        "ok": report.ok,
     }
-    payload["summary"] = f"{'PASS' if report.ok else 'FAIL'} {report.passed}/{len(poset)}"
-    if ns.format == "tsv":
-        _emit_tsv(
-            ["mask", "lhs", "rhs", "equal"],
-            [[c["mask"], c["lhs"], c["rhs"], c["equal"]] for c in payload["coordinates"]],
-        )
-        print(payload["summary"])
-    else:
-        _emit_json(payload)
+    columns = {
+        "mask": poset.masks,
+        "edges": _edge_texts(poset),
+        "lhs": map(str, report.lhs),
+        "rhs": map(str, report.rhs),
+        "equal": report.per_coordinate,
+    }
+    summary = f"{'PASS' if report.ok else 'FAIL'} {report.passed}/{len(poset)}"
+    _emit_members(
+        ns.format, fields, "coordinates", columns, {"summary": summary}, tsv_omits=("edges",)
+    )
     return 0 if report.ok else 1
 
 
@@ -375,48 +421,40 @@ def cmd_chromatic(ns: argparse.Namespace) -> int:
     if ns.edgeset:
         members = [EdgeSet.from_text(ns.edgeset)]
         v = members[0].v
-        classes = [(0,)]
+        blocks = [("", (0,))]
     else:
         poset = enumerate_poset(ns.v)
         members = list(poset.members)
         v = ns.v
-        classes = [idxs for _, idxs in iso_class_blocks(poset)]
+        blocks = iso_class_blocks(poset)
     # the edge walks read _incident(v): v masks of C(v, 2) bits
     pair_table = v * comb(v, 2)
     if pair_table > ns.budget:
         raise BudgetExceededError(f"vertex-pair table on {v} vertices", pair_table, ns.budget)
     # chromatic_via_transfer walks the forests of E once per class
-    work = sum(_forest_walk_charge(members[idxs[0]]) for idxs in classes)
+    work = sum(_forest_walk_charge(members[idxs[0]]) for _, idxs in blocks)
     if work > ns.budget:
         raise BudgetExceededError(
             f"chromatic specialization of {len(members)} edge sets", work, ns.budget
         )
-    cells = [None] * len(members)
-    for idxs in classes:
+
+    def polynomials(label, idxs):
         first = members[idxs[0]]
         via_transfer = chromatic_via_transfer(first)
         oracle = chromatic_oracle(first)
         last = chromatic_oracle(members[idxs[-1]])  # memoized when it is first
-        cell = (via_transfer.render("f"), oracle.render("f"), via_transfer == oracle == last)
-        for i in idxs:
-            cells[i] = cell
-    rows = [
-        {
-            "mask": member.bits,
-            "edges": member.to_text(),
-            "via_transfer": transfer_text,
-            "oracle": oracle_text,
-            "equal": equal,
-        }
-        for member, (transfer_text, oracle_text, equal) in zip(members, cells)
-    ]
-    all_ok = all(row["equal"] for row in rows)
-    payload = {"v": v, "all_equal": all_ok, "polynomials": rows}
-    if ns.format == "tsv":
-        header = ["mask", "edges", "via_transfer", "oracle", "equal"]
-        _emit_tsv(header, [[row[h] for h in header] for row in rows])
-    else:
-        _emit_json(payload)
+        return via_transfer.render("f"), oracle.render("f"), via_transfer == oracle == last
+
+    via_transfer, oracle, equal = _class_columns(blocks, len(members), polynomials)
+    columns = {
+        "mask": [member.bits for member in members],
+        "edges": [member.to_text() for member in members],
+        "via_transfer": via_transfer,
+        "oracle": oracle,
+        "equal": equal,
+    }
+    all_ok = all(equal)
+    _emit_members(ns.format, {"v": v, "all_equal": all_ok}, "polynomials", columns)
     return 0 if all_ok else 1
 
 
@@ -710,8 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="cycle",
         help=(
             "auto: one histogram sweep of f^(v-1) colorings for all members; "
-            "brute, cycle, fourier: one computation per isomorphism class; "
-            "each row's seconds is the whole vector's time over the member count"
+            "brute, cycle, fourier: one computation per isomorphism class"
         ),
     )
     _add_common(p, group_args=True)

@@ -7,7 +7,7 @@ For an edge set E and a symmetric allowed set A, the E coordinate is the
 probability that a uniformly random coloring of the vertices has every edge
 difference inside A. Exact rational arithmetic everywhere except the
 Fourier cross-check, which is floating point by design. Only the per-member
-methods and the rendered edges read the poset's members as EdgeSets.
+branch of gamma_vector reads the poset's members as EdgeSets.
 """
 
 from __future__ import annotations
@@ -512,25 +512,6 @@ class ReciprocityReport:
 
     def failing_indices(self) -> tuple[int, ...]:
         return tuple(i for i, good in enumerate(self.per_coordinate) if not good)
-
-    def to_dict(self) -> dict:
-        coords = []
-        for i, member in enumerate(self.poset.members):
-            coords.append(
-                {
-                    "mask": member.bits,
-                    "edges": member.to_text(),
-                    "lhs": str(self.lhs[i]),
-                    "rhs": str(self.rhs[i]),
-                    "equal": self.per_coordinate[i],
-                }
-            )
-        return {
-            "alpha": str(self.alpha),
-            "alpha_bar": str(1 - self.alpha),
-            "ok": self.ok,
-            "coordinates": coords,
-        }
 
 
 def verify_reciprocity(

@@ -9,7 +9,6 @@ as connected components.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from array import array
@@ -543,36 +542,3 @@ def chromatic_oracle(edge_set: EdgeSet) -> RationalPoly:
     """
     return _chromatic(edge_set.v, frozenset(edge_set.edges()))
 
-
-def poset_rows(poset: SubgraphPoset) -> list[dict]:
-    """One record per member: its mask, edges, edge and component counts,
-    girth and isomorphism-class label. Girth and component count do not
-    change under relabeling, so they are computed once per class, on its
-    first member."""
-    of_class = {}
-    for label, idxs in iso_class_blocks(poset):
-        first = poset.members[idxs[0]]
-        g = girth(first)
-        shared = (components(first), "inf" if g == math.inf else g, label)
-        of_class.update(dict.fromkeys(idxs, shared))
-    rows = []
-    for i, member in enumerate(poset.members):
-        count, g, label = of_class[i]
-        rows.append(
-            {
-                "index": i,
-                "mask": member.bits,
-                "edges": member.to_text(),
-                "edge_count": member.edge_count,
-                "components": count,
-                "girth": g,
-                "iso_class": label,
-            }
-        )
-    return rows
-
-
-def poset_to_json(poset: SubgraphPoset) -> str:
-    return json.dumps(
-        {"v": poset.v, "count": len(poset), "members": poset_rows(poset)}, indent=2
-    )

@@ -139,9 +139,32 @@ def test_allowed_spec_refuses_an_empty_element_or_residue(capsys):
 
 
 def test_allowed_spec_canonical_render():
-    assert render_allowed_spec(" interval:2 ") == "interval:2"
-    assert render_allowed_spec("set:{3,0}") == "set:{0,3}"
-    assert render_allowed_spec("nonzero") == "nonzero"
+    g5, g6, g24 = make_group([5]), make_group([6]), make_group([2, 4])
+
+    def render(spec, group):
+        return render_allowed_spec(spec, parse_allowed_spec(spec, group))
+
+    assert render(" interval:2 ", g5) == "interval:2"
+    assert render("nonzero", g5) == "nonzero"
+    # an explicit set: its distinct elements, sorted, as indices while
+    # every item is one, else as residue tuples in lexicographic order
+    assert render("set:{3,0}", g6) == "set:{0,3}"
+    assert render("set:{1,1,3,5}", g6) == "set:{1,3,5}"
+    assert render("set:{1,(0,3),(1,0)}", g24) == "set:{(0,1),(0,3),(1,0)}"
+    assert render("set:{( 1 ,0 ),(0,1),(0,3),(1,0)}", g24) == "set:{(0,1),(0,3),(1,0)}"
+    assert render("set:{(1)}", make_group([2])) == "set:{(1)}"
+    assert render("set:{ }", g5) == "set:{}"
+
+
+def test_allowed_set_spellings_print_the_same_output(capsys):
+    # three spellings of one allowed set of Z2xZ4 print one stdout
+    outs = set()
+    for spec in ("set:{(0,1),(1,0),(0,3)}", "set:{(1,0),(0,3),(0,1)}", "set:{( 0, 1 ),(0,3),(1,0)}"):
+        code, out = _run(capsys, ["gamma", "--v", "4", "--group", "Z2xZ4", "--allowed", spec])
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["allowed"] == "set:{(0,1),(0,3),(1,0)}"
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +260,23 @@ def test_cmd_matrix_point_too_large_to_print_is_refused_up_front(capsys):
         assert "--r" in err and f"{limit}-digit" in err and "Traceback" not in err
 
 
+def test_cmd_matrix_refuses_blocks_and_errata_in_tsv(capsys, monkeypatch):
+    # the TSV holds the entries alone, so a flag that adds a JSON field is
+    # refused by name before any matrix or example report is built
+    import groupcolor.cli as cli_module
+
+    def refused(*args):
+        raise AssertionError("built before the refusal")
+
+    monkeypatch.setattr(cli_module, "enumerate_poset", refused)
+    monkeypatch.setattr(cli_module, "example1_report", refused)
+    for flag in ("--blocks", "--errata"):
+        code = main(["matrix", "--v", "4", "--which", "M", flag, "--format", "tsv"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert flag in err and "Traceback" not in err
+
+
 def test_cmd_matrix_errata(capsys):
     code, data = _run_json(capsys, ["matrix", "--v", "4", "--which", "M", "--errata"])
     assert code == 0
@@ -327,6 +367,8 @@ GOLDEN_STDOUT = {
     "verify --v 4 --group Z6 --allowed set:{1,3,5}": "43a07ba0cc3b67e806a63d51c9a5a13f637232032006591aaf0d1223d5c99dee",
     "verify --v 6 --group Z7 --allowed interval:1 --format tsv": "ec51f056d15f51efe32200487a12305ac646e8a16c94da3dde43b8c2d431f5a7",
     "verify --v 6 --group Z2^3 --allowed hamming:1": "c36c982ea320889ea1cc1b9f85063e273c23ad95b68385adaa8624d15487a1e9",
+    "gamma --v 5 --group Z7 --allowed interval:1 --format tsv": "eac9db9acfcc382680050bc651ef8cfaef276978e01f00ac6f3e18f4951e0555",
+    "gamma --v 4 --group Z2xZ4 --allowed set:{(0,1),(0,3),(1,0)} --method brute": "4ad29cd4e8f57c9c2276f4da9ed1d41181fe3ac07b63b8f4ff57da20c7a894d3",
 }
 
 
@@ -352,7 +394,6 @@ def test_cmd_gamma_values(capsys):
     assert code == 0
     assert [row["value"] for row in data["values"]] == ["1", "7/25"]
     assert all(row["method"] == "brute" for row in data["values"])
-    assert all("seconds" in row for row in data["values"])
 
 
 @pytest.mark.parametrize("method", ["brute", "cycle", "fourier"])
@@ -375,8 +416,6 @@ def test_cmd_gamma_prints_gamma_vector(capsys, monkeypatch, method):
     rows = data["values"]
     assert [row["value"] for row in rows] == [str(value) for value in expected]
     assert {row["method"] for row in rows} == {method}
-    # every row carries the same share of the vector's time
-    assert len({row["seconds"] for row in rows}) == 1
 
 
 def test_cmd_gamma_nonzero_z7(capsys):
@@ -515,16 +554,20 @@ def test_cmd_verify_failure_exit_code(capsys, monkeypatch):
     import groupcolor.cli as cli_mod
 
     class FakeReport:
+        # the fields cmd_verify reads
+        alpha = Fraction(1, 2)
+        lhs = (Fraction(1), Fraction(0))
+        rhs = (Fraction(1), Fraction(1, 4))
+        per_coordinate = (True, False)
+        passed = 1
         ok = False
-        passed = 0
-
-        def to_dict(self):
-            return {"ok": False, "alpha": "1/2", "alpha_bar": "1/2", "coordinates": []}
 
     monkeypatch.setattr(cli_mod, "verify_reciprocity", lambda *a, **k: FakeReport())
     code, data = _run_json(capsys, ["verify", "--v", "3", "--group", "Z5", "--allowed", "nonzero"])
     assert code == 1
-    assert data["summary"] == "FAIL 0/2"
+    assert data["ok"] is False and data["alpha_bar"] == "1/2"
+    assert [(c["rhs"], c["equal"]) for c in data["coordinates"]] == [("1", True), ("1/4", False)]
+    assert data["summary"] == "FAIL 1/2"
 
 
 def test_cmd_chromatic_all_members(capsys):
@@ -676,6 +719,50 @@ def test_output_is_deterministic(capsys):
     _, first = _run(capsys, ["examples", "--which", "2"])
     _, second = _run(capsys, ["examples", "--which", "2"])
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["poset", "--v", "4"], "members"),
+        (["gamma", "--v", "4", "--group", "Z5", "--allowed", "interval:1"], "values"),
+        (["verify", "--v", "4", "--group", "Z7", "--allowed", "interval:1"], "coordinates"),
+        (["chromatic", "--v", "4"], "polynomials"),
+        (["chromatic", "--edgeset", "v=4;edges=01,12,23,03"], "polynomials"),
+    ],
+)
+def test_json_and_tsv_rows_agree(capsys, argv, key):
+    # one writer prints both formats: the TSV header is the JSON rows' keys
+    # and each TSV row their values, in member order; verify's TSV has no
+    # edges column and ends with the summary line
+    code, data = _run_json(capsys, argv)
+    tsv_code, out = _run(capsys, argv + ["--format", "tsv"])
+    assert code == tsv_code == 0
+    verify = argv[0] == "verify"
+    expected = [{k: v for k, v in row.items() if not (verify and k == "edges")} for row in data[key]]
+    header, *lines = out.splitlines()
+    assert header.split("\t") == list(expected[0])
+    rows = [line.split("\t") for line in lines[: len(expected)]]
+    assert rows == [[str(v) for v in row.values()] for row in expected]
+    assert lines[len(expected) :] == ([data["summary"]] if verify else [])
+
+
+def test_verify_tsv_builds_no_edge_text(capsys, monkeypatch):
+    # the TSV has no edges column, so no member's text is built for it
+    calls = []
+    real = EdgeSet.to_text
+
+    def spy(self, *args):
+        calls.append(self.bits)
+        return real(self, *args)
+
+    monkeypatch.setattr(EdgeSet, "to_text", spy)
+    argv = ["verify", "--v", "4", "--group", "Z7", "--allowed", "interval:1"]
+    assert main(argv + ["--format", "tsv"]) == 0
+    assert calls == []
+    assert main(argv) == 0
+    assert len(calls) == 15
+    capsys.readouterr()
 
 
 def test_tsv_formats_run(capsys):

@@ -6,6 +6,7 @@ enumeration oracle (_triangle_value) or by hand from the closed forms; the
 oracle shares no code with the library paths it checks.
 """
 
+import json
 import random
 import time
 from array import array
@@ -16,6 +17,7 @@ from math import comb, lcm
 
 import pytest
 
+import groupcolor.cli as cli_module
 import groupcolor.gamma as gamma_module
 import groupcolor.graphs as graphs_module
 from groupcolor.gamma import (
@@ -797,22 +799,24 @@ def test_reciprocity_reports_a_mismatch(p4, monkeypatch):
     monkeypatch.setattr(AllowedSet, "complement", lambda self: stand_in)
     report = verify_reciprocity(p4, allowed)
     assert not report.ok
-    # one equality tuple, made once, behind ok, the pass count and the dict
+    # one equality tuple, made once, behind ok, the pass count and the failures
     assert report.per_coordinate is report.per_coordinate
     assert report.passed == len(p4) - len(report.failing_indices()) < len(p4)
-    equal = [c["equal"] for c in report.to_dict()["coordinates"]]
-    assert equal == list(report.per_coordinate)
     assert report.lhs == _gamma_plus_by_substitution(report.gamma, allowed.alpha)
     assert report.rhs == _verify_rhs_by_substitution(report.gamma_complement, allowed.alpha_bar)
 
 
-def test_reciprocity_report_dict(p3):
-    allowed = allowed_interval(make_group([5]), 1)
-    data = verify_reciprocity(p3, allowed).to_dict()
+def test_reciprocity_report_dict(capsys, p3):
+    # verify's JSON renders the report: alpha, ok, and one coordinate per member
+    assert cli_module.main(["verify", "--v", "3", "--group", "Z5", "--allowed", "interval:1"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["ok"] is True
-    assert data["alpha"] == "2/5"
+    assert data["alpha"] == "2/5" and data["alpha_bar"] == "3/5"
     assert len(data["coordinates"]) == 2
     assert {"mask", "edges", "lhs", "rhs", "equal"} <= set(data["coordinates"][0])
+    report = verify_reciprocity(p3, allowed_interval(make_group([5]), 1))
+    assert [c["lhs"] for c in data["coordinates"]] == [str(x) for x in report.lhs]
+    assert [c["rhs"] for c in data["coordinates"]] == [str(x) for x in report.rhs]
 
 
 def test_apply_transfer_triangle_relation(p3):

@@ -1,6 +1,7 @@
 """Edge-set machinery, bridge detection, poset enumeration, and the
 deletion-contraction chromatic oracle, cross-checked against networkx."""
 
+import json
 import math
 import random
 import re
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupcolor.cli import main
 from groupcolor.graphs import (
     EdgeSet,
     _canonical_forms,
@@ -32,8 +34,6 @@ from groupcolor.graphs import (
     girth,
     is_isthmus_free,
     iso_class_blocks,
-    poset_rows,
-    poset_to_json,
     vertex_pairs,
 )
 from groupcolor.posetlin import RationalPoly
@@ -584,10 +584,13 @@ def test_chromatic_oracle_matches_networkx_on_p4(p4):
         assert [int(c) for c in coeffs] == [int(c) for c in ours.coeffs]
 
 
-def test_poset_json_shape(p4):
-    import json
+def _poset_json(capsys, v):
+    assert main(["poset", "--v", str(v)]) == 0
+    return json.loads(capsys.readouterr().out)
 
-    data = json.loads(poset_to_json(p4))
+
+def test_poset_json_shape(capsys):
+    data = _poset_json(capsys, 4)
     assert data["count"] == 15
     assert data["members"][0]["girth"] == "inf"
     assert data["members"][-1]["iso_class"] == "K4"
@@ -596,12 +599,15 @@ def test_poset_json_shape(p4):
     )
 
 
-def test_poset_rows_match_per_member_girth_and_components(p5):
+def test_poset_rows_match_per_member_girth_and_components(capsys, p5):
     # the rows take both from one member per class
-    for row, member in zip(poset_rows(p5), p5.members):
+    rows = _poset_json(capsys, 5)["members"]
+    assert [row["mask"] for row in rows] == list(p5.masks)
+    for row, member in zip(rows, p5.members):
         g = girth(member)
         assert row["girth"] == ("inf" if g == math.inf else g)
         assert row["components"] == components(member)
+        assert row["edges"] == member.to_text() and row["edge_count"] == member.edge_count
 
 
 @given(st.integers(min_value=2, max_value=6), st.data())
