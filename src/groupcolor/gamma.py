@@ -609,7 +609,7 @@ def _forest_counts(edge_set: EdgeSet) -> tuple[list[int], list[int]]:
     joins the same two parts, so each candidate completes a spanning
     forest. Only the highest edge of that cross mask leaves it free, and
     it is a candidate exactly when there is one: the level is counted in
-    bulk, with no union.
+    bulk, with no union, and in the parent node, with no call.
     """
     v, bits = edge_set.v, edge_set.bits
     pairs = vertex_pairs(v)
@@ -626,6 +626,7 @@ def _forest_counts(edge_set: EdgeSet) -> tuple[list[int], list[int]]:
         if k == top:
             nbc[k] += free
             return
+        last = k + 1 == top
         while rest:
             low = rest & -rest
             rest ^= low
@@ -639,12 +640,17 @@ def _forest_counts(edge_set: EdgeSet) -> tuple[list[int], list[int]]:
             child_free = free and cross < low << 1
             nbc[k] += child_free
             later = rest & ~cross
-            if later:
-                parent[b] = a
-                touch[a] = joined | other
-                grow(later, k + 1, child_free)
-                touch[a] = joined
-                parent[b] = b
+            if not later:
+                continue
+            if last:  # the child's level is the top: counted here, with no union
+                counts[top] += later.bit_count()
+                nbc[top] += child_free
+                continue
+            parent[b] = a
+            touch[a] = joined | other
+            grow(later, k + 1, child_free)
+            touch[a] = joined
+            parent[b] = b
 
     if top:
         grow(bits, 1, True)

@@ -10,7 +10,8 @@ from groupcolor.posetlin import PolyMatrix, RationalPoly, _power_table, _ring_el
 def low_positions(masks: list[int]) -> list[int]:
     """The masks with the edge positions they use squeezed onto the lowest
     ones, in order. Inclusion among them is unchanged, so an interval of a
-    poset becomes input for ``down_sets_of``, which takes only such masks."""
+    bridgeless set becomes input for ``down_sets_of`` next to the local
+    table of ``bridgeless_cores``, which covers only the lowest positions."""
     top = 0
     for mask in masks:
         top |= mask

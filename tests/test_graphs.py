@@ -3,9 +3,12 @@ deletion-contraction chromatic oracle, cross-checked against networkx."""
 
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
+from array import array
 from itertools import combinations, permutations
 from math import comb
 from operator import add, or_, sub
@@ -16,8 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcolor.cli import main
+import groupcolor.graphs as graphs_module
 from groupcolor.graphs import (
     EdgeSet,
+    SubgraphPoset,
     _canonical_forms,
     _circuits,
     _incident,
@@ -213,8 +218,9 @@ def test_down_sets_match_the_submask_walk(request, v):
         assert sum(map(len, poset.down_sets)) == 1_614_537
 
 
-# members of P_6 whose edges leave gaps in the edge positions: the walk
-# takes their intervals squeezed onto the lowest positions, never as they are
+# members of P_6 whose edges leave gaps in the edge positions: down_sets_of
+# takes their intervals squeezed onto the lowest positions, where the local
+# cores table of bridgeless_cores lives, never as they are
 V6_TOPS = {
     "K5": list(combinations(range(5), 2)),
     "wheel W5": [(0, k) for k in range(1, 6)] + [(k, k % 5 + 1) for k in range(1, 6)],
@@ -225,16 +231,18 @@ V6_TOPS = {
 
 @pytest.mark.parametrize("name", sorted(V6_TOPS))
 def test_down_sets_of_intervals_match_the_submask_walk(name):
-    masks = low_positions(bridgeless_subsets(6, EdgeSet.from_edges(6, V6_TOPS[name]).bits))
+    bits = EdgeSet.from_edges(6, V6_TOPS[name]).bits
+    masks = low_positions(bridgeless_subsets(6, bits))
     index = {m: i for i, m in enumerate(masks)}
-    assert down_sets_of(index) == _down_sets_oracle(index)
+    assert down_sets_of(masks, bridgeless_cores(6, bits)[1]) == _down_sets_oracle(index)
 
 
 @pytest.mark.parametrize("name", sorted(V6_TOPS))
 def test_down_sets_of_refuses_masks_off_the_lowest_positions(name):
-    masks = bridgeless_subsets(6, EdgeSet.from_edges(6, V6_TOPS[name]).bits)
+    bits = EdgeSet.from_edges(6, V6_TOPS[name]).bits
+    masks = bridgeless_subsets(6, bits)
     with pytest.raises(ValueError, match="lowest edge positions"):
-        down_sets_of({m: i for i, m in enumerate(masks)})
+        down_sets_of(masks, bridgeless_cores(6, bits)[1])
 
 
 def _complete(v):
@@ -321,11 +329,67 @@ def test_lattice_pass_weights_each_step(scale):
 
 def test_down_sets_in_plain_mask_order(p5):
     # increasing mask value is another linear extension of inclusion
-    index = {m: i for i, m in enumerate(sorted(m.bits for m in p5.members))}
-    rows = down_sets_of(index)
-    assert rows == _down_sets_oracle(index)
+    masks = sorted(m.bits for m in p5.members)
+    rows = down_sets_of(masks, p5.cores[1])
+    assert rows == _down_sets_oracle({m: i for i, m in enumerate(masks)})
     assert rows != p5.down_sets
-    assert down_sets_of({}) == ()
+    # the empty family holds no largest member of the empty set
+    with pytest.raises(ValueError, match="not a member"):
+        down_sets_of([], array("I", [0]))
+
+
+def test_down_sets_of_refuses_a_family_not_closed_under_union():
+    # {01} and {02} are members, their union is not: the OR table that
+    # would name the largest member inside each mask points off the family
+    family = [0, 0b01, 0b10]
+    or_table = array("I", range(4))
+    with pytest.raises(ValueError, match="core of 0b11 is 0b11, not a member"):
+        down_sets_of(family, or_table)
+    assert down_sets_of(family + [0b11], or_table) == ((0,), (0, 1), (0, 2), (0, 1, 2, 3))
+    with pytest.raises(ValueError, match="repeated"):
+        down_sets_of(family + [0b01], or_table)
+    with pytest.raises(ValueError, match="2\\^n entries"):
+        down_sets_of(family, array("I", range(3)))
+
+
+def test_down_sets_read_no_mask_index(monkeypatch):
+    # the rows come from the masks and the cores table alone
+    def refuse(poset):
+        raise AssertionError("index_by_mask read")
+
+    expected = {v: _down_sets_oracle(enumerate_poset(v).index_by_mask) for v in (3, 4, 5)}
+    monkeypatch.setattr(SubgraphPoset, "index_by_mask", property(refuse))
+    for v, rows in expected.items():
+        assert enumerate_poset(v).down_sets == rows
+
+
+_DOWN_SETS_RSS = '''
+import resource, sys
+from groupcolor.graphs import enumerate_poset
+poset = enumerate_poset(6)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rows = poset.down_sets
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+own = sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
+print(len(set(map(id, (p for row in rows for p in row)))), (after - before) * 1024 / own)
+'''
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_down_sets_of_p6_grow_the_peak_rss_by_about_their_own_size():
+    # in a fresh process, so the high-water mark is the build's own: rows
+    # in exact-size lists, one top-edge batch at a time, and one int object
+    # per position shared by every row
+    src = os.path.dirname(os.path.dirname(graphs_module.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _DOWN_SETS_RSS],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    distinct, ratio = out.stdout.split()
+    assert int(distinct) == 13_667
+    assert float(ratio) <= 1.15
 
 
 def test_sorted_by_edge_count_then_mask(p5):
@@ -493,6 +557,18 @@ def test_relabelings_columns_match_permutation_loop(v):
         for perm in permutations(range(v))
     ]
     assert list(zip(*(_lanes(column, v) for column in columns))) == per_permutation
+
+
+@pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
+def test_relabelings_pack_each_permutation_in_its_lane(v):
+    # the ints themselves: per edge position, one lane per permutation,
+    # written lane by lane in native byte order
+    perms = list(permutations(range(v)))
+    expected = []
+    for n in range(comb(v, 2)):
+        lanes = array("H", (_relabeled(v, 1 << n, perm) for perm in perms))
+        expected.append(int.from_bytes(lanes.tobytes(), sys.byteorder))
+    assert _relabelings(v) == tuple(expected)
 
 
 @pytest.mark.parametrize("v", [1, 2, 3, 4, 5])
