@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, product, repeat
@@ -22,6 +21,7 @@ from math import comb, lcm
 from numbers import Rational
 from operator import add, mul, sub, xor
 
+from ._frozen import Frozen
 from .graphs import (
     POSET_CAP,
     EdgeSet,
@@ -55,18 +55,24 @@ class BudgetExceededError(Exception):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class GammaVector:
+class GammaVector(Frozen):
     """Probability per poset coordinate, tagged with the producing method.
 
     ``counts`` is set by the histogram method alone: f^(v - 1) Gamma(M) at
-    every edge mask M of K_v, bridged masks included, as integers.
+    every edge mask M of K_v, bridged masks included, as integers. Equality
+    and hashing read the other three fields.
     """
 
+    _fields = ("poset", "values", "method")
     poset: SubgraphPoset
     values: tuple
     method: str
-    counts: list[int] | None = field(default=None, compare=False, repr=False)
+    counts: list[int] | None
+
+    def __init__(
+        self, poset: SubgraphPoset, values: tuple, method: str, counts: list[int] | None = None
+    ):
+        self._set(poset=poset, values=values, method=method, counts=counts)
 
     def __getitem__(self, i: int):
         return self.values[i]
@@ -487,16 +493,29 @@ def gamma_plus(gamma: GammaVector, alpha: Fraction) -> GammaVector:
     return GammaVector(poset, _fractions(poset, ys, common, q), gamma.method + "+mobius")
 
 
-@dataclass(frozen=True)
-class ReciprocityReport:
+class ReciprocityReport(Frozen):
     """Coordinatewise comparison of the two Mobius-inverted vectors."""
 
+    _fields = ("poset", "alpha", "lhs", "rhs", "gamma", "gamma_complement")
     poset: SubgraphPoset
     alpha: Fraction
     lhs: tuple
     rhs: tuple
     gamma: GammaVector
     gamma_complement: GammaVector
+
+    def __init__(
+        self,
+        poset: SubgraphPoset,
+        alpha: Fraction,
+        lhs: tuple,
+        rhs: tuple,
+        gamma: GammaVector,
+        gamma_complement: GammaVector,
+    ):
+        self._set(
+            poset=poset, alpha=alpha, lhs=lhs, rhs=rhs, gamma=gamma, gamma_complement=gamma_complement
+        )
 
     @cached_property
     def per_coordinate(self) -> tuple[bool, ...]:

@@ -13,12 +13,12 @@ import math
 import sys
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations, repeat
 from math import comb
 from operator import add, itemgetter, mul, or_
 
+from ._frozen import Frozen
 from .posetlin import RationalPoly
 
 POSET_CAP = 6
@@ -37,19 +37,32 @@ def _int_field(fields: dict[str, str], key: str, base: int) -> int:
         raise ValueError(f"edge set field {key}={fields[key]!r} is not an integer") from None
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeSet:
+def _check_edge_bits(v: int, bits: int) -> None:
+    # EdgeSet's checks, shared with the functions that read a bare mask
+    if v < 1:
+        raise ValueError("need at least one vertex")
+    if bits < 0 or bits.bit_length() > comb(v, 2):
+        raise ValueError(f"edge bitmask {bits:#b} out of range for v={v}")
+
+
+class EdgeSet(Frozen):
     """Subset of the unordered vertex pairs on v labeled vertices: two
     slots, the vertex count and the edge bitmask, and no instance dict."""
 
+    __slots__ = ("v", "bits")
+    _fields = __slots__
     v: int
     bits: int
 
-    def __post_init__(self):
-        if self.v < 1:
-            raise ValueError("need at least one vertex")
-        if self.bits < 0 or self.bits.bit_length() > comb(self.v, 2):
-            raise ValueError(f"edge bitmask {self.bits:#b} out of range for v={self.v}")
+    def __init__(self, v: int, bits: int):
+        _check_edge_bits(v, bits)
+        # set directly, not through _set: one EdgeSet per member of P_6
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "bits", bits)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: a slot cannot be set afterwards
+        return type(self), (self.v, self.bits)
 
     @classmethod
     def from_edges(cls, v: int, edges) -> "EdgeSet":
@@ -209,8 +222,7 @@ def girth(edge_set: EdgeSet):
     return best
 
 
-@dataclass(frozen=True)
-class SubgraphPoset:
+class SubgraphPoset(Frozen):
     """All bridgeless edge sets on v vertices, sorted by (edge count, bitmask).
 
     The sort order is a linear extension of inclusion: if E is a subset of
@@ -219,9 +231,13 @@ class SubgraphPoset:
     ``masks``; equality and hashing read ``v`` and ``masks`` only.
     """
 
+    _fields = ("v", "masks")
     v: int
     masks: tuple[int, ...]
-    cores: tuple[list[int], array] = field(compare=False, repr=False)
+    cores: tuple[list[int], array]
+
+    def __init__(self, v: int, masks: tuple[int, ...], cores: tuple[list[int], array]):
+        self._set(v=v, masks=masks, cores=cores)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -511,7 +527,11 @@ def canonical_bits(v: int, bits: int) -> int:
     """Minimum bitmask over all vertex relabelings; class representative.
 
     Only for v <= POSET_CAP: above it the relabeling table would hold
-    C(v, 2) v! lanes (163M at v = 10), so a larger v raises ValueError.
+    C(v, 2) v! lanes (163M at v = 10), so a larger v raises ValueError,
+    and so do a v below 1 and a mask outside the C(v, 2) edge positions,
+    as in EdgeSet. Those two are checked only for a mask of at most one
+    edge and on a memo miss: the memo holds only the masks of valid
+    orbits, so a hit stays one dict lookup.
 
     On the first mask of a class, its whole orbit is swept at once: one
     big-int OR per edge of the mask over the packed ``_relabelings``
@@ -526,10 +546,12 @@ def canonical_bits(v: int, bits: int) -> int:
     if v > POSET_CAP:
         raise ValueError(f"canonical forms need v <= {POSET_CAP}, got v={v}")
     if bits & (bits - 1) == 0:
+        _check_edge_bits(v, bits)
         return min(bits, 1)  # no edge, or one edge relabeled onto (0, 1)
     forms = _canonical_forms.setdefault(v, {})
     canon = forms.get(bits)
     if canon is None:
+        _check_edge_bits(v, bits)
         orbit = 0
         for n, column in enumerate(_relabelings(v)):
             if (bits >> n) & 1:
@@ -553,11 +575,7 @@ def class_label(v: int, bits: int) -> str:
     for it v must be at most POSET_CAP (``canonical_bits`` raises ValueError
     above).
     """
-    # EdgeSet's checks, repeated: building one is what this avoids
-    if v < 1:
-        raise ValueError("need at least one vertex")
-    if bits < 0 or bits.bit_length() > comb(v, 2):
-        raise ValueError(f"edge bitmask {bits:#b} out of range for v={v}")
+    _check_edge_bits(v, bits)  # building an EdgeSet is what this avoids
     if not bits:
         return "empty"
     degs = sorted(((bits & mask).bit_count() for mask in _incident(v)), reverse=True)

@@ -14,26 +14,28 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
 
+from ._frozen import Frozen
+
 MAX_GROUP_ORDER = 4096
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Frozen):
     """Product of cyclic groups; houses the color set of size ``order``."""
 
+    _fields = ("cyclic_orders",)
     cyclic_orders: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.cyclic_orders) == 0:
+    def __init__(self, cyclic_orders: tuple[int, ...]):
+        if len(cyclic_orders) == 0:
             raise ValueError("group needs at least one cyclic factor")
-        bad = [n for n in self.cyclic_orders if n < 2]
+        bad = [n for n in cyclic_orders if n < 2]
         if bad:
             raise ValueError(f"cyclic orders must be >= 2, got {bad}")
+        self._set(cyclic_orders=cyclic_orders)
 
     @cached_property
     def order(self) -> int:
@@ -131,23 +133,24 @@ def pairing_by_index(group: FiniteAbelianGroup, p: int, q: int) -> complex:
     return cmath.exp(2j * math.pi * float(phase))
 
 
-@dataclass(frozen=True)
-class AllowedSet:
+class AllowedSet(Frozen):
     """Symmetric subset A = -A of a group, stored as a membership bitmask."""
 
+    _fields = ("group", "mask")
     group: FiniteAbelianGroup
     mask: int
 
-    def __post_init__(self):
-        f = self.group.order
-        if not 0 <= self.mask < (1 << f):
+    def __init__(self, group: FiniteAbelianGroup, mask: int):
+        f = group.order
+        if not 0 <= mask < (1 << f):
             raise ValueError("membership mask out of range for group order")
         for i in range(f):
-            if (self.mask >> i) & 1 and not (self.mask >> self.group.neg(i)) & 1:
-                el = self.group.residues_of(i)
+            if (mask >> i) & 1 and not (mask >> group.neg(i)) & 1:
+                el = group.residues_of(i)
                 raise ValueError(
                     f"allowed set is not symmetric: {el} is in A but its negation is not"
                 )
+        self._set(group=group, mask=mask)
 
     @cached_property
     def size(self) -> int:

@@ -21,10 +21,11 @@ support on the comparable pairs E <= H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
+
+from ._frozen import Frozen
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graphs import SubgraphPoset
@@ -38,19 +39,20 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class RationalPoly:
+class RationalPoly(Frozen):
     """Dense univariate polynomial with exact coefficients, int or Fraction.
 
     Coefficients are ascending; no trailing zeros are stored, so the zero
     polynomial has an empty coefficient tuple and degree -1.
     """
 
+    _fields = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        if coeffs and coeffs[-1] == 0:
             raise ValueError("trailing zero coefficient; use RationalPoly.of")
+        self._set(coeffs=coeffs)
 
     @classmethod
     def of(cls, coefficients) -> "RationalPoly":
@@ -185,18 +187,19 @@ def _ring_element(r):
     return r if isinstance(r, RationalPoly) else _as_fraction(r)
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(Frozen):
     """Square matrix indexed by a subgraph poset, with entries that are all
     Fractions or all RationalPolys."""
 
+    _fields = ("poset", "entries")
     poset: "SubgraphPoset"
     entries: tuple[tuple, ...]
 
-    def __post_init__(self):
-        n = len(self.poset)
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+    def __init__(self, poset: "SubgraphPoset", entries: tuple[tuple, ...]):
+        n = len(poset)
+        if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("entry grid does not match poset size")
+        self._set(poset=poset, entries=entries)
 
     @property
     def n(self) -> int:

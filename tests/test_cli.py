@@ -670,6 +670,17 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert "Traceback" not in err
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the value classes are written out, so no process pays for importing
+    # dataclasses and, with it, inspect; -S keeps site's imports out
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import groupcolor, groupcolor.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "\n"
+
+
 def test_cmd_examples_all(capsys):
     code, data = _run_json(capsys, ["examples", "--which", "all"])
     assert code == 0

@@ -7,6 +7,7 @@ oracle shares no code with the library paths it checks.
 """
 
 import json
+import pickle
 import random
 import time
 from array import array
@@ -42,6 +43,7 @@ from groupcolor.gamma import (
 )
 from groupcolor.graphs import (
     EdgeSet,
+    SubgraphPoset,
     _spanning_forest,
     bridgeless_cores,
     bridgeless_subsets,
@@ -51,13 +53,21 @@ from groupcolor.graphs import (
 )
 from groupcolor.groups import (
     AllowedSet,
+    FiniteAbelianGroup,
     allowed_complement_identity,
     allowed_explicit,
     allowed_hamming,
     allowed_interval,
     make_group,
 )
-from groupcolor.posetlin import RationalPoly, mobius_table, transfer_at, weighted_zeta_at
+from groupcolor.posetlin import (
+    VARIABLE,
+    PolyMatrix,
+    RationalPoly,
+    mobius_table,
+    transfer_at,
+    weighted_zeta_at,
+)
 
 from conftest import apply, low_positions, mobius_recursion
 
@@ -1226,3 +1236,61 @@ def test_imaginary_residue_guard(k3_v3, monkeypatch):
     )
     with pytest.raises(ArithmeticError, match="kernel"):
         gamma_mod.gamma_fourier(k3_v3, allowed)
+
+
+def _gamma_values(p4):
+    by_histogram = gamma_vector(p4, allowed_interval(make_group([7]), 1), "auto")
+    assert by_histogram.counts is not None
+    apart = GammaVector(SubgraphPoset(4, p4.masks, None), tuple(by_histogram.values),
+                        by_histogram.method)
+    return by_histogram, apart, GammaVector(p4, by_histogram.values, "cycle")
+
+
+# per value class: two equal values built apart, and a third that differs in
+# one compared field. The two posets differ in their cores and the two gamma
+# vectors in their counts, which equality and hashing do not read.
+_VALUE_CASES = {
+    "EdgeSet": lambda p4: (
+        EdgeSet(4, 0b111), EdgeSet.from_edges(4, [(0, 1), (0, 2), (0, 3)]), EdgeSet(4, 0b110)
+    ),
+    "SubgraphPoset": lambda p4: (
+        p4, SubgraphPoset(4, tuple(p4.masks), None), SubgraphPoset(4, p4.masks[:1], None)
+    ),
+    "FiniteAbelianGroup": lambda p4: (
+        make_group([2, 4]), FiniteAbelianGroup((2, 4)), make_group([4, 2])
+    ),
+    "AllowedSet": lambda p4: (
+        allowed_interval(make_group([7]), 1),
+        allowed_explicit(make_group([7]), [2, 3, 4, 5]),
+        allowed_interval(make_group([7]), 2),
+    ),
+    "RationalPoly": lambda p4: (
+        RationalPoly.of([1, Fraction(1, 2), 0]), RationalPoly((1, Fraction(1, 2))), VARIABLE
+    ),
+    "PolyMatrix": lambda p4: (
+        PolyMatrix(p4, tuple((1,) * 15 for _ in range(15))),
+        PolyMatrix(SubgraphPoset(4, p4.masks, None), ((1,) * 15,) * 15),
+        PolyMatrix(p4, ((0,) * 15,) * 15),
+    ),
+    "GammaVector": _gamma_values,
+    "ReciprocityReport": lambda p4: (
+        verify_reciprocity(p4, allowed_interval(make_group([7]), 1)),
+        verify_reciprocity(p4, allowed_explicit(make_group([7]), [2, 3, 4, 5])),
+        verify_reciprocity(p4, allowed_interval(make_group([7]), 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUE_CASES))
+def test_value_classes_compare_by_their_fields_and_stay_frozen(name, p4):
+    value, twin, other = _VALUE_CASES[name](p4)
+    assert type(value).__name__ == type(twin).__name__ == type(other).__name__ == name
+    assert value is not twin and value == twin and hash(value) == hash(twin)
+    assert value != other and value != name
+    assert pickle.loads(pickle.dumps(value)) == value
+    for field in (*type(value).__annotations__, "unset"):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert value == twin

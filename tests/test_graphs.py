@@ -475,12 +475,16 @@ def test_class_label_matches_the_edge_set_oracle_on_every_mask():
 
 
 def test_class_label_refuses_what_edge_set_refuses():
-    for v, bits in ((0, 0), (-2, 0), (1, 1), (3, 0b1000), (4, -1), (6, 1 << 15)):
+    bad = ((0, 0), (-2, 0), (0, 1), (1, 1), (3, 0b1000), (3, 1 << 10), (4, -1),
+           (4, 0b1000000111), (6, 1 << 15))
+    for v, bits in bad:
         with pytest.raises(ValueError) as raised:
             EdgeSet(v, bits)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
-            class_label(v, bits)
+        for mask_only in (class_label, canonical_bits):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
+                mask_only(v, bits)
     assert class_label(1, 0) == "empty"
+    assert canonical_bits(1, 0) == 0
 
 
 def test_iso_class_incidence_patterns(p4):
