@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import tee
 from math import comb, inf, log10
 
 from .gamma import (
@@ -395,11 +396,14 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         "alpha_bar": str(1 - report.alpha),
         "ok": report.ok,
     }
+    # a shared side is rendered once; each row reads its lhs text, then its rhs
+    lhs = map(str, report.lhs)
+    lhs, rhs = tee(lhs) if report.rhs is report.lhs else (lhs, map(str, report.rhs))
     columns = {
         "mask": poset.masks,
         "edges": _edge_texts(poset),
-        "lhs": map(str, report.lhs),
-        "rhs": map(str, report.rhs),
+        "lhs": lhs,
+        "rhs": rhs,
         "equal": report.per_coordinate,
     }
     summary = f"{'PASS' if report.ok else 'FAIL'} {report.passed}/{len(poset)}"

@@ -12,10 +12,12 @@ branch of gamma_vector reads the poset's members as EdgeSets.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, compress, product, repeat
 from math import comb, lcm
 from numbers import Rational
@@ -58,9 +60,12 @@ class BudgetExceededError(Exception):
 class GammaVector(Frozen):
     """Probability per poset coordinate, tagged with the producing method.
 
-    ``counts`` is set by the histogram method alone: f^(v - 1) Gamma(M) at
-    every edge mask M of K_v, bridged masks included, as integers. Equality
-    and hashing read the other three fields.
+    ``counts`` and ``histogram`` are set by the histogram method alone, as
+    integers at every edge mask M of K_v, bridged masks included:
+    ``counts[M]`` is f^(v - 1) Gamma(M), and ``histogram[M]`` the colorings
+    of the sweep whose allowed-difference pairs are exactly M, the raw
+    entries whose superset sums are the counts. Equality and hashing read
+    the other three fields.
     """
 
     _fields = ("poset", "values", "method")
@@ -68,11 +73,17 @@ class GammaVector(Frozen):
     values: tuple
     method: str
     counts: list[int] | None
+    histogram: list[int] | None
 
     def __init__(
-        self, poset: SubgraphPoset, values: tuple, method: str, counts: list[int] | None = None
+        self,
+        poset: SubgraphPoset,
+        values: tuple,
+        method: str,
+        counts: list[int] | None = None,
+        histogram: list[int] | None = None,
     ):
-        self._set(poset=poset, values=values, method=method, counts=counts)
+        self._set(poset=poset, values=values, method=method, counts=counts, histogram=histogram)
 
     def __getitem__(self, i: int):
         return self.values[i]
@@ -217,13 +228,44 @@ METHODS = {
 }
 
 
-def _superset_sums(hist: list[int]) -> None:
-    # in place: hist[M] becomes the sum of hist[N] over every N containing
-    # M (Yates' fast zeta transform), on the lattice of len(hist) masks;
-    # reversed, supersets become subsets
-    hist.reverse()
-    _lattice_pass(hist, add)
-    hist.reverse()
+# Superset sums run in packed lanes: the histogram becomes one int whose
+# lane M, of 32 or 64 bits, holds entry M, and bit k's step adds every lane
+# M + 2^k into lane M with one shift, one AND and one addition. No sum
+# exceeds the histogram's total, so no lane carries into the next while the
+# total fits a lane; a sweep's total f^(v - 1) is below 2^60 for every group
+# up to MAX_GROUP_ORDER at every v up to POSET_CAP.
+@cache
+def _lane_masks(bits: int, width: int) -> tuple[int, ...]:
+    # per bit k below bits, the int whose lanes of width bytes are all ones
+    # at the masks without bit k and zero at the masks with it; built from
+    # repeated bytes on first use, once per (bits, width)
+    masks = []
+    for k in range(bits):
+        half = width << k  # the bytes of 2^k lanes
+        block = b"\xff" * half + bytes(half)
+        masks.append(int.from_bytes(block * (1 << (bits - k - 1)), "little"))
+    return tuple(masks)
+
+
+def _superset_sums(hist: list[int]) -> list[int]:
+    # a new list holding at M the sum of hist[N] over every N containing M
+    # (Yates' fast zeta transform), on the lattice of len(hist) masks; the
+    # entries are counts, so array refuses a negative one
+    total = sum(hist)
+    if total >= 1 << 64:
+        raise OverflowError(f"superset sums up to {total} do not fit a 64-bit lane")
+    lanes = array("I" if total < 1 << 32 else "Q", hist)
+    if sys.byteorder == "big":  # lane 0 in the lowest bytes
+        lanes.byteswap()
+    width = lanes.itemsize
+    packed = int.from_bytes(lanes, "little")
+    for k, keep in enumerate(_lane_masks(len(hist).bit_length() - 1, width)):
+        packed += (packed >> (8 * width << k)) & keep
+    lanes = array(lanes.typecode)
+    lanes.frombytes(packed.to_bytes(len(hist) * width, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes.tolist()
 
 
 def _difference_histogram(v: int, allowed: AllowedSet, budget: int) -> list[int]:
@@ -365,19 +407,20 @@ def gamma_vector(
     edge of E allowed. That transform is the fast zeta transform of Yates
     (1937) and of Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets
     Mobius" (STOC 2007, arXiv:cs/0611101). The result is tagged
-    "histogram" and keeps the superset sums at every mask as its counts. A
-    name from METHODS applies that per-member method instead, once per
-    isomorphism class through a memo local to the call, after checking its
-    work over one representative per class against budget; every member of
-    a class gets its first member's value.
+    "histogram" and keeps the superset sums at every mask as its counts,
+    and the raw entries as its histogram. A name from METHODS applies that
+    per-member method instead, once per isomorphism class through a memo
+    local to the call, after checking its work over one representative per
+    class against budget; every member of a class gets its first member's
+    value.
     """
     if method == "auto":
         v = poset.v
-        counts = _difference_histogram(v, allowed, budget)
-        _superset_sums(counts)
+        hist = _difference_histogram(v, allowed, budget)
+        counts = _superset_sums(hist)
         total = allowed.group.order ** (v - 1)
         values = _fractions(poset, counts, total)
-        return GammaVector(poset, values, "histogram", counts)
+        return GammaVector(poset, values, "histogram", counts, hist)
     check_method_budget(poset.members, allowed, method, budget)
     fn = METHODS[method]
 
@@ -404,6 +447,14 @@ def gamma_vector(
 #   D = f^(v - 1) and X[M] = q^|M| counts[M]. There the vanishing on the
 #   bridged masks is the paper's Fourier lemma, checked on the colorings
 #   themselves.
+# On the histogram the whole solve acts one edge bit at a time: the superset
+# sum, the factor q on the bit and the step hi - p*lo map the raw entries
+# (h0, h1) with the bit clear and set to (h0 + h1, (q - p) h1 - p h0). Every
+# pair difference lies in exactly one of A and Abar, so Abar's raw histogram
+# is A's read at complemented masks, with h0 and h1 swapped, and its solve
+# at (q - p)/q, over the same q, gives (h0 + h1, p h0 - (q - p) h1). Hence
+# Y_Abar[M] = (-1)^|M| Y_A[M] at every mask: Abar's solve vanishes on the
+# bridged masks exactly where A's does, and its signed values are A's.
 # The transfer matrix needs no solve: apply_transfer is one weighted
 # subset-sum pass (step hi + q*lo) over a signed bridge extension.
 
@@ -519,6 +570,8 @@ class ReciprocityReport(Frozen):
 
     @cached_property
     def per_coordinate(self) -> tuple[bool, ...]:
+        if self.rhs is self.lhs:
+            return (True,) * len(self.lhs)
         return tuple(a == b for a, b in zip(self.lhs, self.rhs))
 
     @property
@@ -540,14 +593,18 @@ def verify_reciprocity(
     parity-signed Mobius inversion at 1 - alpha of the complement vector.
 
     Exact rational comparison; a mismatch is reported, never raised. Each
-    side is one histogram sweep, by gamma_vector with "auto", and one
-    lattice pass on its counts (see "Lattice passes" above), at alpha for
-    the allowed set and at 1 - alpha, with the same denominator q, for the
-    complement. The two sweeps are independent, the inverse must vanish on
-    every bridged mask (the Fourier lemma; ArithmeticError names the first
-    that does not), and no bridgeless cores are needed. The two sides then
-    agree exactly when Y_A[H] = (-1)^|H| Y_Abar[H] on integers, and equal
-    sides share their Fractions. The steps of the two passes,
+    side is one histogram sweep, by gamma_vector with "auto", and the two
+    sweeps are independent. The allowed side gets one lattice solve on its
+    counts at alpha (see "Lattice passes" above), which must vanish on every
+    bridged mask (the paper's Fourier lemma; ArithmeticError names the first
+    that does not); no bridgeless cores are needed. The raw histograms are
+    then compared exactly: when the complement's is the allowed one's read
+    at complemented masks, its solve at 1 - alpha would be the allowed one
+    signed by (-1)^|M| at every mask, so the sides agree and share one
+    tuple. Otherwise a sweep is off, and the complement gets its own solve
+    at 1 - alpha, with the same denominator q, checked the same way; the
+    sides then agree exactly when Y_A[H] = (-1)^|H| Y_Abar[H] on integers,
+    and equal sides share their Fractions. The steps of both solves,
     C(v, 2) 2^(C(v, 2) - 1) each, are checked against budget before any
     coloring, and each sweep checks its own f^(v - 1).
     """
@@ -558,9 +615,10 @@ def verify_reciprocity(
         )
     g_a = gamma_vector(poset, allowed, "auto", budget)
     g_bar = gamma_vector(poset, allowed.complement(), "auto", budget)
-    ys_a = _histogram_inverse(g_a, allowed.alpha)
-    ys_bar = _histogram_inverse(g_bar, allowed.alpha_bar)
-    _negate_odd_sizes(poset, ys_bar)
+    ys_a = ys_bar = _histogram_inverse(g_a, allowed.alpha)
+    if g_bar.histogram != g_a.histogram[::-1]:
+        ys_bar = _histogram_inverse(g_bar, allowed.alpha_bar)
+        _negate_odd_sizes(poset, ys_bar)
     common = allowed.group.order ** (poset.v - 1)
     q = allowed.alpha.denominator
     lhs = _fractions(poset, ys_a, common, q)

@@ -776,6 +776,22 @@ def test_verify_tsv_builds_no_edge_text(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_verify_renders_a_shared_side_once(capsys, monkeypatch):
+    # the rhs column of a passing check is the lhs column: each member's
+    # value is rendered once, plus alpha and alpha_bar
+    calls = []
+    real = Fraction.__str__
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__str__", spy)
+    assert main(["verify", "--v", "4", "--group", "Z7", "--allowed", "interval:1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(enumerate_poset(4)) + 2
+
+
 def test_tsv_formats_run(capsys):
     for args in (
         ["matrix", "--v", "3", "--which", "M", "--format", "tsv"],

@@ -15,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
+from operator import add
 
 import pytest
 
@@ -433,11 +434,44 @@ def test_superset_sums_match_the_direct_sum():
     rng = random.Random(9)
     for bits in range(7):
         hist = [rng.randrange(100) for _ in range(1 << bits)]
-        summed = list(hist)
-        _superset_sums(summed)
-        assert summed == [
+        kept = list(hist)
+        assert _superset_sums(hist) == [
             sum(hist[n] for n in range(len(hist)) if n & m == m) for m in range(len(hist))
         ]
+        assert hist == kept  # the sums are a new list
+
+
+# totals on both sides of 2^32, where the lanes widen from 32 to 64 bits,
+# each reached exactly at the empty mask
+LANE_TOTALS = [0, 100, (1 << 32) - 1, 1 << 32, (1 << 64) - 1]
+
+
+@pytest.mark.parametrize("total", LANE_TOTALS)
+def test_packed_superset_sums_match_the_lattice_pass(total, monkeypatch):
+    widths = set()
+    real = gamma_module._lane_masks
+
+    def spy(bits, width):
+        widths.add(width)
+        return real(bits, width)
+
+    monkeypatch.setattr(gamma_module, "_lane_masks", spy)
+    rng = random.Random(total)
+    for bits in range(16):
+        size = 1 << bits
+        hist = [rng.randrange(total // size + 1) for _ in range(size)]
+        hist[rng.randrange(size)] += total - sum(hist)
+        want = hist[::-1]
+        graphs_module._lattice_pass(want, add)
+        assert _superset_sums(hist) == want[::-1]
+    assert widths == {4 if total < 1 << 32 else 8}  # lane bytes
+
+
+def test_packed_superset_sums_refuse_what_no_lane_holds():
+    with pytest.raises(OverflowError, match="64-bit lane"):
+        _superset_sums([1 << 63, 1 << 63])
+    with pytest.raises(OverflowError):
+        _superset_sums([2, -1])
 
 
 def test_histogram_budget(p4):
@@ -557,6 +591,101 @@ def test_reciprocity_holds_exactly(p3, p4, v, orders, build):
     assert report.rhs == tuple(
         (-1) ** size * x for size, x in zip(poset.sizes, plus_bar.values)
     )
+
+
+# the Abelian groups of order 2 to 8, one per isomorphism class
+SMALL_GROUPS = ([2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2])
+
+
+def _symmetric_sets(orders):
+    group = make_group(orders)
+    neg = [group.neg(i) for i in range(group.order)]
+    for mask in range(1 << group.order):
+        if all(mask >> neg[i] & 1 for i in range(group.order) if mask >> i & 1):
+            yield AllowedSet(group, mask)
+
+
+def _assert_one_solve_matches_gamma_plus(poset, allowed):
+    # lhs is J(alpha)^-1 Gamma_A, and rhs, signed back by (-1)^|H|, is
+    # J(1 - alpha)^-1 Gamma_Abar, each by the bridge-extension route
+    report = verify_reciprocity(poset, allowed)
+    assert report.lhs == gamma_plus(report.gamma, allowed.alpha).values
+    unsigned = tuple(-x if size & 1 else x for size, x in zip(poset.sizes, report.rhs))
+    assert unsigned == gamma_plus(report.gamma_complement, allowed.alpha_bar).values
+
+
+@pytest.mark.parametrize("v", [3, 4])
+def test_one_solve_matches_gamma_plus_on_every_small_symmetric_set(request, v):
+    poset = request.getfixturevalue(f"p{v}")
+    for orders in SMALL_GROUPS:
+        for allowed in _symmetric_sets(orders):
+            _assert_one_solve_matches_gamma_plus(poset, allowed)
+
+
+def test_one_solve_matches_gamma_plus_on_a_sample_at_v5(p5):
+    every = [allowed for orders in SMALL_GROUPS for allowed in _symmetric_sets(orders)]
+    for allowed in random.Random(32).sample(every, 40):
+        _assert_one_solve_matches_gamma_plus(p5, allowed)
+
+
+def _spy_inverse(monkeypatch):
+    # the alphas of the _histogram_inverse calls, in order
+    calls = []
+    real = gamma_module._histogram_inverse
+
+    def spy(gamma, alpha):
+        calls.append(alpha)
+        return real(gamma, alpha)
+
+    monkeypatch.setattr(gamma_module, "_histogram_inverse", spy)
+    return calls
+
+
+def test_mirrored_sweeps_take_one_solve(p4, monkeypatch):
+    calls = _spy_inverse(monkeypatch)
+    allowed = allowed_interval(make_group([7]), 1)
+    report = verify_reciprocity(p4, allowed)
+    assert calls == [allowed.alpha]
+    assert report.ok and report.rhs is report.lhs
+    assert report.gamma_complement.histogram == report.gamma.histogram[::-1]
+
+
+def test_a_complement_sweep_off_by_one_coloring_gets_its_own_solve(p4, monkeypatch):
+    # one more coloring at the empty mask of the complement's histogram: the
+    # sweeps no longer mirror, so the complement is solved at 1 - alpha, and
+    # that solve is nonzero on the first bridged mask, {01}, the error the
+    # two-solve route raised on the same vectors
+    allowed = allowed_interval(make_group([7]), 1)
+    real = gamma_module.gamma_vector
+
+    def off_by_one(poset, a, method="auto", budget=gamma_module.DEFAULT_BUDGET):
+        vec = real(poset, a, method, budget)
+        if a != allowed.complement():
+            return vec
+        hist = list(vec.histogram)
+        hist[0] += 1
+        return GammaVector(vec.poset, vec.values, vec.method, _superset_sums(hist), hist)
+
+    monkeypatch.setattr(gamma_module, "gamma_vector", off_by_one)
+    calls = _spy_inverse(monkeypatch)
+    with pytest.raises(ArithmeticError, match="bridged EdgeSet\\(v=4;edges=01\\)"):
+        verify_reciprocity(p4, allowed)
+    assert calls == [allowed.alpha, allowed.alpha_bar]
+
+
+def test_a_shared_side_is_compared_by_identity(p4, monkeypatch):
+    report = verify_reciprocity(p4, allowed_interval(make_group([7]), 1))
+    assert report.rhs is report.lhs
+    calls = []
+    real = Fraction.__eq__
+
+    def spy(self, other):
+        calls.append(self)
+        return real(self, other)
+
+    monkeypatch.setattr(Fraction, "__eq__", spy)
+    assert report.per_coordinate == (True,) * len(p4)
+    assert calls == []
 
 
 V6_SETS = {
