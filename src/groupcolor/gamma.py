@@ -270,7 +270,9 @@ def _superset_sums(hist: list[int]) -> list[int]:
 
 def _difference_histogram(v: int, allowed: AllowedSet, budget: int) -> list[int]:
     # hist[M]: colorings of vertices 1..v-1, vertex 0 fixed to the
-    # identity, whose allowed-difference pairs are exactly the mask M
+    # identity, whose allowed-difference pairs are exactly the mask M; the
+    # budget is charged all f^(v - 1) of them, an upper bound on the
+    # colorings tallied, as the sweep below counts one per negation pair
     f = allowed.group.order
     total = f ** (v - 1)
     if total > budget:
@@ -314,32 +316,46 @@ def _difference_histogram(v: int, allowed: AllowedSet, budget: int) -> list[int]
     # for its color, and its pairs with the lower vertices go into a scalar
     # mask. The two masks use disjoint bits, so each list is tallied under
     # its scalar and the tallies are merged once at the end.
-    shifts = [[shift(i, c, trailing) for c in range(f)] if i else [] for i in range(outer)]
+    # A = -A, so negating every color keeps vertex 0 at the identity and
+    # the mask of every coloring: the outer vertices are colored up to
+    # negation. While every earlier one holds a color c = -c, the next takes
+    # one color of each pair {c, -c}, the smaller index; a color c != -c
+    # sends its branch to the tallies counted twice, and every later vertex
+    # of that branch takes all f colors.
+    negs = [allowed.group.neg(c) for c in range(f)]
+    half = [c for c in range(f) if c <= negs[c]]
+    shifts = {
+        i: {c: shift(i, c, trailing) for c in (half if i == 1 else range(f))}
+        for i in range(1, outer)
+    }
     lower_bits = [[(w, bit[w, i]) for w in range(i)] for i in range(outer)]
-    tallies: defaultdict[int, Counter] = defaultdict(Counter)
+    once: defaultdict[int, Counter] = defaultdict(Counter)
+    twice: defaultdict[int, Counter] = defaultdict(Counter)
     colors = [0] * outer
 
-    def sweep(i: int, vec: list[int], scalar: int) -> None:
-        for c in range(f):
+    def sweep(i: int, vec: list[int], scalar: int, tallies: defaultdict) -> None:
+        for c in half if tallies is once else range(f):
             colors[i] = c
             mask = scalar
             for w, b in lower_bits[i]:
                 if rows[colors[w]] >> c & 1:
                     mask |= b
             moved = map(add, vec, shifts[i][c])
+            branch = tallies if negs[c] == c else twice
             if i == outer - 1:
-                tallies[mask].update(moved)
+                branch[mask].update(moved)
             else:
-                sweep(i + 1, list(moved), mask)
+                sweep(i + 1, list(moved), mask, branch)
 
     if outer > 1:
-        sweep(1, inner, 0)
+        sweep(1, inner, 0, once)
     else:
-        tallies[0].update(inner)
+        once[0].update(inner)
     hist = [0] * (1 << pairs)
-    for scalar, counts in tallies.items():
-        for mask, n in counts.items():
-            hist[scalar | mask] = n
+    for weight, tallies in ((1, once), (2, twice)):
+        for scalar, counts in tallies.items():
+            for mask, n in counts.items():
+                hist[scalar | mask] += weight * n
     return hist
 
 
@@ -400,19 +416,23 @@ def gamma_vector(
 ) -> GammaVector:
     """The vector of coordinates over the poset.
 
-    "auto" gets every coordinate from one sweep of f^(v - 1) colorings.
-    Gamma is translation-invariant, so vertex 0 is fixed. Each coloring adds
-    one to the histogram entry of its allowed-difference mask over the
+    "auto" gets every coordinate from one sweep of the f^(v - 1) colorings
+    with vertex 0 fixed, as Gamma is translation-invariant. Each coloring
+    adds one to the histogram entry of its allowed-difference mask over the
     vertex pairs; the superset sum at E then counts the colorings with every
     edge of E allowed. That transform is the fast zeta transform of Yates
     (1937) and of Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets
-    Mobius" (STOC 2007, arXiv:cs/0611101). The result is tagged
-    "histogram" and keeps the superset sums at every mask as its counts,
-    and the raw entries as its histogram. A name from METHODS applies that
-    per-member method instead, once per isomorphism class through a memo
-    local to the call, after checking its work over one representative per
-    class against budget; every member of a class gets its first member's
-    value.
+    Mobius" (STOC 2007, arXiv:cs/0611101). A = -A, so a coloring and its
+    negative share a mask, and the sweep tallies at most f^(v - 1)
+    colorings: one per negation pair of the colors of the vertices it
+    colors one at a time, counted twice when the pair has two members.
+    budget is charged the whole f^(v - 1), an upper bound. The result is
+    tagged "histogram" and keeps the superset sums at every mask as its
+    counts, and the raw entries as its histogram. A name from METHODS
+    applies that per-member method instead, once per isomorphism class
+    through a memo local to the call, after checking its work over one
+    representative per class against budget; every member of a class gets
+    its first member's value.
     """
     if method == "auto":
         v = poset.v
@@ -606,7 +626,8 @@ def verify_reciprocity(
     sides then agree exactly when Y_A[H] = (-1)^|H| Y_Abar[H] on integers,
     and equal sides share their Fractions. The steps of both solves,
     C(v, 2) 2^(C(v, 2) - 1) each, are checked against budget before any
-    coloring, and each sweep checks its own f^(v - 1).
+    coloring, and each sweep checks its own f^(v - 1), an upper bound on
+    the colorings it tallies, one per negation pair (see gamma_vector).
     """
     pairs = comb(poset.v, 2)
     if pairs << pairs > budget:
@@ -640,8 +661,14 @@ def apply_transfer(
     With r = p/q and x = n / L, L q^|H| (M(r) x)_H is then one weighted
     subset-sum pass (step hi + q*lo) over
     X[M] = (-1)^|M| n_core q^|core| p^(|M| - |core|), the bridge extension
-    at -p of (-1)^|E| n_E q^|E|.
+    at -p of (-1)^|E| n_E q^|E|. A gamma_bar over another poset raises
+    ValueError; an equal poset built apart is accepted.
     """
+    if gamma_bar.poset != poset:
+        raise ValueError(
+            f"gamma_bar is over the poset of v={gamma_bar.poset.v}, "
+            f"not the given poset of v={poset.v}"
+        )
     p, q = Fraction(alpha_bar).as_integer_ratio()
     scaled, common = _scaled(gamma_bar, q)
     _negate_odd_sizes(poset, scaled)

@@ -519,8 +519,10 @@ def _relabelings(v: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-# per v, every mask whose orbit has been swept -> the minimum of that orbit
-_canonical_forms: dict[int, dict[int, int]] = {}
+# per v, a table of the 2^C(v, 2) edge masks holding the canonical form of
+# every mask whose orbit has been swept; 0 marks an orbit not swept yet, as
+# a swept orbit has two or more edges and so a minimum of at least 3
+_canonical_forms: dict[int, array] = {}
 
 
 def canonical_bits(v: int, bits: int) -> int:
@@ -530,28 +532,30 @@ def canonical_bits(v: int, bits: int) -> int:
     C(v, 2) v! lanes (163M at v = 10), so a larger v raises ValueError,
     and so do a v below 1 and a mask outside the C(v, 2) edge positions,
     as in EdgeSet. Those two are checked only for a mask of at most one
-    edge and on a memo miss: the memo holds only the masks of valid
-    orbits, so a hit stays one dict lookup.
+    edge and for a mask outside the memo table of v, which spans exactly
+    the valid masks, so a hit is one index after that range check.
 
     On the first mask of a class, its whole orbit is swept at once: one
     big-int OR per edge of the mask over the packed ``_relabelings``
     columns puts every image of the mask in its own lane, and one decode
     reads the lanes back. Each image repeats once per automorphism, so the
     lanes are first reduced to the orbit's distinct masks; the minimum is
-    taken over those, and each is memoized with it once, so each later
-    member of the class is one dict lookup.
-    The memo keeps at most 2^C(v, 2) masks per v; over the members of P_6
-    it holds at most their 13,667.
+    taken over those and written into the table at each of them, so each
+    later member of the class is one index. The table of v is an
+    array("H") of 2^C(v, 2) entries, made on the first mask of two or more
+    edges at that v: 64 KiB at v = 6.
     """
     if v > POSET_CAP:
         raise ValueError(f"canonical forms need v <= {POSET_CAP}, got v={v}")
     if bits & (bits - 1) == 0:
         _check_edge_bits(v, bits)
         return min(bits, 1)  # no edge, or one edge relabeled onto (0, 1)
-    forms = _canonical_forms.setdefault(v, {})
-    canon = forms.get(bits)
-    if canon is None:
-        _check_edge_bits(v, bits)
+    forms = _canonical_forms.get(v)
+    if forms is None or not 0 <= bits < len(forms):
+        _check_edge_bits(v, bits)  # raises for a mask outside a made table
+        forms = _canonical_forms[v] = array("H", bytes(2 << comb(v, 2)))
+    canon = forms[bits]
+    if not canon:
         orbit = 0
         for n, column in enumerate(_relabelings(v)):
             if (bits >> n) & 1:
@@ -560,7 +564,8 @@ def canonical_bits(v: int, bits: int) -> int:
         lanes.frombytes(orbit.to_bytes(2 * math.factorial(v), sys.byteorder))
         distinct = set(lanes)
         canon = min(distinct)
-        forms.update(zip(distinct, repeat(canon)))
+        for image in distinct:
+            forms[image] = canon
     return canon
 
 

@@ -51,6 +51,7 @@ from groupcolor.graphs import (
     chromatic_oracle,
     components,
     down_sets_of,
+    enumerate_poset,
 )
 from groupcolor.groups import (
     AllowedSet,
@@ -428,6 +429,51 @@ def test_difference_histogram_matches_the_per_coloring_loop(v, name):
         tally = _product_tally(v, allowed)
         want = [tally[mask] for mask in range(1 << comb(v, 2))]
         assert gamma_module._difference_histogram(v, allowed, 10**6) == want
+
+
+@pytest.mark.parametrize("v,max_order", [(3, 8), (4, 6)])
+def test_difference_histogram_matches_the_loop_on_every_small_symmetric_set(v, max_order):
+    # groups with no, some and only involutions besides 0: at v = 4 the
+    # groups of order 5 and 6 color vertices 1 and 2 one at a time, so the
+    # second takes one color per pair after an involution and all after
+    # any other color
+    for orders in SMALL_GROUPS:
+        if make_group(orders).order > max_order:
+            continue
+        for allowed in _symmetric_sets(orders):
+            tally = _product_tally(v, allowed)
+            want = [tally[mask] for mask in range(1 << comb(v, 2))]
+            assert gamma_module._difference_histogram(v, allowed, 10**6) == want
+
+
+def test_difference_histogram_tallies_one_coloring_per_negation_pair(monkeypatch):
+    # the verify5 base sets at v = 5: vertices 1 and 2 are colored one at
+    # a time over a list of the 49 or 64 colorings of vertices 3 and 4.
+    # Z7 keeps (49 + 1) / 2 of its color pairs for them, Z2xZ4, with four
+    # involutions, (64 + 16) / 2, and Z2^3, all involutions, every one
+    tallied = []
+
+    class SpyCounter(Counter):
+        def update(self, iterable=None, /, **kwds):
+            if iterable is not None:
+                iterable = list(iterable)
+                tallied[-1] += len(iterable)
+            super().update(iterable, **kwds)
+
+    monkeypatch.setattr(gamma_module, "Counter", SpyCounter)
+    bases = [
+        ((7,), (2, 3, 4, 5), 1225),
+        ((2, 4), (4, 5, 6, 7), 2560),
+        ((2, 2, 2), (2, 5, 6, 7), 4096),
+    ]
+    for orders, base, want in bases:
+        allowed = allowed_explicit(make_group(orders), base)
+        for side in (allowed, allowed.complement()):
+            tallied.append(0)
+            hist = gamma_module._difference_histogram(5, side, 10**6)
+            assert tallied[-1] == want
+            tally = _product_tally(5, side)
+            assert hist == [tally[mask] for mask in range(1 << 10)]
 
 
 def test_superset_sums_match_the_direct_sum():
@@ -973,6 +1019,21 @@ def test_apply_transfer_involution(p4):
     vec = apply_transfer(p4, allowed.alpha_bar, vec_bar)
     back = apply_transfer(p4, allowed.alpha, vec)
     assert back.values == vec_bar.values
+
+
+def test_apply_transfer_refuses_a_vector_over_another_poset(p4, p5):
+    # a P_5 vector read as a P_4 one gave 13/49 at K3 instead of 6/49, and
+    # a P_4 vector read as a P_5 one died with a bare IndexError
+    allowed = allowed_interval(make_group([7]), 1)
+    on_p4, on_p5 = (gamma_vector(p, allowed.complement()) for p in (p4, p5))
+    with pytest.raises(ValueError, match="v=5.*v=4"):
+        apply_transfer(p4, allowed.alpha_bar, on_p5)
+    with pytest.raises(ValueError, match="v=4.*v=5"):
+        apply_transfer(p5, allowed.alpha_bar, on_p4)
+    rebuilt = enumerate_poset(4)
+    assert rebuilt is not p4
+    k3 = p4.index_of(EdgeSet.from_edges(4, [(0, 1), (1, 2), (0, 2)]))
+    assert apply_transfer(rebuilt, allowed.alpha_bar, on_p4).values[k3] == Fraction(6, 49)
 
 
 def test_apply_transfer_reproduces_chromatic_scaling(p3, p4, p5):

@@ -584,13 +584,28 @@ def test_canonical_bits_matches_permutation_loop_on_every_mask(v):
 
 def test_canonical_bits_memoizes_each_orbit_mask_once(monkeypatch):
     # the 720 lanes of a triangle's sweep hold its 20 images, each 36 times
-    forms = {}
+    forms = array("H", bytes(2 << comb(6, 2)))
     monkeypatch.setitem(_canonical_forms, 6, forms)
     triangle = EdgeSet.from_edges(6, [(3, 4), (4, 5), (3, 5)]).bits
     assert canonical_bits(6, triangle) == 0b100011
-    assert len(forms) == comb(6, 3)
-    assert set(forms.values()) == {0b100011}
-    assert all(_canonical_oracle(6, bits) == 0b100011 for bits in forms)
+    swept = [bits for bits, canon in enumerate(forms) if canon]
+    assert len(swept) == comb(6, 3)
+    assert {forms[bits] for bits in swept} == {0b100011}
+    assert all(_canonical_oracle(6, bits) == 0b100011 for bits in swept)
+
+
+def test_canonical_forms_of_v6_are_one_flat_table(p6, monkeypatch):
+    # one 16-bit entry per edge mask of K_6, made on the first sweep and
+    # never grown; the swept entries are exactly the members of P_6, whose
+    # orbits stay inside the poset
+    monkeypatch.delitem(_canonical_forms, 6, raising=False)
+    iso_class_blocks(p6)
+    forms = _canonical_forms[6]
+    assert isinstance(forms, array) and forms.typecode == "H"
+    assert len(forms) == 2**15
+    assert [bits for bits, canon in enumerate(forms) if canon] == sorted(set(p6.masks) - {0})
+    with pytest.raises(ValueError, match="out of range"):
+        canonical_bits(6, 1 << 15 | 0b11)
 
 
 def test_canonical_bits_refuses_v_above_the_cap():
