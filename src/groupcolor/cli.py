@@ -32,6 +32,7 @@ from .gamma import (
 from .graphs import (
     EdgeSet,
     chromatic_oracle,
+    class_rows,
     components,
     enumerate_poset,
     girth,
@@ -207,17 +208,6 @@ def _edge_texts(poset):
         yield member.to_text()
 
 
-def _class_columns(blocks, size: int, row_of) -> tuple:
-    # the columns, in member order, of one row per isomorphism class: row_of
-    # takes a class's label and member indices, and each member gets the row
-    rows = [None] * size
-    for label, idxs in blocks:
-        row = row_of(label, idxs)
-        for i in idxs:
-            rows[i] = row
-    return tuple(zip(*rows))
-
-
 def _rational(text: str) -> Fraction:
     # Fraction builds 10^|e| for a decimal exponent e, about 10 s at e = 10^7;
     # past the digit limit of int -> str the point itself cannot be printed
@@ -249,7 +239,7 @@ def cmd_poset(ns: argparse.Namespace) -> int:
         g = girth(first)
         return components(first), "inf" if g == inf else g, label
 
-    counts, girths, labels = _class_columns(iso_class_blocks(poset), len(poset), invariants)
+    counts, girths, labels = zip(*class_rows(iso_class_blocks(poset), len(poset), invariants))
     columns = {
         "index": range(len(poset)),
         "mask": poset.masks,
@@ -449,7 +439,7 @@ def cmd_chromatic(ns: argparse.Namespace) -> int:
         last = chromatic_oracle(members[idxs[-1]])  # memoized when it is first
         return via_transfer.render("f"), oracle.render("f"), via_transfer == oracle == last
 
-    via_transfer, oracle, equal = _class_columns(blocks, len(members), polynomials)
+    via_transfer, oracle, equal = zip(*class_rows(blocks, len(members), polynomials))
     columns = {
         "mask": [member.bits for member in members],
         "edges": [member.to_text() for member in members],
@@ -480,10 +470,7 @@ def example1_report(budget: int = DEFAULT_BUDGET) -> dict:
     p4 = enumerate_poset(4)
     cells = _check_dense_cells(p4, budget)
     m4 = transfer_at(p4, VARIABLE)
-    label = {}
-    for lbl, idxs in iso_class_blocks(p4):
-        for i in idxs:
-            label[i] = lbl
+    label = class_rows(iso_class_blocks(p4), len(p4), lambda lbl, idxs: lbl)
     mismatches = []
     matches = 0
     for h in range(len(p4)):

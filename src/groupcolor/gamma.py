@@ -7,7 +7,8 @@ For an edge set E and a symmetric allowed set A, the E coordinate is the
 probability that a uniformly random coloring of the vertices has every edge
 difference inside A. Exact rational arithmetic everywhere except the
 Fourier cross-check, which is floating point by design. Only the per-member
-branch of gamma_vector reads the poset's members as EdgeSets.
+branch of gamma_vector builds EdgeSets of the poset's members, one per
+isomorphism class.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ from .graphs import (
     _lattice_pass,
     _spanning_forest,
     canonical_bits,
+    class_rows,
     components,
     girth,
     is_isthmus_free,
+    iso_class_blocks,
     vertex_pairs,
 )
 from .groups import AllowedSet, character_sum
@@ -191,13 +194,16 @@ def gamma_fourier(
     spanning forest (_chord_flows): f^(e - v + c) edge characters in total.
     How a forest edge is oriented does not matter: A = -A, so the factor
     A^(p) of each edge is real and A^(p) = A^(-p). An imaginary residue
-    above FOURIER_TOL means the kernel enumeration is wrong.
+    above FOURIER_TOL means the kernel enumeration is wrong. The budget is
+    charged those terms plus the f min(|A|, f - |A|) pairings of the
+    character table (see character_sum).
     """
     group = allowed.group
     f = group.order
     m = edge_set.edge_count - edge_set.v + components(edge_set)
-    if f**m > budget:
-        raise BudgetExceededError("dual cycle space too large", f**m, budget)
+    work = _fourier_work(edge_set, allowed)
+    if work > budget:
+        raise BudgetExceededError("dual cycle space too large", work, budget)
     incidence = _chord_flows(edge_set)
     char_sums = [character_sum(allowed, p) for p in range(f)]
     add = group.add
@@ -220,11 +226,26 @@ def gamma_fourier(
     return value.real
 
 
+def _fourier_work(edge_set: EdgeSet, allowed: AllowedSet) -> int:
+    # the f^(e - v + c) character terms and the f min(|A|, f - |A|) pairings
+    f = allowed.group.order
+    m = edge_set.edge_count - edge_set.v + components(edge_set)
+    return f**m + f * min(allowed.size, f - allowed.size)
+
+
 # per-coordinate method name -> function(edge_set, allowed, budget)
 METHODS = {
     "brute": gamma_bruteforce,
     "cycle": gamma_cyclespace,
     "fourier": gamma_fourier,
+}
+# the same names -> work(edge_set, allowed), the budget charge of one call:
+# f^v colorings for brute and f^(v - c) for cycle, upper bounds as their
+# count prunes the colorings that fail an edge, and _fourier_work
+METHOD_WORK = {
+    "brute": lambda edge_set, allowed: allowed.group.order**edge_set.v,
+    "cycle": lambda edge_set, allowed: allowed.group.order ** (edge_set.v - components(edge_set)),
+    "fourier": _fourier_work,
 }
 
 
@@ -359,55 +380,6 @@ def _difference_histogram(v: int, allowed: AllowedSet, budget: int) -> list[int]
     return hist
 
 
-def _class_key(edge_set: EdgeSet) -> tuple[int, int] | None:
-    # (v, canonical form) of the edge set's isomorphism class for
-    # v <= POSET_CAP, else None: canonical_bits refuses v > POSET_CAP, whose
-    # relabeling table would hold C(v, 2) v! lanes, 163M at v = 10.
-    v = edge_set.v
-    return None if v > POSET_CAP else (v, canonical_bits(v, edge_set.bits))
-
-
-def _per_class(memo: dict, kernel, edge_set: EdgeSet):
-    # kernel(edge_set), computed once per isomorphism class for
-    # v <= POSET_CAP; above the cap the kernel runs on every call
-    key = _class_key(edge_set)
-    if key is None:
-        return kernel(edge_set)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = kernel(edge_set)
-    return value
-
-
-def check_method_budget(members, allowed: AllowedSet, method: str, budget: int) -> None:
-    """Raise BudgetExceededError, before any coloring, when a per-member
-    method's work is over budget. Gamma is a graph invariant, so
-    gamma_vector runs the method once per isomorphism class, and the work
-    is summed over one representative per class of the members (over every
-    member above POSET_CAP, where no class key is read): f^v colorings per
-    representative for brute, f^(v - c) for cycle, and f^(e - v + c)
-    character terms for fourier, with c its component count. For brute and
-    cycle this is an upper bound: their count prunes the colorings that
-    fail an edge, and visits far fewer when the allowed set is small."""
-    f = allowed.group.order
-    reps = {}
-    for member in members:
-        key = _class_key(member)
-        reps.setdefault(member if key is None else key, member)
-    if method == "brute":
-        work = sum(f**rep.v for rep in reps.values())
-    elif method == "cycle":
-        work = sum(f ** (rep.v - components(rep)) for rep in reps.values())
-    elif method == "fourier":
-        work = sum(f ** (rep.edge_count - rep.v + components(rep)) for rep in reps.values())
-    else:
-        raise ValueError(f"unknown method {method!r}; want auto, brute, cycle, or fourier")
-    if work > budget:
-        raise BudgetExceededError(
-            f"{method} method over {len(members)} edge sets in {len(reps)} classes", work, budget
-        )
-
-
 def gamma_vector(
     poset: SubgraphPoset,
     allowed: AllowedSet,
@@ -429,10 +401,11 @@ def gamma_vector(
     budget is charged the whole f^(v - 1), an upper bound. The result is
     tagged "histogram" and keeps the superset sums at every mask as its
     counts, and the raw entries as its histogram. A name from METHODS
-    applies that per-member method instead, once per isomorphism class
-    through a memo local to the call, after checking its work over one
-    representative per class against budget; every member of a class gets
-    its first member's value.
+    applies that per-member method instead, once per block of
+    iso_class_blocks, on the block's first member, after checking the
+    METHOD_WORK of those first members, summed, against budget; class_rows
+    gives every member its block's value. Above POSET_CAP, where no
+    canonical form is read, each member is a block of its own.
     """
     if method == "auto":
         v = poset.v
@@ -441,15 +414,22 @@ def gamma_vector(
         total = allowed.group.order ** (v - 1)
         values = _fractions(poset, counts, total)
         return GammaVector(poset, values, "histogram", counts, hist)
-    check_method_budget(poset.members, allowed, method, budget)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; want auto, brute, cycle, or fourier")
+    if poset.v > POSET_CAP:
+        blocks = [("", (i,)) for i in range(len(poset))]
+    else:
+        blocks = iso_class_blocks(poset)
+    firsts = {idxs[0]: EdgeSet(poset.v, poset.masks[idxs[0]]) for _, idxs in blocks}
+    work_of = METHOD_WORK[method]
+    work = sum(work_of(first, allowed) for first in firsts.values())
+    if work > budget:
+        raise BudgetExceededError(
+            f"{method} method over {len(poset)} edge sets in {len(blocks)} classes", work, budget
+        )
     fn = METHODS[method]
-
-    def kernel(member: EdgeSet):
-        return fn(member, allowed, budget)
-
-    memo: dict = {}
-    values = tuple(_per_class(memo, kernel, member) for member in poset.members)
-    return GammaVector(poset, values, method)
+    values = class_rows(blocks, len(poset), lambda _, idxs: fn(firsts[idxs[0]], allowed, budget))
+    return GammaVector(poset, tuple(values), method)
 
 
 # ---------------------------------------------------------------------------
@@ -761,6 +741,20 @@ def _forest_counts(edge_set: EdgeSet) -> tuple[list[int], list[int]]:
     return counts, nbc
 
 
+def _class_forest_counts(edge_set: EdgeSet) -> tuple[list[int], list[int]]:
+    # _forest_counts, walked once per isomorphism class for v <= POSET_CAP;
+    # above it canonical_bits refuses v, as its relabeling table would hold
+    # C(v, 2) v! lanes, so every call walks
+    v = edge_set.v
+    if v > POSET_CAP:
+        return _forest_counts(edge_set)
+    key = v, canonical_bits(v, edge_set.bits)
+    counts = _forest_counts_by_class.get(key)
+    if counts is None:
+        counts = _forest_counts_by_class[key] = _forest_counts(edge_set)
+    return counts
+
+
 def main_term(edge_set: EdgeSet, alpha_bar: Fraction) -> Fraction:
     """Transfer-row entry against the empty graph, evaluated at alpha_bar.
 
@@ -786,7 +780,7 @@ def main_term(edge_set: EdgeSet, alpha_bar: Fraction) -> Fraction:
     alpha_bar = Fraction(alpha_bar)
     p, q = alpha_bar.numerator, alpha_bar.denominator
     e_top = edge_set.edge_count
-    counts, _ = _per_class(_forest_counts_by_class, _forest_counts, edge_set)
+    counts, _ = _class_forest_counts(edge_set)
     acc = sum(n_k * (-p) ** k * q ** (e_top - k) for k, n_k in enumerate(counts))
     return Fraction(acc, q**e_top)
 
@@ -844,7 +838,7 @@ def chromatic_via_transfer(edge_set: EdgeSet) -> RationalPoly:
             "transfer specialization needs an isthmus-free edge set; "
             "use the deletion-contraction oracle instead"
         )
-    _, nbc = _per_class(_forest_counts_by_class, _forest_counts, edge_set)
+    _, nbc = _class_forest_counts(edge_set)
     v = edge_set.v
     coeffs = [0] * (v + 1)
     for k, n_k in enumerate(nbc):

@@ -113,11 +113,13 @@ class EdgeSet(Frozen):
             return cls.from_edges(v, edges)
         raise ValueError(f"edge set text needs edges= or mask=: {text!r}")
 
-    def to_text(self, mask_form: bool = False) -> str:
-        if mask_form:
-            width = comb(self.v, 2)
-            return f"v={self.v};mask=0b{self.bits:0{width}b}"
-        tokens = ",".join(f"{a}{b}" for a, b in self.edges())
+    def to_text(self) -> str:
+        """"v=4;edges=01,03,12,23" when every endpoint is one digit, else
+        the unpadded mask form "v=12;mask=0x..."; from_text reads both."""
+        edges = self.edges()
+        if self.v > 10 and any(b > 9 for _, b in edges):
+            return f"v={self.v};mask={self.bits:#x}"
+        tokens = ",".join(f"{a}{b}" for a, b in edges)
         return f"v={self.v};edges={tokens}"
 
     @property
@@ -610,6 +612,19 @@ def iso_class_blocks(poset: SubgraphPoset) -> list[tuple[str, tuple[int, ...]]]:
         groups.setdefault(canonical_bits(poset.v, mask), []).append(i)
     keyed = sorted(groups.items(), key=lambda kv: (-kv[0].bit_count(), kv[0]))
     return [(class_label(poset.v, canon), tuple(idxs)) for canon, idxs in keyed]
+
+
+def class_rows(blocks, size: int, row_of) -> list:
+    """One entry per poset member, in member order, from one row per class:
+    ``row_of(label, idxs)`` is called once per block of ``blocks``, as
+    ``iso_class_blocks`` gives them, and every member of the block gets
+    its row."""
+    rows = [None] * size
+    for label, idxs in blocks:
+        row = row_of(label, idxs)
+        for i in idxs:
+            rows[i] = row
+    return rows
 
 
 @lru_cache(maxsize=None)

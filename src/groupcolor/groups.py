@@ -188,7 +188,15 @@ class AllowedSet(Frozen):
         return index >= 0 and self.contains_index(index)
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.group.order) if self.contains_index(i))
+        return self._sides[0]
+
+    @cached_property
+    def _sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # the element indices of A and of its complement, listed once per set
+        inside, outside = [], []
+        for i in range(self.group.order):
+            (inside if (self.mask >> i) & 1 else outside).append(i)
+        return tuple(inside), tuple(outside)
 
     def __repr__(self):
         return f"AllowedSet(size={self.size}, f={self.group.order})"
@@ -264,5 +272,13 @@ def allowed_explicit(group: FiniteAbelianGroup, elements) -> AllowedSet:
 
 
 def character_sum(allowed: AllowedSet, p: int) -> complex:
-    """sum_{q in A} <p, q> over the allowed set, for the character index p."""
-    return sum(pairing_by_index(allowed.group, p, q) for q in allowed.indices())
+    """sum_{q in A} <p, q> over the allowed set, for the character index p,
+    in min(|A|, f - |A|) pairings. The characters of p sum to f [p = 0] over
+    the whole group, so when the complement is smaller the sum over A is
+    that less the sum over the complement."""
+    group = allowed.group
+    inside, outside = allowed._sides
+    if len(inside) <= len(outside):
+        return sum(pairing_by_index(group, p, q) for q in inside)
+    whole = group.order if p == 0 else 0
+    return whole - sum(pairing_by_index(group, p, q) for q in outside)

@@ -517,6 +517,20 @@ def test_per_member_commands_check_the_whole_command_budget(capsys, monkeypatch)
     assert "fourier method over 13667 edge sets in 77 classes" in err
 
 
+def test_fourier_character_table_is_charged_and_bounded(capsys):
+    # Z1024 nonzero: each of P_3's two classes pairs the 1024 characters
+    # with the one element outside A, on top of its 1 and 1024 terms
+    argv = ["gamma", "--v", "3", "--group", "Z1024", "--allowed", "nonzero", "--method", "fourier"]
+    assert main(argv + ["--budget", "3072"]) == 3
+    assert "needs 3073 > budget 3072" in capsys.readouterr().err
+    start = time.perf_counter()
+    code, data = _run_json(capsys, argv + ["--budget", "3073"])
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    values = [float(row["value"]) for row in data["values"]]
+    assert values == pytest.approx([1, 1023 * 1022 / 1024**2], abs=1e-9)
+
+
 def test_budget_refuses_a_negative_value(capsys):
     argv = ["gamma", "--v", "4", "--group", "Z5", "--allowed", "interval:1"]
     assert main(argv + ["--budget", "-5"]) == 2

@@ -580,8 +580,13 @@ def test_reciprocity_mobius_budget(p5):
 
 
 # work of each per-member method over P_4 with f = 3, summed by hand over
-# one representative of each class: the empty set, K3, C4, the diamond and K4
-P4_METHOD_WORK = {"brute": 5 * 3**4, "cycle": 1 + 9 + 27 + 27 + 27, "fourier": 1 + 3 + 3 + 9 + 27}
+# one representative of each class: the empty set, K3, C4, the diamond and
+# K4; fourier adds per class the 3 min(2, 1) pairings of its character table
+P4_METHOD_WORK = {
+    "brute": 5 * 3**4,
+    "cycle": 1 + 9 + 27 + 27 + 27,
+    "fourier": 1 + 3 + 3 + 9 + 27 + 5 * 3 * 1,
+}
 
 
 @pytest.mark.parametrize("method", sorted(P4_METHOD_WORK))
@@ -591,6 +596,40 @@ def test_per_member_methods_check_the_summed_budget(p4, method):
     with pytest.raises(BudgetExceededError, match=f"{method} method over 15"):
         gamma_vector(p4, allowed, method, budget=work - 1)
     assert gamma_vector(p4, allowed, method, budget=work).method == method
+
+
+def test_per_member_methods_read_one_class_partition(p5, monkeypatch):
+    # the classes come from one pass of canonical_bits over the members,
+    # plus a label per unnamed class: at most |P_5| + 16 calls
+    calls = []
+    real = graphs_module.canonical_bits
+
+    def spy(v, bits):
+        calls.append(bits)
+        return real(v, bits)
+
+    monkeypatch.setattr(graphs_module, "canonical_bits", spy)
+    monkeypatch.setattr(gamma_module, "canonical_bits", spy)
+    allowed = allowed_interval(make_group([7]), 1)
+    values = gamma_vector(p5, allowed, "cycle").values
+    assert len(calls) <= len(p5) + 16
+    assert values == gamma_vector(p5, allowed).values
+
+
+def test_per_member_methods_run_each_member_above_the_cap(monkeypatch):
+    # a hand-built poset at v = 7 has no canonical forms: one block per member
+    monkeypatch.setattr(graphs_module, "_canonical_forms", {})
+    k3 = EdgeSet.from_edges(7, [(0, 1), (1, 2), (0, 2)])
+    poset = SubgraphPoset(7, (0, k3.bits), None)
+    allowed = allowed_interval(make_group([5]), 1)
+    for method in ("brute", "cycle"):
+        assert gamma_vector(poset, allowed, method).values == (1, 0)
+    assert gamma_vector(poset, allowed, "fourier").values == pytest.approx((1, 0), abs=1e-9)
+    with pytest.raises(BudgetExceededError, match="cycle method over 2 edge sets in 2 classes"):
+        gamma_vector(poset, allowed, "cycle", budget=5**2)  # charged 1 + 5^2
+    assert 7 not in graphs_module._canonical_forms
+    with pytest.raises(ValueError, match="unknown method 'exact'; want auto, brute, cycle"):
+        gamma_vector(poset, allowed, "exact")
 
 
 def test_gamma_plus_full_group_is_indicator(p4):
@@ -1191,7 +1230,7 @@ def test_chromatic_via_transfer_on_all_p4_members(p4):
 
 def test_chromatic_via_transfer_on_p5_and_a_p6_sample(p5, p6, monkeypatch):
     # isolated-vertex factors included; the uncached walk on every P_5
-    # member, as _per_class memoizes nothing with POSET_CAP at 0
+    # member, as _class_forest_counts memoizes nothing with POSET_CAP at 0
     with monkeypatch.context() as patch:
         patch.setattr(gamma_module, "POSET_CAP", 0)
         for member in p5.members:

@@ -61,9 +61,24 @@ def test_edgeset_text_round_trip(c4_v4):
     text = c4_v4.to_text()
     assert text == "v=4;edges=01,03,12,23"
     assert EdgeSet.from_text(text) == c4_v4
-    mask_text = c4_v4.to_text(mask_form=True)
-    assert EdgeSet.from_text(mask_text) == c4_v4
+    for mask_text in ("v=4;mask=0b101101", "v=4;mask=0x2d"):
+        assert EdgeSet.from_text(mask_text) == c4_v4
     assert EdgeSet.from_text("v=3;edges=") == EdgeSet(3, 0)
+
+
+def test_edgeset_text_round_trips_past_ten_vertices():
+    # an endpoint of two digits has no edge token, so such a set is written
+    # as its unpadded mask; sets inside vertices 0..9 keep their edge tokens
+    for v in (11, 12):
+        top = [(v - 3, v - 2), (v - 3, v - 1), (v - 2, v - 1)]
+        for edges in (top, [(1, 2), (1, v - 1), (2, v - 1)], [(0, 10)], [(0, 1), (1, 9), (0, 9)]):
+            edge_set = EdgeSet.from_edges(v, edges)
+            text = edge_set.to_text()
+            assert EdgeSet.from_text(text) == edge_set, text
+            assert ("mask=0x" in text) == any(b > 9 for _, b in edges)
+    triangle = EdgeSet.from_edges(12, [(9, 10), (9, 11), (10, 11)])
+    assert triangle.to_text() == "v=12;mask=0x38000000000000000"
+    assert EdgeSet.from_edges(12, [(0, 1), (1, 2)]).to_text() == "v=12;edges=01,12"
 
 
 def test_edgeset_rejects_bad_input():

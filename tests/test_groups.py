@@ -303,11 +303,14 @@ def test_character_sums_over_whole_group(orders):
     g = make_group(orders)
     full = AllowedSet(g, (1 << g.order) - 1)
     for p in range(g.order):
-        total = character_sum(full, p)
-        if p == 0:
-            assert total == pytest.approx(g.order, abs=1e-9)
-        else:
-            assert abs(total) < 1e-9
+        # character_sum over A reads this orthogonality when Abar is smaller,
+        # so it is checked on the pairings themselves too
+        direct = sum(pairing_by_index(g, p, q) for q in range(g.order))
+        for total in (character_sum(full, p), direct):
+            if p == 0:
+                assert total == pytest.approx(g.order, abs=1e-9)
+            else:
+                assert abs(total) < 1e-9
 
 
 @pytest.mark.parametrize("orders", [[5], [6], [2, 2], [2, 2, 2], [12]])
@@ -321,6 +324,7 @@ def test_allowed_sum_is_minus_complement_sum(orders):
         lhs = character_sum(allowed, p)
         rhs = -character_sum(bar, p)
         assert abs(lhs - rhs) < 1e-9
+        assert abs(lhs - sum(pairing_by_index(g, p, q) for q in allowed.indices())) < 1e-9
 
 
 def test_symmetry_validated_by_full_enumeration():
