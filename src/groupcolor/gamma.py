@@ -67,7 +67,8 @@ class GammaVector(Frozen):
     integers at every edge mask M of K_v, bridged masks included:
     ``counts[M]`` is f^(v - 1) Gamma(M), and ``histogram[M]`` the colorings
     of the sweep whose allowed-difference pairs are exactly M, the raw
-    entries whose superset sums are the counts. Equality and hashing read
+    entries whose superset sums are the counts. verify_reciprocity solves
+    from the histogram alone, in packed lanes. Equality and hashing read
     the other three fields.
     """
 
@@ -255,6 +256,9 @@ METHOD_WORK = {
 # exceeds the histogram's total, so no lane carries into the next while the
 # total fits a lane; a sweep's total f^(v - 1) is below 2^60 for every group
 # up to MAX_GROUP_ORDER at every v up to POSET_CAP.
+_LANE_CODES = {4: "I", 8: "Q"}  # array codes of the unsigned lanes by bytes
+
+
 @cache
 def _lane_masks(bits: int, width: int) -> tuple[int, ...]:
     # per bit k below bits, the int whose lanes of width bytes are all ones
@@ -268,25 +272,45 @@ def _lane_masks(bits: int, width: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _superset_sums(hist: list[int]) -> list[int]:
-    # a new list holding at M the sum of hist[N] over every N containing M
-    # (Yates' fast zeta transform), on the lattice of len(hist) masks; the
-    # entries are counts, so array refuses a negative one
-    total = sum(hist)
-    if total >= 1 << 64:
-        raise OverflowError(f"superset sums up to {total} do not fit a 64-bit lane")
-    lanes = array("I" if total < 1 << 32 else "Q", hist)
-    if sys.byteorder == "big":  # lane 0 in the lowest bytes
+def _pack_lanes(values: list[int], width: int) -> int:
+    # one int holding values[M], none negative, in lane M of width bytes,
+    # lane 0 in the lowest bytes; array refuses a negative entry
+    code = _LANE_CODES.get(width)
+    if code is None:
+        return int.from_bytes(b"".join(n.to_bytes(width, "little") for n in values), "little")
+    lanes = array(code, values)
+    if sys.byteorder == "big":
         lanes.byteswap()
-    width = lanes.itemsize
-    packed = int.from_bytes(lanes, "little")
-    for k, keep in enumerate(_lane_masks(len(hist).bit_length() - 1, width)):
-        packed += (packed >> (8 * width << k)) & keep
-    lanes = array(lanes.typecode)
-    lanes.frombytes(packed.to_bytes(len(hist) * width, "little"))
+    return int.from_bytes(lanes, "little")
+
+
+def _unpack_lanes(packed: int, count: int, width: int, signed: bool) -> list[int]:
+    # the count lanes of width bytes of packed, read as unsigned or as two's
+    # complement integers
+    raw = packed.to_bytes(count * width, "little")
+    code = _LANE_CODES.get(width)
+    if code is None:
+        starts = range(0, len(raw), width)
+        return [int.from_bytes(raw[i : i + width], "little", signed=signed) for i in starts]
+    lanes = array(code.lower() if signed else code)
+    lanes.frombytes(raw)
     if sys.byteorder == "big":
         lanes.byteswap()
     return lanes.tolist()
+
+
+def _superset_sums(hist: list[int]) -> list[int]:
+    # a new list holding at M the sum of hist[N] over every N containing M
+    # (Yates' fast zeta transform), on the lattice of len(hist) masks; the
+    # entries are counts, so a negative one raises OverflowError
+    total = sum(hist)
+    if total >= 1 << 64:
+        raise OverflowError(f"superset sums up to {total} do not fit a 64-bit lane")
+    width = 4 if total < 1 << 32 else 8
+    packed = _pack_lanes(hist, width)
+    for k, keep in enumerate(_lane_masks(len(hist).bit_length() - 1, width)):
+        packed += (packed >> (8 * width << k)) & keep
+    return _unpack_lanes(packed, len(hist), width, signed=False)
 
 
 def _difference_histogram(v: int, allowed: AllowedSet, budget: int) -> list[int]:
@@ -412,7 +436,7 @@ def gamma_vector(
         hist = _difference_histogram(v, allowed, budget)
         counts = _superset_sums(hist)
         total = allowed.group.order ** (v - 1)
-        values = _fractions(poset, counts, total)
+        values = _fractions(poset, list(map(counts.__getitem__, poset.masks)), total)
         return GammaVector(poset, values, "histogram", counts, hist)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; want auto, brute, cycle, or fourier")
@@ -449,14 +473,29 @@ def gamma_vector(
 #   themselves.
 # On the histogram the whole solve acts one edge bit at a time: the superset
 # sum, the factor q on the bit and the step hi - p*lo map the raw entries
-# (h0, h1) with the bit clear and set to (h0 + h1, (q - p) h1 - p h0). Every
-# pair difference lies in exactly one of A and Abar, so Abar's raw histogram
-# is A's read at complemented masks, with h0 and h1 swapped, and its solve
-# at (q - p)/q, over the same q, gives (h0 + h1, p h0 - (q - p) h1). Hence
-# Y_Abar[M] = (-1)^|M| Y_A[M] at every mask: Abar's solve vanishes on the
-# bridged masks exactly where A's does, and its signed values are A's.
+# (h0, h1) with the bit clear and set to (h0 + h1, (q - p) h1 - p h0), so
+# verify_reciprocity solves from the raw histogram and never builds X.
+# Each entry of the result is a sum over the raw entries of products of one
+# factor per bit, 1, q - p or -p, so with T the histogram's total no entry
+# at any step exceeds T max(p, q - p)^C(v, 2) in size. The solve then runs
+# in packed lanes as the superset sums do, one int with entry M in lane M,
+# biased by o = 2^(w - 1) to hold its sign: w is 32 or 64 bits when that
+# bound is below o, else the least multiple of 64 bits that holds it with
+# its sign (v = 6 at f >= 12, past the default budget). At bit k, with L and
+# H the lanes without the bit and those with it moved down onto them, and O
+# the bias in the same lanes, the low lanes become L + H - O and the high ones
+# ((q - p) H - p L + (1 - q + 2p) O), shifted up: each lane stays in
+# [0, 2^w), so one big-int expression steps every lane at once, and a
+# closing XOR with the bias leaves two's complement lanes.
+# Every pair difference lies in exactly one of A and Abar, so Abar's raw
+# histogram is A's read at complemented masks, with h0 and h1 swapped, and
+# its solve at (q - p)/q, over the same q, gives (h0 + h1, p h0 - (q - p) h1).
+# Hence Y_Abar[M] = (-1)^|M| Y_A[M] at every mask: Abar's solve vanishes on
+# the bridged masks exactly where A's does, and its signed values are A's.
 # The transfer matrix needs no solve: apply_transfer is one weighted
 # subset-sum pass (step hi + q*lo) over a signed bridge extension.
+# gamma_plus and apply_transfer stay on _lattice_pass: their inputs are
+# rationals over any common denominator, with no cheap bound for a lane.
 
 
 def _bridge_extension(core: list[int], scaled: list[int], p: int) -> list[int]:
@@ -467,14 +506,11 @@ def _bridge_extension(core: list[int], scaled: list[int], p: int) -> list[int]:
     return list(map(mul, xs, map(p_pow.__getitem__, bridges)))
 
 
-def _lattice_inverse(v: int, ys: list[int], p: int, bridgeless) -> list[int]:
-    # Y from X in place, on the lattice of the edge masks of K_v;
-    # ArithmeticError names the first nonzero mask that bridgeless rejects
-    _lattice_pass(ys, sub, p)
+def _refuse_bridged(v: int, ys: list[int], bridgeless) -> None:
+    # ArithmeticError names the first nonzero mask of ys that bridgeless rejects
     for mask in compress(range(len(ys)), ys):
         if not bridgeless(mask):
             raise ArithmeticError(f"J(r)^-1 is nonzero on the bridged {EdgeSet(v, mask)!r}")
-    return ys
 
 
 def _scaled(gamma: GammaVector, q: int) -> tuple[list[int], int]:
@@ -491,17 +527,6 @@ def _scaled(gamma: GammaVector, q: int) -> tuple[list[int], int]:
     return scaled, common
 
 
-def _histogram_inverse(gamma: GammaVector, alpha: Fraction) -> list[int]:
-    # Y = f^(v - 1) q^|M| J(alpha)^-1 Gamma at every mask of K_v, from the
-    # counts of a histogram vector of the set whose density is alpha
-    poset = gamma.poset
-    p, q = alpha.as_integer_ratio()
-    q_pow = [q**k for k in range(len(gamma.counts).bit_length())]
-    sizes = map(int.bit_count, range(len(gamma.counts)))
-    ys = list(map(mul, gamma.counts, map(q_pow.__getitem__, sizes)))
-    return _lattice_inverse(poset.v, ys, p, poset.index_by_mask.__contains__)
-
-
 def _negate_odd_sizes(poset: SubgraphPoset, ys: list[int]) -> None:
     # (-1)^|H| ys[H] in place at every member H; ys vanishes off them
     for mask, size in zip(poset.masks, poset.sizes):
@@ -509,13 +534,55 @@ def _negate_odd_sizes(poset: SubgraphPoset, ys: list[int]) -> None:
             ys[mask] = -ys[mask]
 
 
-def _fractions(poset: SubgraphPoset, ys: list[int], common: int, q: int = 1) -> tuple:
-    # Fraction(ys[H], common q^|H|) at each member H, in member order. The
-    # members come in runs of one size, so one denominator; in each run one
-    # Fraction is made per distinct numerator and shared, since the values
-    # of an isomorphism class repeat (16 classes among the 314 members of P_5).
+def _lane_bytes(bound: int) -> int:
+    # the bytes of a biased lane that holds every integer of size up to
+    # bound: 4 or 8, else a multiple of 8
+    return 4 if bound < 1 << 31 else 8 * (bound.bit_length() // 64 + 1)
+
+
+def _packed_solve(hist: list[int], p: int, q: int) -> list[int]:
+    # a new list: hist stepped at every bit by (h0, h1) -> (h0 + h1,
+    # (q - p) h1 - p h0) in biased lanes (see "Lattice passes" above)
+    bits = len(hist).bit_length() - 1
+    width = _lane_bytes(sum(hist) * max(p, q - p) ** bits)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * len(hist), "little")
+    packed = _pack_lanes(hist, width) | bias  # every entry is below the bias
+    # the bits run from the highest down: its lanes without the bit are one
+    # low block, and each lower bit's mask is the one above it XORed with
+    # itself shifted up by the new bit's lanes
+    keep = (1 << (8 * width * len(hist) >> 1)) - 1
+    for k in reversed(range(bits)):
+        shift = 8 * width << k
+        if k < bits - 1:
+            keep ^= keep << shift
+        low_bias = bias & keep
+        lo = packed & keep
+        hi = (packed >> shift) & keep
+        high = (q - p) * hi - p * lo + (1 - q + 2 * p) * low_bias
+        packed = (lo + hi - low_bias) | (high << shift)
+    return _unpack_lanes(packed ^ bias, len(hist), width, signed=True)
+
+
+def _histogram_inverse(gamma: GammaVector, alpha: Fraction) -> list[int]:
+    # f^(v - 1) q^|H| J(alpha)^-1 Gamma at each member H, in member order,
+    # from the raw histogram of the set whose density is alpha. The solve
+    # must vanish off the members; only when it does not is a set of them
+    # made, to name the lowest nonzero mask outside it
+    poset = gamma.poset
+    ys = _packed_solve(gamma.histogram, *alpha.as_integer_ratio())
+    nums = list(map(ys.__getitem__, poset.masks))
+    if len(ys) - ys.count(0) != len(nums) - nums.count(0):
+        _refuse_bridged(poset.v, ys, set(poset.masks).__contains__)
+    return nums
+
+
+def _fractions(poset: SubgraphPoset, numerators: list[int], common: int, q: int = 1) -> tuple:
+    # Fraction(numerators[i], common q^|H|) at each member H, in member
+    # order. The members come in runs of one size, so one denominator; in
+    # each run one Fraction is made per distinct numerator and shared, since
+    # the values of an isomorphism class repeat (16 classes among the 314
+    # members of P_5).
     sizes = poset.sizes
-    numerators = list(map(ys.__getitem__, poset.masks))
     out = []
     while len(out) < len(sizes):
         size = sizes[len(out)]
@@ -540,8 +607,10 @@ def gamma_plus(gamma: GammaVector, alpha: Fraction) -> GammaVector:
     scaled, common = _scaled(gamma, q)
     _, core = poset.cores
     ys = _bridge_extension(core, scaled, p)
-    _lattice_inverse(poset.v, ys, p, lambda mask: core[mask] == mask)
-    return GammaVector(poset, _fractions(poset, ys, common, q), gamma.method + "+mobius")
+    _lattice_pass(ys, sub, p)
+    _refuse_bridged(poset.v, ys, lambda mask: core[mask] == mask)
+    nums = list(map(ys.__getitem__, poset.masks))
+    return GammaVector(poset, _fractions(poset, nums, common, q), gamma.method + "+mobius")
 
 
 class ReciprocityReport(Frozen):
@@ -594,16 +663,18 @@ def verify_reciprocity(
 
     Exact rational comparison; a mismatch is reported, never raised. Each
     side is one histogram sweep, by gamma_vector with "auto", and the two
-    sweeps are independent. The allowed side gets one lattice solve on its
-    counts at alpha (see "Lattice passes" above), which must vanish on every
-    bridged mask (the paper's Fourier lemma; ArithmeticError names the first
-    that does not); no bridgeless cores are needed. The raw histograms are
-    then compared exactly: when the complement's is the allowed one's read
-    at complemented masks, its solve at 1 - alpha would be the allowed one
-    signed by (-1)^|M| at every mask, so the sides agree and share one
-    tuple. Otherwise a sweep is off, and the complement gets its own solve
-    at 1 - alpha, with the same denominator q, checked the same way; the
-    sides then agree exactly when Y_A[H] = (-1)^|H| Y_Abar[H] on integers,
+    sweeps are independent. The allowed side gets one lattice solve at
+    alpha, run in packed biased lanes straight from its raw histogram (see
+    "Lattice passes" above), which must vanish on every bridged mask (the
+    paper's Fourier lemma; ArithmeticError names the first that does not).
+    It is checked by counting nonzero entries against those at the
+    members, so no bridgeless cores and no mask-to-member dict are needed.
+    The raw histograms are then compared exactly: when the complement's
+    is the allowed one's read at complemented masks, its solve at
+    1 - alpha would be the allowed one signed by (-1)^|M| at every mask,
+    so the sides agree and share one tuple. Otherwise a sweep is off, and
+    the complement gets its own solve at 1 - alpha, with the same
+    denominator q, checked the same way; the sides then agree exactly when Y_A[H] = (-1)^|H| Y_Abar[H] on integers,
     and equal sides share their Fractions. The steps of both solves,
     C(v, 2) 2^(C(v, 2) - 1) each, are checked against budget before any
     coloring, and each sweep checks its own f^(v - 1), an upper bound on
@@ -619,7 +690,7 @@ def verify_reciprocity(
     ys_a = ys_bar = _histogram_inverse(g_a, allowed.alpha)
     if g_bar.histogram != g_a.histogram[::-1]:
         ys_bar = _histogram_inverse(g_bar, allowed.alpha_bar)
-        _negate_odd_sizes(poset, ys_bar)
+        ys_bar = [-y if size & 1 else y for y, size in zip(ys_bar, poset.sizes)]
     common = allowed.group.order ** (poset.v - 1)
     q = allowed.alpha.denominator
     lhs = _fractions(poset, ys_a, common, q)
@@ -655,7 +726,8 @@ def apply_transfer(
     _, core = poset.cores
     ys = _bridge_extension(core, scaled, -p)
     _lattice_pass(ys, add, q)
-    return GammaVector(poset, _fractions(poset, ys, common, q), "transfer")
+    nums = list(map(ys.__getitem__, poset.masks))
+    return GammaVector(poset, _fractions(poset, nums, common, q), "transfer")
 
 
 # ---------------------------------------------------------------------------

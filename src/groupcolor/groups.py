@@ -16,7 +16,9 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import prod
+from operator import add, floordiv, mod, mul
 
 from ._frozen import Frozen
 
@@ -119,18 +121,37 @@ class FiniteAbelianGroup(Frozen):
     def neg(self, a: int) -> int:
         return self._neg_table[a]
 
+    @cached_property
+    def _roots(self) -> tuple[complex, ...]:
+        # exp(2 pi i k / L) for k below L, the lcm of the cyclic orders; k / L
+        # is correctly rounded, as float(Fraction(k, L)) is, so each root is
+        # the one of the exact phase
+        period = math.lcm(*self.cyclic_orders)
+        return tuple(cmath.exp(2j * math.pi * (k / period)) for k in range(period))
+
+    def _pairings(self, p: int, qs) -> map:
+        # the pairings of the character p with the element indices qs, in
+        # order: the root at k = sum_i p_i q_i (L / n_i) mod L, each residue
+        # q_i read from the indices digit by digit
+        period = len(self._roots)
+        ks = repeat(0)
+        for pi, n, w in zip(self.residues_of(p), self.cyclic_orders, self._weights):
+            digits = map(mod, map(floordiv, qs, repeat(w)), repeat(n))
+            ks = map(add, ks, map(mul, digits, repeat(pi * (period // n))))
+        return map(self._roots.__getitem__, map(mod, ks, repeat(period)))
+
     def __repr__(self):
         return f"FiniteAbelianGroup({list(self.cyclic_orders)})"
 
 
 def pairing_by_index(group: FiniteAbelianGroup, p: int, q: int) -> complex:
     """Unit-modulus pairing exp(2*pi*i * sum_i p_i q_i / n_i) of the
-    character p with the element q, both element indices."""
-    phase = Fraction(0)
-    for pi, qi, n in zip(group.residues_of(p), group.residues_of(q), group.cyclic_orders):
-        phase += Fraction(pi * qi, n)
-    phase -= math.floor(phase)
-    return cmath.exp(2j * math.pi * float(phase))
+    character p with the element q, both element indices. The phase is
+    k / L for the integer k = sum_i p_i q_i (L / n_i) mod L, L = lcm(n_i),
+    and its root is read from one table per group."""
+    group.residues_of(q)  # ValueError for an index outside the group
+    (pairing,) = group._pairings(p, (q,))
+    return pairing
 
 
 class AllowedSet(Frozen):
@@ -279,6 +300,6 @@ def character_sum(allowed: AllowedSet, p: int) -> complex:
     group = allowed.group
     inside, outside = allowed._sides
     if len(inside) <= len(outside):
-        return sum(pairing_by_index(group, p, q) for q in inside)
+        return sum(group._pairings(p, inside))
     whole = group.order if p == 0 else 0
-    return whole - sum(pairing_by_index(group, p, q) for q in outside)
+    return whole - sum(group._pairings(p, outside))

@@ -531,6 +531,22 @@ def test_fourier_character_table_is_charged_and_bounded(capsys):
     assert values == pytest.approx([1, 1023 * 1022 / 1024**2], abs=1e-9)
 
 
+def test_fourier_pairings_come_from_one_root_table():
+    # about a million pairings, each once a sum of Fractions; in a fresh
+    # process, with the stdout those pairings printed
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "groupcolor.cli", "gamma", "--v", "3", "--group", "Z1024",
+            "--allowed", "interval:255", "--method", "fourier"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "7d26b4fd115002d46f272f2e60d363b72c098ef10943018da70593b4c5e1af1c"
+    )
+
+
 def test_budget_refuses_a_negative_value(capsys):
     argv = ["gamma", "--v", "4", "--group", "Z5", "--allowed", "interval:1"]
     assert main(argv + ["--budget", "-5"]) == 2

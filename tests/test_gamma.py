@@ -10,12 +10,13 @@ import json
 import pickle
 import random
 import time
+import tracemalloc
 from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
-from operator import add
+from operator import add, sub
 
 import pytest
 
@@ -520,6 +521,89 @@ def test_packed_superset_sums_refuse_what_no_lane_holds():
         _superset_sums([2, -1])
 
 
+# (total, p, q) for the packed solve: each total is spread over a seeded
+# histogram, and the lanes hold up to total * max(p, q - p)^bits with its
+# sign: 32 bits up to 2^31 - 1, 64 bits up to 2^63 - 1, wider past that
+SOLVE_CASES = [
+    (100, 1, 2),
+    ((1 << 31) - 1, 1, 2),
+    (1 << 31, 1, 2),
+    (7**4, 4, 7),
+    ((1 << 63) - 1, 1, 2),
+    (1 << 63, 1, 2),
+    ((1 << 40) + 3, 5, 37),
+]
+
+
+def _list_solve(hist, p, q):
+    # the list route: superset sums by _lattice_pass, q^|M| at each mask,
+    # and the weighted subset-Mobius pass at p
+    counts = hist[::-1]
+    graphs_module._lattice_pass(counts, add)
+    ys = [c * q ** m.bit_count() for m, c in enumerate(counts[::-1])]
+    graphs_module._lattice_pass(ys, sub, p)
+    return ys
+
+
+@pytest.mark.parametrize("total, p, q", SOLVE_CASES)
+def test_packed_solve_matches_the_list_solve(total, p, q, monkeypatch):
+    bounds = []
+    real = gamma_module._lane_bytes
+
+    def spy(bound):
+        bounds.append(bound)
+        return real(bound)
+
+    monkeypatch.setattr(gamma_module, "_lane_bytes", spy)
+    rng = random.Random(total)
+    widths = set()
+    for bits in range(13):
+        size = 1 << bits
+        hist = [rng.randrange(total // size + 1) for _ in range(size)]
+        hist[rng.randrange(size)] += total - sum(hist)
+        concentrated = [total] + [0] * (size - 1)  # every sign and size at its extreme
+        for h in (hist, concentrated):
+            for side in (p, q - p):  # alpha and 1 - alpha
+                bounds.clear()
+                assert gamma_module._packed_solve(h, side, q) == _list_solve(h, side, q)
+                assert bounds == [total * max(p, q - p) ** bits]
+                widths.add(real(bounds[0]))
+    assert widths == {
+        (100, 1, 2): {4},
+        ((1 << 31) - 1, 1, 2): {4},
+        (1 << 31, 1, 2): {8},
+        (7**4, 4, 7): {4, 8},
+        ((1 << 63) - 1, 1, 2): {8},
+        (1 << 63, 1, 2): {16},
+        ((1 << 40) + 3, 5, 37): {8, 16},
+    }[total, p, q]
+
+
+def test_lane_bytes_hold_the_bound_with_its_sign():
+    for bound, width in [(0, 4), ((1 << 31) - 1, 4), (1 << 31, 8), ((1 << 63) - 1, 8),
+                         (1 << 63, 16), ((1 << 127) - 1, 16), (1 << 127, 24)]:
+        assert gamma_module._lane_bytes(bound) == width
+
+
+def test_packed_solve_keeps_no_lane_masks():
+    # at v = 6 each 64-bit mask is 256 KiB, 3.75 MiB for the 15 bits: the
+    # solve builds each in its step and keeps none, and the superset sums'
+    # cache gains nothing
+    allowed = allowed_interval(make_group([7]), 1)
+    hist = gamma_module._difference_histogram(6, allowed, 10**5)
+    gamma_module._lane_masks.cache_clear()
+    gamma_module._packed_solve(hist, 4, 7)  # any first-call state
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gamma_module._packed_solve(hist, 4, 7)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 << 10
+    assert gamma_module._lane_masks.cache_info().currsize == 0
+
+
 def test_histogram_budget(p4):
     allowed = allowed_interval(make_group([7]), 1)
     with pytest.raises(BudgetExceededError, match="histogram"):
@@ -1012,6 +1096,27 @@ def test_histogram_reciprocity_reads_no_cores(p4):
     assert report.lhs == plus_by_cycle.values
     assert len(report.gamma.counts) == len(report.gamma_complement.counts) == 1 << 6
     assert by_cycle.counts is None
+
+
+def test_histogram_reciprocity_reads_no_mask_index(p4, monkeypatch):
+    # the solve checks its vanishing by counting nonzero entries, so no
+    # mask -> member dict is built, on a pass or on a bridged failure
+    def refuse(self):
+        raise AssertionError("index_by_mask read")
+
+    monkeypatch.setattr(SubgraphPoset, "index_by_mask", property(refuse))
+    allowed = allowed_interval(make_group([7]), 1)
+    assert verify_reciprocity(p4, allowed).ok
+    real = gamma_module._difference_histogram
+
+    def extra(v, a, budget):
+        hist = real(v, a, budget)
+        hist[1] += 1
+        return hist
+
+    monkeypatch.setattr(gamma_module, "_difference_histogram", extra)
+    with pytest.raises(ArithmeticError, match="bridged EdgeSet\\(v=4;edges=01\\)"):
+        verify_reciprocity(p4, allowed)
 
 
 def test_reciprocity_reports_a_mismatch(p4, monkeypatch):

@@ -1,6 +1,7 @@
 """Group construction, element indexing, allowed-set symmetry, and the
 character-sum identities the Fourier route depends on."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -293,6 +294,31 @@ def test_pairing_unit_modulus_and_group_check():
         pairing_by_index(g, 1, 15)
     with pytest.raises(ValueError):
         pairing_by_index(g, 15, 1)
+
+
+def _pairing_by_fraction(g, p, q):
+    # the exact phase as a Fraction, reduced into [0, 1) and rounded once
+    phase = Fraction(0)
+    for pi, qi, n in zip(g.residues_of(p), g.residues_of(q), g.cyclic_orders):
+        phase += Fraction(pi * qi, n)
+    phase -= math.floor(phase)
+    return cmath.exp(2j * math.pi * float(phase))
+
+
+def _ordered_factorizations(n):
+    # every tuple of cyclic orders >= 2 with product n, in every order
+    if n == 1:
+        return [()]
+    return [(d,) + rest for d in range(2, n + 1) if n % d == 0 for rest in _ordered_factorizations(n // d)]
+
+
+def test_pairings_equal_the_exact_phase_bit_for_bit():
+    for f in range(2, 17):
+        for orders in _ordered_factorizations(f):
+            g = make_group(orders)
+            for p in range(f):
+                for q in range(f):
+                    assert pairing_by_index(g, p, q) == _pairing_by_fraction(g, p, q), (orders, p, q)
 
 
 CHARACTER_TEST_ORDERS = [[5], [7], [4], [6], [2, 2], [2, 3], [8], [3, 3], [2, 2, 2], [12], [64]]
