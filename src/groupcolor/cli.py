@@ -30,6 +30,8 @@ from .gamma import (
     verify_reciprocity,
 )
 from .graphs import (
+    POSET_CAP,
+    VERIFY_CAP,
     EdgeSet,
     chromatic_oracle,
     class_rows,
@@ -374,10 +376,27 @@ def cmd_gamma(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
+    # v runs to VERIFY_CAP here; past POSET_CAP only the summary prints
+    if not 2 <= ns.v <= VERIFY_CAP:
+        raise ValueError(f"v must be in 2..{VERIFY_CAP}, got {ns.v}")
     group = parse_group_spec(ns.group)
     allowed = parse_allowed_spec(ns.allowed, group)
-    poset = enumerate_poset(ns.v)
+    # the cores pass steps every edge bit over the half of the masks that holds it
+    pairs = comb(ns.v, 2)
+    if pairs << (pairs - 1) > ns.budget:
+        raise BudgetExceededError(
+            f"bridgeless cores over the edge masks of K_{ns.v}", pairs << (pairs - 1), ns.budget
+        )
+    if ns.v > POSET_CAP and ns.format != "summary":
+        raise ValueError(
+            f"verify --v {ns.v} prints --format summary only; json and tsv stop at v={POSET_CAP}"
+        )
+    poset = enumerate_poset(ns.v, VERIFY_CAP)
     report = verify_reciprocity(poset, allowed, budget=ns.budget)
+    summary = f"{'PASS' if report.ok else 'FAIL'} {report.passed}/{len(poset)}"
+    if ns.format == "summary":
+        print(summary)
+        return 0 if report.ok else 1
     fields = {
         "v": ns.v,
         "group": render_group_spec(group),
@@ -396,7 +415,6 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         "rhs": rhs,
         "equal": report.per_coordinate,
     }
-    summary = f"{'PASS' if report.ok else 'FAIL'} {report.passed}/{len(poset)}"
     _emit_members(
         ns.format, fields, "coordinates", columns, {"summary": summary}, tsv_omits=("edges",)
     )
@@ -692,8 +710,10 @@ def _budget(text: str) -> int:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser, *, group_args: bool) -> None:
-    sub.add_argument("--format", choices=["json", "tsv"], default="json")
+def _add_common(
+    sub: argparse.ArgumentParser, *, group_args: bool, formats: tuple[str, ...] = ("json", "tsv")
+) -> None:
+    sub.add_argument("--format", choices=formats, default="json")
     sub.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     if group_args:
         sub.add_argument("--group", required=True, help="e.g. Z5, Z2^3, Z3xZ9")
@@ -746,8 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gamma)
 
     p = subs.add_parser("verify", help="check the reciprocity identity exactly")
-    p.add_argument("--v", type=int, required=True)
-    _add_common(p, group_args=True)
+    p.add_argument(
+        "--v", type=int, required=True, help=f"2..{VERIFY_CAP}; above {POSET_CAP}, --format summary only"
+    )
+    _add_common(p, group_args=True, formats=("json", "tsv", "summary"))
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("chromatic", help="transfer specialization vs deletion-contraction")

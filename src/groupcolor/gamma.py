@@ -13,16 +13,15 @@ isomorphism class.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, compress, product, repeat
 from math import comb, lcm
 from numbers import Rational
-from operator import add, mul, sub, xor
+from operator import add, eq, itemgetter, mul, sub, xor
 
 from ._frozen import Frozen
 from .graphs import (
@@ -30,8 +29,12 @@ from .graphs import (
     EdgeSet,
     SubgraphPoset,
     _incident,
+    _lane_steps,
     _lattice_pass,
+    _pack_lanes,
+    _packed_pass,
     _spanning_forest,
+    _unpack_lanes,
     canonical_bits,
     class_rows,
     components,
@@ -40,7 +43,7 @@ from .graphs import (
     iso_class_blocks,
     vertex_pairs,
 )
-from .groups import AllowedSet, character_sum
+from .groups import AllowedSet
 from .posetlin import RationalPoly
 
 DEFAULT_BUDGET = 10**8
@@ -63,13 +66,15 @@ class BudgetExceededError(Exception):
 class GammaVector(Frozen):
     """Probability per poset coordinate, tagged with the producing method.
 
-    ``counts`` and ``histogram`` are set by the histogram method alone, as
+    ``counts`` and ``histogram`` belong to the histogram method alone, as
     integers at every edge mask M of K_v, bridged masks included:
-    ``counts[M]`` is f^(v - 1) Gamma(M), and ``histogram[M]`` the colorings
-    of the sweep whose allowed-difference pairs are exactly M, the raw
-    entries whose superset sums are the counts. verify_reciprocity solves
-    from the histogram alone, in packed lanes. Equality and hashing read
-    the other three fields.
+    ``histogram[M]`` holds the colorings of the sweep whose allowed-difference
+    pairs are exactly M, and ``counts[M]``, their superset sums, is
+    f^(v - 1) Gamma(M). Such a vector is made from its histogram alone:
+    ``counts`` and then ``values`` are computed when first read, and
+    verify_reciprocity, which solves from the histogram, reads neither.
+    Any other vector is given its values and has no counts. Equality and
+    hashing read poset, values and method.
     """
 
     _fields = ("poset", "values", "method")
@@ -82,12 +87,27 @@ class GammaVector(Frozen):
     def __init__(
         self,
         poset: SubgraphPoset,
-        values: tuple,
+        values: tuple | None,
         method: str,
         counts: list[int] | None = None,
         histogram: list[int] | None = None,
     ):
-        self._set(poset=poset, values=values, method=method, counts=counts, histogram=histogram)
+        # values None, or counts None with a histogram, are read on demand
+        self._set(poset=poset, method=method, histogram=histogram)
+        if values is not None:
+            self._set(values=values)
+        if counts is not None or histogram is None:
+            self._set(counts=counts)
+
+    @cached_property
+    def counts(self) -> list[int]:
+        return _superset_sums(self.histogram)
+
+    @cached_property
+    def values(self) -> tuple:
+        # counts[0], the colorings with no edge required, is f^(v - 1)
+        counts = self.counts
+        return _fractions(self.poset, list(map(counts.__getitem__, self.poset.masks)), counts[0])
 
     def __getitem__(self, i: int):
         return self.values[i]
@@ -197,7 +217,8 @@ def gamma_fourier(
     A^(p) of each edge is real and A^(p) = A^(-p). An imaginary residue
     above FOURIER_TOL means the kernel enumeration is wrong. The budget is
     charged those terms plus the f min(|A|, f - |A|) pairings of the
-    character table (see character_sum).
+    character table, an upper bound now that the table is built once per
+    allowed set (AllowedSet.character_table) and read by every call.
     """
     group = allowed.group
     f = group.order
@@ -206,7 +227,7 @@ def gamma_fourier(
     if work > budget:
         raise BudgetExceededError("dual cycle space too large", work, budget)
     incidence = _chord_flows(edge_set)
-    char_sums = [character_sum(allowed, p) for p in range(f)]
+    char_sums = allowed.character_table
     add = group.add
     neg = group.neg
     total = 0j
@@ -250,53 +271,15 @@ METHOD_WORK = {
 }
 
 
-# Superset sums run in packed lanes: the histogram becomes one int whose
-# lane M, of 32 or 64 bits, holds entry M, and bit k's step adds every lane
-# M + 2^k into lane M with one shift, one AND and one addition. No sum
-# exceeds the histogram's total, so no lane carries into the next while the
-# total fits a lane; a sweep's total f^(v - 1) is below 2^60 for every group
-# up to MAX_GROUP_ORDER at every v up to POSET_CAP.
-_LANE_CODES = {4: "I", 8: "Q"}  # array codes of the unsigned lanes by bytes
-
-
-@cache
-def _lane_masks(bits: int, width: int) -> tuple[int, ...]:
-    # per bit k below bits, the int whose lanes of width bytes are all ones
-    # at the masks without bit k and zero at the masks with it; built from
-    # repeated bytes on first use, once per (bits, width)
-    masks = []
-    for k in range(bits):
-        half = width << k  # the bytes of 2^k lanes
-        block = b"\xff" * half + bytes(half)
-        masks.append(int.from_bytes(block * (1 << (bits - k - 1)), "little"))
-    return tuple(masks)
-
-
-def _pack_lanes(values: list[int], width: int) -> int:
-    # one int holding values[M], none negative, in lane M of width bytes,
-    # lane 0 in the lowest bytes; array refuses a negative entry
-    code = _LANE_CODES.get(width)
-    if code is None:
-        return int.from_bytes(b"".join(n.to_bytes(width, "little") for n in values), "little")
-    lanes = array(code, values)
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return int.from_bytes(lanes, "little")
-
-
-def _unpack_lanes(packed: int, count: int, width: int, signed: bool) -> list[int]:
-    # the count lanes of width bytes of packed, read as unsigned or as two's
-    # complement integers
-    raw = packed.to_bytes(count * width, "little")
-    code = _LANE_CODES.get(width)
-    if code is None:
-        starts = range(0, len(raw), width)
-        return [int.from_bytes(raw[i : i + width], "little", signed=signed) for i in starts]
-    lanes = array(code.lower() if signed else code)
-    lanes.frombytes(raw)
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return lanes.tolist()
+# Superset sums run in packed lanes (graphs._packed_pass): the histogram
+# becomes one int whose lane M, of 32 or 64 bits, holds entry M, and bit k's
+# step adds every lane M + 2^k into lane M with one shift, one AND and one
+# addition. No sum exceeds the histogram's total, so no lane carries into
+# the next while the total fits a lane. A sweep's total f^(v - 1) is below
+# 2^60 for every group up to MAX_GROUP_ORDER at every v up to POSET_CAP; at
+# v = 7 it is f^6, below 2^60 up to f = 1024, and a larger group needs a
+# budget past 2^60 for its sweep, whose sums raise OverflowError once the
+# total reaches 2^64.
 
 
 def _superset_sums(hist: list[int]) -> list[int]:
@@ -307,10 +290,7 @@ def _superset_sums(hist: list[int]) -> list[int]:
     if total >= 1 << 64:
         raise OverflowError(f"superset sums up to {total} do not fit a 64-bit lane")
     width = 4 if total < 1 << 32 else 8
-    packed = _pack_lanes(hist, width)
-    for k, keep in enumerate(_lane_masks(len(hist).bit_length() - 1, width)):
-        packed += (packed >> (8 * width << k)) & keep
-    return _unpack_lanes(packed, len(hist), width, signed=False)
+    return _packed_pass(hist, add, width, supersets=True).tolist()
 
 
 def _difference_histogram(v: int, allowed: AllowedSet, budget: int) -> list[int]:
@@ -423,21 +403,18 @@ def gamma_vector(
     colorings: one per negation pair of the colors of the vertices it
     colors one at a time, counted twice when the pair has two members.
     budget is charged the whole f^(v - 1), an upper bound. The result is
-    tagged "histogram" and keeps the superset sums at every mask as its
-    counts, and the raw entries as its histogram. A name from METHODS
-    applies that per-member method instead, once per block of
+    tagged "histogram" and holds the raw entries as its histogram; its
+    counts, the superset sums at every mask, and its values, one Fraction
+    per member, are computed when first read (see GammaVector). A name
+    from METHODS applies that per-member method instead, once per block of
     iso_class_blocks, on the block's first member, after checking the
     METHOD_WORK of those first members, summed, against budget; class_rows
     gives every member its block's value. Above POSET_CAP, where no
     canonical form is read, each member is a block of its own.
     """
     if method == "auto":
-        v = poset.v
-        hist = _difference_histogram(v, allowed, budget)
-        counts = _superset_sums(hist)
-        total = allowed.group.order ** (v - 1)
-        values = _fractions(poset, list(map(counts.__getitem__, poset.masks)), total)
-        return GammaVector(poset, values, "histogram", counts, hist)
+        hist = _difference_histogram(poset.v, allowed, budget)
+        return GammaVector(poset, None, "histogram", histogram=hist)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; want auto, brute, cycle, or fourier")
     if poset.v > POSET_CAP:
@@ -470,7 +447,8 @@ def gamma_vector(
 # - in verify_reciprocity, the histogram's counts at r = alpha:
 #   D = f^(v - 1) and X[M] = q^|M| counts[M]. There the vanishing on the
 #   bridged masks is the paper's Fourier lemma, checked on the colorings
-#   themselves.
+#   themselves, and both sides share D q^|H| at each member H, so the
+#   verdict compares the integers Y and builds no Fraction.
 # On the histogram the whole solve acts one edge bit at a time: the superset
 # sum, the factor q on the bit and the step hi - p*lo map the raw entries
 # (h0, h1) with the bit clear and set to (h0 + h1, (q - p) h1 - p h0), so
@@ -481,10 +459,14 @@ def gamma_vector(
 # in packed lanes as the superset sums do, one int with entry M in lane M,
 # biased by o = 2^(w - 1) to hold its sign: w is 32 or 64 bits when that
 # bound is below o, else the least multiple of 64 bits that holds it with
-# its sign (v = 6 at f >= 12, past the default budget). At bit k, with L and
-# H the lanes without the bit and those with it moved down onto them, and O
-# the bias in the same lanes, the low lanes become L + H - O and the high ones
-# ((q - p) H - p L + (1 - q + 2p) O), shifted up: each lane stays in
+# its sign (v = 6 at f >= 12, past the default budget). At v = 7 the bound
+# is f^6 max(p, q - p)^21: 64 bits for Z7 interval:1 (4/7) and 32 for Z2^3
+# hamming:1 (1/2), but past 64 already for alpha = 2/7 or 3/8, whose 2^21
+# lanes of 128 bits would take 32 MiB an int; verify_reciprocity refuses
+# such a solve by name above POSET_CAP. At bit k (graphs._lane_steps), with
+# L and H the lanes without the bit and those with it moved down onto them,
+# and O the bias in the same lanes, the low lanes become L + H - O and the
+# high ones ((q - p) H - p L + (1 - q + 2p) O), shifted up: each lane stays in
 # [0, 2^w), so one big-int expression steps every lane at once, and a
 # closing XOR with the bias leaves two's complement lanes.
 # Every pair difference lies in exactly one of A and Abar, so Abar's raw
@@ -496,6 +478,8 @@ def gamma_vector(
 # subset-sum pass (step hi + q*lo) over a signed bridge extension.
 # gamma_plus and apply_transfer stay on _lattice_pass: their inputs are
 # rationals over any common denominator, with no cheap bound for a lane.
+# Every other lattice pass, over non-negative integers, is a
+# graphs._packed_pass.
 
 
 def _bridge_extension(core: list[int], scaled: list[int], p: int) -> list[int]:
@@ -540,39 +524,45 @@ def _lane_bytes(bound: int) -> int:
     return 4 if bound < 1 << 31 else 8 * (bound.bit_length() // 64 + 1)
 
 
-def _packed_solve(hist: list[int], p: int, q: int) -> list[int]:
-    # a new list: hist stepped at every bit by (h0, h1) -> (h0 + h1,
-    # (q - p) h1 - p h0) in biased lanes (see "Lattice passes" above)
+def _packed_solve(hist: list[int], p: int, q: int):
+    # hist stepped at every bit by (h0, h1) -> (h0 + h1, (q - p) h1 - p h0)
+    # in biased lanes (see "Lattice passes" above): a new array for 4- and
+    # 8-byte lanes, else a list
     bits = len(hist).bit_length() - 1
     width = _lane_bytes(sum(hist) * max(p, q - p) ** bits)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * len(hist), "little")
     packed = _pack_lanes(hist, width) | bias  # every entry is below the bias
-    # the bits run from the highest down: its lanes without the bit are one
-    # low block, and each lower bit's mask is the one above it XORed with
-    # itself shifted up by the new bit's lanes
-    keep = (1 << (8 * width * len(hist) >> 1)) - 1
-    for k in reversed(range(bits)):
-        shift = 8 * width << k
-        if k < bits - 1:
-            keep ^= keep << shift
+    for shift, keep in _lane_steps(len(hist), width):
         low_bias = bias & keep
         lo = packed & keep
         hi = (packed >> shift) & keep
-        high = (q - p) * hi - p * lo + (1 - q + 2 * p) * low_bias
-        packed = (lo + hi - low_bias) | (high << shift)
+        # at v = 7 with 64-bit lanes each of these ints is 16 MiB: each is
+        # dropped once spent, which takes a quarter off the solve's peak
+        del packed
+        high = ((q - p) * hi - p * lo + (1 - q + 2 * p) * low_bias) << shift
+        lo += hi
+        del hi
+        lo -= low_bias
+        del low_bias
+        packed = lo | high
+        del lo, high
     return _unpack_lanes(packed ^ bias, len(hist), width, signed=True)
 
 
-def _histogram_inverse(gamma: GammaVector, alpha: Fraction) -> list[int]:
+def _histogram_inverse(gamma: GammaVector, alpha: Fraction):
     # f^(v - 1) q^|H| J(alpha)^-1 Gamma at each member H, in member order,
-    # from the raw histogram of the set whose density is alpha. The solve
-    # must vanish off the members; only when it does not is a set of them
-    # made, to name the lowest nonzero mask outside it
+    # from the raw histogram of the set whose density is alpha: an array of
+    # the solve's lanes, or a list past 64 bits. The solve must vanish off
+    # the members; only when it does not is a set of them made, to name the
+    # lowest nonzero mask outside it
     poset = gamma.poset
     ys = _packed_solve(gamma.histogram, *alpha.as_integer_ratio())
-    nums = list(map(ys.__getitem__, poset.masks))
+    masks = poset.masks
+    # one C-level gather; one index would make itemgetter return the entry
+    at_members = itemgetter(*masks)(ys) if len(masks) > 1 else [ys[mask] for mask in masks]
+    nums = array(ys.typecode, at_members) if isinstance(ys, array) else list(at_members)
     if len(ys) - ys.count(0) != len(nums) - nums.count(0):
-        _refuse_bridged(poset.v, ys, set(poset.masks).__contains__)
+        _refuse_bridged(poset.v, ys, set(masks).__contains__)
     return nums
 
 
@@ -614,7 +604,16 @@ def gamma_plus(gamma: GammaVector, alpha: Fraction) -> GammaVector:
 
 
 class ReciprocityReport(Frozen):
-    """Coordinatewise comparison of the two Mobius-inverted vectors."""
+    """Coordinatewise comparison of the two Mobius-inverted vectors.
+
+    At member H both sides share the denominator ``common`` q^|H|, with
+    common = f^(v - 1) and alpha = p/q, so the verdict (per_coordinate, and
+    with it passed and ok) compares the integer numerators of the two
+    solves, ``lhs_numerators`` and ``rhs_numerators``, in member order.
+    Equal sides share one sequence of numerators, and then one tuple of
+    values. lhs and rhs, the Fractions, are made when first read. Equality
+    and hashing read poset, alpha, lhs, rhs and the two gamma vectors.
+    """
 
     _fields = ("poset", "alpha", "lhs", "rhs", "gamma", "gamma_complement")
     poset: SubgraphPoset
@@ -623,25 +622,45 @@ class ReciprocityReport(Frozen):
     rhs: tuple
     gamma: GammaVector
     gamma_complement: GammaVector
+    lhs_numerators: list[int]
+    rhs_numerators: list[int]
+    common: int
 
     def __init__(
         self,
         poset: SubgraphPoset,
         alpha: Fraction,
-        lhs: tuple,
-        rhs: tuple,
         gamma: GammaVector,
         gamma_complement: GammaVector,
+        lhs_numerators: list[int],
+        rhs_numerators: list[int],
+        common: int,
     ):
         self._set(
-            poset=poset, alpha=alpha, lhs=lhs, rhs=rhs, gamma=gamma, gamma_complement=gamma_complement
+            poset=poset,
+            alpha=alpha,
+            gamma=gamma,
+            gamma_complement=gamma_complement,
+            lhs_numerators=lhs_numerators,
+            rhs_numerators=rhs_numerators,
+            common=common,
         )
 
     @cached_property
+    def lhs(self) -> tuple:
+        return _fractions(self.poset, self.lhs_numerators, self.common, self.alpha.denominator)
+
+    @cached_property
+    def rhs(self) -> tuple:
+        if self.rhs_numerators is self.lhs_numerators:
+            return self.lhs
+        return _fractions(self.poset, self.rhs_numerators, self.common, self.alpha.denominator)
+
+    @cached_property
     def per_coordinate(self) -> tuple[bool, ...]:
-        if self.rhs is self.lhs:
-            return (True,) * len(self.lhs)
-        return tuple(a == b for a, b in zip(self.lhs, self.rhs))
+        if self.rhs_numerators is self.lhs_numerators:
+            return (True,) * len(self.lhs_numerators)
+        return tuple(map(eq, self.lhs_numerators, self.rhs_numerators))
 
     @property
     def passed(self) -> int:
@@ -661,41 +680,57 @@ def verify_reciprocity(
     """Check that Mobius inversion at alpha of the allowed vector equals the
     parity-signed Mobius inversion at 1 - alpha of the complement vector.
 
-    Exact rational comparison; a mismatch is reported, never raised. Each
-    side is one histogram sweep, by gamma_vector with "auto", and the two
-    sweeps are independent. The allowed side gets one lattice solve at
-    alpha, run in packed biased lanes straight from its raw histogram (see
-    "Lattice passes" above), which must vanish on every bridged mask (the
-    paper's Fourier lemma; ArithmeticError names the first that does not).
-    It is checked by counting nonzero entries against those at the
-    members, so no bridgeless cores and no mask-to-member dict are needed.
-    The raw histograms are then compared exactly: when the complement's
-    is the allowed one's read at complemented masks, its solve at
-    1 - alpha would be the allowed one signed by (-1)^|M| at every mask,
-    so the sides agree and share one tuple. Otherwise a sweep is off, and
-    the complement gets its own solve at 1 - alpha, with the same
-    denominator q, checked the same way; the sides then agree exactly when Y_A[H] = (-1)^|H| Y_Abar[H] on integers,
-    and equal sides share their Fractions. The steps of both solves,
-    C(v, 2) 2^(C(v, 2) - 1) each, are checked against budget before any
-    coloring, and each sweep checks its own f^(v - 1), an upper bound on
-    the colorings it tallies, one per negation pair (see gamma_vector).
+    Exact comparison; a mismatch is reported, never raised. Each side is
+    one histogram sweep, by gamma_vector with "auto", and the two sweeps are
+    independent; neither vector's superset sums or values are read. The
+    allowed side gets one lattice solve at alpha, run in packed biased
+    lanes straight from its raw histogram (see "Lattice passes" above),
+    which must vanish on every bridged mask (the paper's Fourier lemma;
+    ArithmeticError names the first that does not). It is checked by
+    counting nonzero entries against those at the members, so no bridgeless
+    cores and no mask-to-member dict are needed. The raw histograms are then
+    compared exactly: when the complement's is the allowed one's read at
+    complemented masks, its solve at 1 - alpha would be the allowed one
+    signed by (-1)^|M| at every mask, so the sides agree and share one
+    sequence of numerators. Otherwise a sweep is off, and the complement
+    gets its own solve at 1 - alpha, with the same denominator q, checked
+    the same way; the sides then agree exactly where
+    Y_A[H] = (-1)^|H| Y_Abar[H]. The verdict reads those integers; the
+    report makes its Fractions only when lhs or rhs is read (see
+    ReciprocityReport).
+
+    The steps of both solves, C(v, 2) 2^(C(v, 2) - 1) each, are checked
+    against budget before any coloring, and each sweep checks its own
+    f^(v - 1), an upper bound on the colorings it tallies, one per negation
+    pair (see gamma_vector). Above POSET_CAP a solve whose lanes would be
+    wider than 64 bits is refused by name with ValueError, before any
+    coloring.
     """
-    pairs = comb(poset.v, 2)
+    v = poset.v
+    pairs = comb(v, 2)
     if pairs << pairs > budget:
         raise BudgetExceededError(
-            f"lattice solves over the edge masks of K_{poset.v}", pairs << pairs, budget
+            f"lattice solves over the edge masks of K_{v}", pairs << pairs, budget
         )
+    common = allowed.group.order ** (v - 1)
+    if v > POSET_CAP:
+        p, q = allowed.alpha.as_integer_ratio()
+        lane = _lane_bytes(common * max(p, q - p) ** pairs)
+        if lane > 8:
+            raise ValueError(
+                f"the lattice solve at v={v} runs in lanes of at most 64 bits; "
+                f"alpha = {allowed.alpha} over a group of order {allowed.group.order} "
+                f"needs {8 * lane}"
+            )
     g_a = gamma_vector(poset, allowed, "auto", budget)
     g_bar = gamma_vector(poset, allowed.complement(), "auto", budget)
     ys_a = ys_bar = _histogram_inverse(g_a, allowed.alpha)
     if g_bar.histogram != g_a.histogram[::-1]:
         ys_bar = _histogram_inverse(g_bar, allowed.alpha_bar)
         ys_bar = [-y if size & 1 else y for y, size in zip(ys_bar, poset.sizes)]
-    common = allowed.group.order ** (poset.v - 1)
-    q = allowed.alpha.denominator
-    lhs = _fractions(poset, ys_a, common, q)
-    rhs = lhs if ys_a == ys_bar else _fractions(poset, ys_bar, common, q)
-    return ReciprocityReport(poset, allowed.alpha, lhs, rhs, g_a, g_bar)
+        if all(map(eq, ys_a, ys_bar)):
+            ys_bar = ys_a
+    return ReciprocityReport(poset, allowed.alpha, g_a, g_bar, ys_a, ys_bar, common)
 
 
 def apply_transfer(

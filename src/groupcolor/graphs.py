@@ -22,6 +22,9 @@ from ._frozen import Frozen
 from .posetlin import RationalPoly
 
 POSET_CAP = 6
+# verify alone reaches P_7, 1,137,508 members: its check reads the member
+# masks and the cores table, never a canonical form, a down-set or an EdgeSet
+VERIFY_CAP = 7
 
 
 @lru_cache(maxsize=None)
@@ -276,12 +279,14 @@ class SubgraphPoset(Frozen):
 
 
 def _lattice_pass(values: list, op, scale: int = 1) -> None:
-    """One Yates pass over the Boolean lattice, in place. The list holds one
-    value per mask of n bits, so its length 2^n gives n. For each bit k
-    below n in turn, values[M] = op(values[M], scale * values[M - k]) at
-    every M holding bit k. With ``add`` it makes subset sums, with ``sub``
-    subset Mobius inversion, with ``or_`` subset ORs; ``sub`` at scale p
-    inverts the weighted zeta at p.
+    """One Yates pass over the Boolean lattice, in place, on a list of any
+    numbers. The list holds one value per mask of n bits, so its length 2^n
+    gives n. For each bit k below n in turn, values[M] = op(values[M],
+    scale * values[M - k]) at every M holding bit k. It keeps the scaled
+    rational passes, whose entries have no cheap bound for a packed lane:
+    ``sub`` at scale p, the inverse weighted zeta of ``gamma_plus``, and
+    ``add`` at scale q, the transfer pass of ``apply_transfer``. Every pass
+    over non-negative integers runs in ``_packed_pass`` instead.
 
     The masks holding bit k are updated from masks without it, so each step
     is a ``map`` over list slices: one slice per block of 2^(k+1) masks when
@@ -301,6 +306,76 @@ def _lattice_pass(values: list, op, scale: int = 1) -> None:
                 values[block : block + step] = map(
                     op, values[block : block + step], weigh(values[block - step : block])
                 )
+
+
+# Packed lanes. Lattice passes over non-negative integers run in packed
+# lanes: the 2^n entries become one int whose lane M, of a fixed number of
+# bytes, holds entry M, and each bit's step moves every lane across the bit
+# with one shift and one AND and combines it with one OR or one addition
+# over the whole int. An OR never carries; an addition does not while every
+# sum fits its lane, which the caller's lane width must ensure. The passes:
+# the cores' OR, the spread of local masks onto edge positions, the member
+# counts of down_sets_of and the histogram's superset sums (gamma).
+_LANE_CODES = {4: "I", 8: "Q"}  # array codes of the unsigned lanes by bytes
+
+
+def _pack_lanes(values, width: int) -> int:
+    # one int holding values[M], none negative, in lane M of width bytes,
+    # lane 0 in the lowest bytes; array refuses a negative entry
+    code = _LANE_CODES.get(width)
+    if code is None:
+        return int.from_bytes(b"".join(n.to_bytes(width, "little") for n in values), "little")
+    lanes = array(code, values)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
+
+
+def _unpack_lanes(packed: int, count: int, width: int, signed: bool):
+    # the count lanes of width bytes of packed, read as unsigned or as two's
+    # complement integers: an array for 4- and 8-byte lanes, else a list
+    raw = packed.to_bytes(count * width, "little")
+    code = _LANE_CODES.get(width)
+    if code is None:
+        starts = range(0, len(raw), width)
+        return [int.from_bytes(raw[i : i + width], "little", signed=signed) for i in starts]
+    lanes = array(code.lower() if signed else code)
+    lanes.frombytes(raw)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes
+
+
+def _lane_steps(count: int, width: int):
+    # per bit k of count = 2^n lanes of width bytes, from the highest down:
+    # the shift by 2^k lanes, and the int whose lanes are all ones at the
+    # masks without bit k and zero at those with it. The highest bit's lanes
+    # without it are one low block, and each lower bit's mask is the one
+    # above XORed with itself shifted up by the new bit's lanes, so each is
+    # built in its own step and none is kept
+    half = 8 * width * count >> 1
+    keep = (1 << half) - 1
+    for k in reversed(range(count.bit_length() - 1)):
+        shift = 8 * width << k
+        if shift < half:
+            keep ^= keep << shift
+        yield shift, keep
+
+
+def _packed_pass(values, op, width: int, supersets: bool = False):
+    """One Yates pass over the 2^n non-negative integers of ``values`` in
+    packed lanes of ``width`` bytes (see "Packed lanes" above): with
+    ``op`` ``or_`` or ``add``, at each bit k every mask M holding k takes
+    op(values[M], values[M - k]), the subset pass, or with ``supersets``
+    every mask M without k takes op(values[M], values[M + k]). Returns the
+    lanes read back, an array for 4- and 8-byte lanes."""
+    packed = _pack_lanes(values, width)
+    for shift, keep in _lane_steps(len(values), width):
+        if supersets:
+            packed = op(packed, (packed >> shift) & keep)
+        else:
+            packed = op(packed, (packed & keep) << shift)
+    return _unpack_lanes(packed, len(values), width, signed=False)
 
 
 def _circuits(v: int, bits: int) -> list[int]:
@@ -336,13 +411,14 @@ def bridgeless_cores(v: int, bits: int) -> tuple[list[int], array]:
 
     Masks are local: bit k stands for edge position ``places[k]``, the k-th
     edge of ``bits``. ``core`` is seeded with C at every cycle C (from
-    ``_circuits``) and then ORed over subsets in one Yates pass, so
-    ``core[M]`` is the OR of the cycles inside M, and M is bridgeless iff
-    ``core[M] == M``. The table is an ``array('I')``, 4 bytes a mask.
+    ``_circuits``) and then ORed over subsets in one packed pass
+    (``_packed_pass``), so ``core[M]`` is the OR of the cycles inside M, and
+    M is bridgeless iff ``core[M] == M``. The table is an ``array('I')``,
+    4 bytes a mask: 8 MiB on the 2^21 masks of K_7.
     """
     places = [n for n in range(bits.bit_length()) if (bits >> n) & 1]
     local = {1 << n: 1 << k for k, n in enumerate(places)}
-    core = [0] * (1 << len(places))
+    core = array("I", bytes(4 << len(places)))
     for cycle in _circuits(v, bits):
         mask = 0
         while cycle:
@@ -350,21 +426,24 @@ def bridgeless_cores(v: int, bits: int) -> tuple[list[int], array]:
             cycle ^= low
             mask |= local[low]
         core[mask] = mask
-    _lattice_pass(core, or_)
-    return places, array("I", core)
+    return places, _packed_pass(core, or_, 4)
 
 
 def _fixed_points(places: list[int], core: array) -> list[int]:
     """The masks equal to their ``bridgeless_cores`` core, spread back onto
     the edge positions and sorted by (edge count, mask): a linear extension
-    of inclusion with the empty set first."""
+    of inclusion with the empty set first. The local masks are spread by a
+    packed OR pass over their lattice."""
+    # a comprehension over the table gathers the 1,137,508 members of P_7
+    # in about 0.21 s with the sort, against 0.26 s by compress into a list
+    # and 0.31 s into an array('I') (2-vCPU VM, Python 3.11)
     found = [mask for mask, kept in enumerate(core) if kept == mask]
     if places != list(range(len(places))):  # not the lowest positions: spread the local masks
+        width = 4 if places[-1] < 32 else 8 * (places[-1] // 64 + 1)  # a lane holds every mask
         spread = [0] * len(core)
         for k, n in enumerate(places):
             spread[1 << k] = 1 << n
-        _lattice_pass(spread, or_)
-        found = [spread[mask] for mask in found]
+        found = list(map(_packed_pass(spread, or_, width).__getitem__, found))
     found.sort(key=int.bit_count)  # stable, and spreading keeps mask order
     return found
 
@@ -446,7 +525,7 @@ def down_sets_of(masks: Sequence[int], core: Sequence[int]) -> tuple[tuple[int, 
             f"core of {off:#b} is {core[off]:#b}, not a member inside it: "
             "the family is not union-closed, or the table is not its own"
         )
-    _lattice_pass(below, add)
+    below = _packed_pass(below, add, 4)  # each count is at most len(masks), far below 2^32
     low = bits // 2
     low_bits = (1 << low) - 1
     rows_by_high = [tuple(position[h << low : (h + 1) << low]) for h in range(size >> low)]
@@ -479,10 +558,14 @@ def down_sets_of(masks: Sequence[int], core: Sequence[int]) -> tuple[tuple[int, 
     return tuple(out)
 
 
-def enumerate_poset(v: int) -> SubgraphPoset:
-    """Enumerate every bridgeless edge set on v labeled vertices, 2 <= v <= POSET_CAP."""
-    if not 2 <= v <= POSET_CAP:
-        raise ValueError(f"v must be in 2..{POSET_CAP}, got {v}")
+def enumerate_poset(v: int, cap: int = POSET_CAP) -> SubgraphPoset:
+    """Enumerate every bridgeless edge set on v labeled vertices, 2 <= v <= cap.
+
+    The cap is POSET_CAP for every command but verify, which passes
+    VERIFY_CAP: past POSET_CAP no canonical form exists, so the poset
+    serves the checks that read only its masks and cores."""
+    if not 2 <= v <= cap:
+        raise ValueError(f"v must be in 2..{cap}, got {v}")
     places, core = bridgeless_cores(v, (1 << comb(v, 2)) - 1)
     return SubgraphPoset(v, tuple(_fixed_points(places, core)), (places, core))
 

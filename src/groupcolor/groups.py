@@ -200,6 +200,13 @@ class AllowedSet(Frozen):
         translate = self.group.translate
         return tuple(translate(self.mask, a) for a in range(self.group.order))
 
+    @cached_property
+    def character_table(self) -> tuple[complex, ...]:
+        """character_sum(self, p) for every character index p, built once
+        per allowed set: every gamma_fourier call over it reads this one
+        table."""
+        return tuple(character_sum(self, p) for p in range(self.group.order))
+
     def __contains__(self, item) -> bool:
         """Membership of an element index or a residue tuple, False for a non-element."""
         try:

@@ -16,6 +16,7 @@ import pytest
 
 import groupcolor.gamma as gamma_module
 import groupcolor.graphs as graphs_module
+import groupcolor.groups as groups_module
 from groupcolor.cli import (
     _forest_walk_charge,
     example1_report,
@@ -490,6 +491,64 @@ def test_cmd_verify_budget_exceeded(capsys):
     assert capsys.readouterr().out.endswith("PASS 13667/13667\n")
 
 
+SUMMARY_SETS = [("Z5", "interval:1"), ("Z2^3", "hamming:1"), ("Z2xZ4", "set:{(0,1),(0,3),(1,0)}")]
+
+
+@pytest.mark.parametrize("v", [3, 4, 5])
+@pytest.mark.parametrize("group, allowed", SUMMARY_SETS)
+def test_verify_summary_prints_the_tsv_trailer(capsys, v, group, allowed):
+    argv = ["verify", "--v", str(v), "--group", group, "--allowed", allowed]
+    code, tsv = _run(capsys, argv + ["--format", "tsv"])
+    summary_code, summary = _run(capsys, argv + ["--format", "summary"])
+    assert summary_code == code == 0
+    assert summary == tsv.splitlines()[-1] + "\n"
+    assert summary.startswith("PASS ")
+
+
+def test_verify_v7_summary_passes_on_every_member():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "groupcolor.cli", "verify", "--v", "7", "--group", "Z2^3",
+            "--allowed", "hamming:1", "--format", "summary"]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == b"PASS 1137508/1137508\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --v 7 --group Z7 --allowed interval:1",
+        "verify --v 7 --group Z7 --allowed interval:1 --format tsv",
+        "verify --v 8 --group Z7 --allowed interval:1 --format summary",
+        "poset --v 7",
+        "gamma --v 7 --group Z7 --allowed interval:1 --method auto",
+    ],
+)
+def test_v7_is_verify_summary_only(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv.split()) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_v7_budget_refuses_before_any_table(capsys, monkeypatch):
+    # the cores pass steps each of the 21 edge bits over 2^20 masks:
+    # 22,020,096, charged before any table of the 2^21 masks is made
+    def refused(*args):
+        raise AssertionError("a cores table was built")
+
+    monkeypatch.setattr(graphs_module, "bridgeless_cores", refused)
+    argv = ["verify", "--v", "7", "--group", "Z7", "--allowed", "interval:1", "--budget", "1000000"]
+    for fmt in ([], ["--format", "summary"]):
+        start = time.perf_counter()
+        assert main(argv + fmt) == 3
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "bridgeless cores over the edge masks of K_7 (needs 22020096 > budget 1000000)" in err
+
+
 def test_per_member_commands_check_the_whole_command_budget(capsys, monkeypatch):
     # the per-member methods run once per isomorphism class, so the budget
     # charges one representative of each: over P_4's empty set, K3, C4,
@@ -506,7 +565,7 @@ def test_per_member_commands_check_the_whole_command_budget(capsys, monkeypatch)
     def refused(*args):
         raise AssertionError("a character sum ran before the budget check")
 
-    monkeypatch.setattr(gamma_module, "character_sum", refused)
+    monkeypatch.setattr(groups_module, "character_sum", refused)
     start = time.perf_counter()
     argv = ["gamma", "--v", "6", "--group", "Z7", "--allowed", "interval:1", "--method", "fourier"]
     assert main(argv) == 3

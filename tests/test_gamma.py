@@ -488,6 +488,20 @@ def test_superset_sums_match_the_direct_sum():
         assert hist == kept  # the sums are a new list
 
 
+def test_superset_sums_match_a_list_pass_written_out():
+    # the list pass in full: per bit, every mask without it adds the entry
+    # of the mask with it, over seeded histograms of 0 to 12 bits
+    rng = random.Random(36)
+    for bits in range(13):
+        hist = [rng.randrange(1 << 16) for _ in range(1 << bits)]
+        want = list(hist)
+        for k in range(bits):
+            for mask in range(len(want)):
+                if not (mask >> k) & 1:
+                    want[mask] += want[mask | 1 << k]
+        assert _superset_sums(hist) == want
+
+
 # totals on both sides of 2^32, where the lanes widen from 32 to 64 bits,
 # each reached exactly at the empty mask
 LANE_TOTALS = [0, 100, (1 << 32) - 1, 1 << 32, (1 << 64) - 1]
@@ -496,13 +510,13 @@ LANE_TOTALS = [0, 100, (1 << 32) - 1, 1 << 32, (1 << 64) - 1]
 @pytest.mark.parametrize("total", LANE_TOTALS)
 def test_packed_superset_sums_match_the_lattice_pass(total, monkeypatch):
     widths = set()
-    real = gamma_module._lane_masks
+    real = gamma_module._packed_pass
 
-    def spy(bits, width):
+    def spy(values, op, width, supersets=False):
         widths.add(width)
-        return real(bits, width)
+        return real(values, op, width, supersets)
 
-    monkeypatch.setattr(gamma_module, "_lane_masks", spy)
+    monkeypatch.setattr(gamma_module, "_packed_pass", spy)
     rng = random.Random(total)
     for bits in range(16):
         size = 1 << bits
@@ -565,7 +579,7 @@ def test_packed_solve_matches_the_list_solve(total, p, q, monkeypatch):
         for h in (hist, concentrated):
             for side in (p, q - p):  # alpha and 1 - alpha
                 bounds.clear()
-                assert gamma_module._packed_solve(h, side, q) == _list_solve(h, side, q)
+                assert list(gamma_module._packed_solve(h, side, q)) == _list_solve(h, side, q)
                 assert bounds == [total * max(p, q - p) ** bits]
                 widths.add(real(bounds[0]))
     assert widths == {
@@ -587,21 +601,103 @@ def test_lane_bytes_hold_the_bound_with_its_sign():
 
 def test_packed_solve_keeps_no_lane_masks():
     # at v = 6 each 64-bit mask is 256 KiB, 3.75 MiB for the 15 bits: the
-    # solve builds each in its step and keeps none, and the superset sums'
-    # cache gains nothing
+    # solve and the superset sums build each in its step and keep none
     allowed = allowed_interval(make_group([7]), 1)
     hist = gamma_module._difference_histogram(6, allowed, 10**5)
-    gamma_module._lane_masks.cache_clear()
-    gamma_module._packed_solve(hist, 4, 7)  # any first-call state
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        gamma_module._packed_solve(hist, 4, 7)
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert kept < 64 << 10
-    assert gamma_module._lane_masks.cache_info().currsize == 0
+    for run in (lambda: gamma_module._packed_solve(hist, 4, 7), lambda: _superset_sums(hist)):
+        run()  # any first-call state
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 << 10
+
+
+# one cyclic group of odd order, one of even order, and one non-cyclic
+ON_DEMAND_SETS = {
+    "Z5 interval:1": lambda: allowed_interval(make_group([5]), 1),
+    "Z6 set:{1,3,5}": lambda: allowed_explicit(make_group([6]), [1, 3, 5]),
+    "Z2xZ4 set:{(0,1),(0,3),(1,0)}": lambda: allowed_explicit(make_group([2, 4]), [(0, 1), (0, 3), (1, 0)]),
+}
+
+
+def _eager_build(poset, allowed):
+    # the counts and values that gamma_vector built before they were read
+    # on demand: superset sums by a list pass over the histogram, then one
+    # Fraction per member over f^(v - 1)
+    counts = gamma_module._difference_histogram(poset.v, allowed, 10**6)[::-1]
+    graphs_module._lattice_pass(counts, add)
+    counts.reverse()
+    total = allowed.group.order ** (poset.v - 1)
+    return counts, tuple(Fraction(counts[mask], total) for mask in poset.masks)
+
+
+@pytest.mark.parametrize("v", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(ON_DEMAND_SETS))
+def test_histogram_vectors_read_counts_and_values_on_demand(request, v, name):
+    poset = request.getfixturevalue(f"p{v}")
+    allowed = ON_DEMAND_SETS[name]()
+    vec = gamma_vector(poset, allowed, "auto")
+    assert "counts" not in vars(vec) and "values" not in vars(vec)
+    counts, values = _eager_build(poset, allowed)
+    assert vec.values == values
+    assert vec.counts == counts
+    for i in random.Random(v).sample(range(len(poset)), 2):
+        assert vec[i] == gamma_bruteforce(poset.members[i], allowed)
+
+
+def test_the_verdict_reads_no_superset_sums_and_no_fractions(p5, monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(gamma_module, name)
+
+        def stand_in(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return stand_in
+
+    for name in ("_superset_sums", "_fractions"):
+        monkeypatch.setattr(gamma_module, name, counting(name))
+    for allowed in (allowed_interval(make_group([7]), 1), allowed_hamming(3, 1)):
+        calls.clear()
+        report = verify_reciprocity(p5, allowed)
+        assert report.ok and report.passed == len(p5)
+        assert dict(calls) == {}
+        assert len(report.lhs) == len(p5)
+        assert dict(calls) == {"_fractions": 1}
+        assert report.rhs is report.lhs
+        assert dict(calls) == {"_fractions": 1}
+
+
+def test_a_solve_past_64_bit_lanes_is_refused_by_name_above_the_poset_cap():
+    # at v = 7, alpha = 2/7 bounds the lanes by 7^6 5^21 > 2^63; the check
+    # reads the poset's v alone, before any sweep
+    poset = SubgraphPoset(7, (0,), None)
+    with pytest.raises(ValueError, match="at most 64 bits; alpha = 2/7 over a group of order 7 needs 128"):
+        verify_reciprocity(poset, allowed_interval(make_group([7]), 2))
+
+
+def test_fourier_reads_one_character_table_per_allowed_set(p4, monkeypatch):
+    import groupcolor.groups as groups_mod
+
+    real = groups_mod.character_sum
+    calls = []
+
+    def spy(allowed, p):
+        calls.append(p)
+        return real(allowed, p)
+
+    monkeypatch.setattr(groups_mod, "character_sum", spy)
+    allowed = allowed_interval(make_group([7]), 1)
+    gamma_vector(p4, allowed, "fourier")
+    gamma_vector(p4, allowed, "fourier")
+    assert calls == list(range(7))  # once per character, over P_4's five classes twice
+    assert allowed.character_table == tuple(real(allowed, p) for p in range(7))
 
 
 def test_histogram_budget(p4):
@@ -1563,10 +1659,12 @@ def test_hamming_degenerate_n1(k3_v3):
 
 def test_imaginary_residue_guard(k3_v3, monkeypatch):
     import groupcolor.gamma as gamma_mod
+    import groupcolor.groups as groups_mod
 
+    # the character table of the allowed set is made from these sums
     allowed = allowed_interval(make_group([5]), 1)
     monkeypatch.setattr(
-        gamma_mod, "character_sum", lambda a, p: complex(0, 1.0) if p else complex(a.size)
+        groups_mod, "character_sum", lambda a, p: complex(0, 1.0) if p else complex(a.size)
     )
     with pytest.raises(ArithmeticError, match="kernel"):
         gamma_mod.gamma_fourier(k3_v3, allowed)

@@ -27,6 +27,7 @@ from groupcolor.graphs import (
     _circuits,
     _incident,
     _lattice_pass,
+    _packed_pass,
     _relabelings,
     bridgeless_cores,
     bridgeless_subsets,
@@ -340,6 +341,75 @@ def test_lattice_pass_weights_each_step(scale):
             passed = list(values)
             _lattice_pass(passed, op, scale)
             assert passed == _per_bit_loop(values, bits, op, scale)
+
+
+def _list_cores(v, bits):
+    # the list route the packed cores replaced: the cycles seeded into a
+    # list and ORed over subsets by _lattice_pass
+    places = [n for n in range(bits.bit_length()) if (bits >> n) & 1]
+    local = {1 << n: 1 << k for k, n in enumerate(places)}
+    core = [0] * (1 << len(places))
+    for cycle in _circuits(v, bits):
+        mask = sum(local[1 << n] for n in range(cycle.bit_length()) if (cycle >> n) & 1)
+        core[mask] = mask
+    _lattice_pass(core, or_)
+    return places, core
+
+
+def _random_edge_sets(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        v = rng.randrange(3, 7)
+        yield v, rng.getrandbits(comb(v, 2))
+
+
+@pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
+def test_packed_cores_match_the_list_pass_on_complete_graphs(v):
+    bits = (1 << comb(v, 2)) - 1
+    places, core = bridgeless_cores(v, bits)
+    assert core.typecode == "I"
+    assert (places, core.tolist()) == _list_cores(v, bits)
+
+
+def test_packed_cores_match_the_list_pass_on_random_edge_sets():
+    for v, bits in _random_edge_sets(20, 36):
+        places, core = bridgeless_cores(v, bits)
+        assert (places, core.tolist()) == _list_cores(v, bits)
+        # and the spread fixed points are the list route's, sorted the same way
+        want = [sum(1 << n for k, n in enumerate(places) if (m >> k) & 1)
+                for m, kept in enumerate(_list_cores(v, bits)[1]) if kept == m]
+        assert bridgeless_subsets(v, bits) == sorted(want, key=lambda m: (m.bit_count(), m))
+
+
+def _superset_loop(values, bits, op):
+    values = list(values)
+    for k in range(bits):
+        for mask in range(len(values)):
+            if not (mask >> k) & 1:
+                values[mask] = op(values[mask], values[mask | (1 << k)])
+    return values
+
+
+@pytest.mark.parametrize("width", [4, 8, 16])
+def test_packed_pass_matches_a_per_bit_loop(width):
+    # subset and superset passes, OR and addition, on seeded entries small
+    # enough that no sum passes its lane
+    rng = random.Random(width)
+    for bits in range(13):
+        top = (1 << (8 * width)) >> bits
+        values = [rng.randrange(top) for _ in range(1 << bits)]
+        for op in (or_, add):
+            got = _packed_pass(values, op, width)
+            assert list(got) == _per_bit_loop(values, bits, op)
+            up = _packed_pass(values, op, width, supersets=True)
+            assert list(up) == _superset_loop(values, bits, op)
+            assert type(got) is (list if width == 16 else array)
+
+
+def test_packed_pass_keeps_its_input():
+    values = array("I", range(16))
+    _packed_pass(values, add, 4)
+    assert values == array("I", range(16))
 
 
 def test_down_sets_in_plain_mask_order(p5):
