@@ -13,10 +13,10 @@ import math
 import sys
 from array import array
 from collections.abc import Sequence
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations, permutations, repeat
 from math import comb
-from operator import add, itemgetter, mul, or_
+from operator import is_not, itemgetter, mul, or_
 
 from ._frozen import Frozen
 from .posetlin import RationalPoly
@@ -269,9 +269,9 @@ class SubgraphPoset(Frozen):
     @cached_property
     def down_sets(self) -> tuple[tuple[int, ...], ...]:
         """For each member, the sorted indices of all members below it, built
-        by ``down_sets_of`` from the masks and the cores table, which is the
-        largest-member table of the masks; no ``index_by_mask`` is built."""
-        return down_sets_of(self.masks, self.cores[1])
+        by ``down_sets_of`` from the masks alone; no ``index_by_mask`` is
+        built."""
+        return down_sets_of(self.masks)
 
     @cached_property
     def sizes(self) -> tuple[int, ...]:
@@ -314,8 +314,8 @@ def _lattice_pass(values: list, op, scale: int = 1) -> None:
 # with one shift and one AND and combines it with one OR or one addition
 # over the whole int. An OR never carries; an addition does not while every
 # sum fits its lane, which the caller's lane width must ensure. The passes:
-# the cores' OR, the spread of local masks onto edge positions, the member
-# counts of down_sets_of and the histogram's superset sums (gamma).
+# the cores' OR, the spread of local masks onto edge positions and the
+# histogram's superset sums (gamma).
 _LANE_CODES = {4: "I", 8: "Q"}  # array codes of the unsigned lanes by bytes
 
 
@@ -454,107 +454,56 @@ def bridgeless_subsets(v: int, bits: int) -> list[int]:
     return _fixed_points(*bridgeless_cores(v, bits))
 
 
-def _superset_getters(bits: int, below_top: bool) -> list[itemgetter]:
-    """Per mask m of ``bits`` bits, a getter of the entries of a sequence at
-    the supersets of m, always as a sequence: every superset inside the
-    ``bits`` bits, or with ``below_top`` only those that add bits below m's
-    highest bit."""
-    getters = []
-    for m in range(1 << bits):
-        free = ((1 << bits) - 1) & ~m
-        if below_top:
-            free &= (1 << m.bit_length() >> 1) - 1
-        supersets = [m]
-        extra = free
-        while extra:
-            supersets.append(m | extra)
-            extra = (extra - 1) & free
-        # one index would make itemgetter return the entry, not a sequence
-        getters.append(itemgetter(*supersets) if free else itemgetter(slice(m, m + 1)))
-    return getters
+def _submask_getter(m: int) -> itemgetter:
+    # the entries of a sequence at the submasks of m, always as a sequence:
+    # at m = 0 a slice, as one index would return the entry itself
+    subs = [m]
+    while subs[-1]:
+        subs.append((subs[-1] - 1) & m)
+    return itemgetter(*subs) if m else itemgetter(slice(0, 1))
 
 
-def down_sets_of(masks: Sequence[int], core: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Down-sets of a union-closed family of edge bitmasks, in the family's
+def down_sets_of(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Down-sets of a family of distinct edge bitmasks, in the family's
     order: for each member, the sorted positions of the members that are
-    subsets of it.
+    subsets of it. The family may come in any order, leave gaps in the edge
+    positions and need not be closed under union; the empty family gives
+    ``()``. A negative or repeated member raises ValueError, and so does a
+    member past the C(POSET_CAP, 2) = 15 edge positions of K_6: the rows of
+    P_7 would hold 1,555,541,665 pairs.
 
-    ``masks`` lists the members in a linear extension of inclusion (a
-    subset comes no later than its supersets); ``core`` holds, for every
-    mask M of the lowest n edge positions, the largest member inside M, as
-    ``bridgeless_cores`` does for the bridgeless subsets. A member outside
-    those n positions, a repeated member, or a core entry that is not a
-    member (as when the family is not closed under union) raises
-    ValueError.
-
-    The rows follow one recursion on the top edge. For a member H with
-    highest edge e, the members below H that avoid e are the members
-    inside core[H - e], whose row comes earlier, since core[H - e] has a
-    lower top edge; the rest, X(H), are the members below H with top edge
-    e. So the members are walked one top-edge batch at a time, in position
-    order: each member E gathers the positions of its supersets that add
-    only edges below its top edge, from a mask-to-position table split into
-    rows by the high half of the bits, with C-level ``itemgetter``s (one
-    picks the rows, then one per row the low halves), and writes its own
-    position into X of each member found. The lists X
-    get their exact sizes up front from subset sums over the masks (Yates'
-    transform), and by the linear extension X(H) is complete once H itself
-    is walked: it is then merged with the row of core[H - e] into H's
-    tuple. At v = 6 that is 1,127,682 probes for the 1,030,277 pairs in the
-    X lists, and no mask -> position dict.
+    A mask-to-position table is split into rows by the high half of the
+    bits. For each low half l that some member holds, one ``itemgetter``
+    per row gathers the positions of the members whose low half lies
+    inside l, and each gather is sorted. A member with halves (h, l) chains
+    the gathers of l in the rows inside h, and one sort merges those sorted
+    runs into its tuple.
     """
-    size = len(core)
-    bits = size.bit_length() - 1
-    if size != 1 << bits:
-        raise ValueError(f"the core table needs 2^n entries, got {size}")
-    position: list[int | None] = [None] * size
-    below = [0] * size  # becomes the number of members inside each mask
-    batches: list[list[int]] = [[] for _ in range(bits)]  # positions by top edge
+    if min(masks, default=0) < 0:
+        raise ValueError(f"member {min(masks):#b} is negative")
+    top = max(masks, default=0)
+    cap, bits = comb(POSET_CAP, 2), top.bit_length()
+    if bits > cap:
+        raise ValueError(f"member {top:#b} is past the {cap} edge positions of K_{POSET_CAP}")
+    low = bits // 2
+    low_bits = (1 << low) - 1
+    position: list[int | None] = [None] * (1 << bits)
+    by_low: dict[int, list[int]] = {}  # positions by low half
     for p, mask in enumerate(masks):
-        if not 0 <= mask < size:
-            raise ValueError(f"member {mask:#b} is outside the {bits} lowest edge positions")
         if position[mask] is not None:
             raise ValueError(f"member {mask:#b} is repeated")
         position[mask] = p
-        below[mask] = 1
-        if mask:
-            batches[mask.bit_length() - 1].append(p)
-    if core[0] or None in map(position.__getitem__, core):
-        off = next(m for m in range(size) if position[core[m]] is None or core[m] & ~m)
-        raise ValueError(
-            f"core of {off:#b} is {core[off]:#b}, not a member inside it: "
-            "the family is not union-closed, or the table is not its own"
-        )
-    below = _packed_pass(below, add, 4)  # each count is at most len(masks), far below 2^32
-    low = bits // 2
-    low_bits = (1 << low) - 1
-    rows_by_high = [tuple(position[h << low : (h + 1) << low]) for h in range(size >> low)]
-    low_up, low_up_below = _superset_getters(low, False), _superset_getters(low, True)
-    high_up_below = _superset_getters(bits - low, True)
+        by_low.setdefault(mask & low_bits, []).append(p)
+    rows = [position[h << low : (h + 1) << low] for h in range(1 << (bits - low))]
+    below = {high: _submask_getter(high) for high in {mask >> low for mask in masks}}
+    present = partial(is_not, None)
     out: list = [None] * len(masks)
-    out[position[0]] = (position[0],)
-    rows: list = [None] * len(masks)
-    fill = [0] * len(masks)
-    for top, batch in enumerate(batches):
-        bit = 1 << top
+    for rest, batch in by_low.items():
+        # the gathers of one low half at a time, dropped once its members are built
+        inside = _submask_getter(rest)
+        gathers = [sorted(filter(present, inside(row))) for row in rows]
         for p in batch:
-            rows[p] = [0] * (below[masks[p]] - below[masks[p] ^ bit])
-        for p in batch:
-            mask = masks[p]
-            high, rest = mask >> low, mask & low_bits
-            if high:
-                found = chain.from_iterable(map(low_up[rest], high_up_below[high](rows_by_high)))
-            else:
-                found = low_up_below[rest](rows_by_high[0])
-            # non-members are None; position 0 is the empty set, below every E
-            for j in filter(None, found):
-                k = fill[j]
-                rows[j][k] = p
-                fill[j] = k + 1
-            row, rows[p] = rows[p], None
-            row += out[position[core[mask ^ bit]]]
-            row.sort()
-            out[p] = tuple(row)
+            out[p] = tuple(sorted(chain.from_iterable(below[masks[p] >> low](gathers))))
     return tuple(out)
 
 

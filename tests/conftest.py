@@ -10,8 +10,9 @@ from groupcolor.posetlin import PolyMatrix, RationalPoly, _power_table, _ring_el
 def low_positions(masks: list[int]) -> list[int]:
     """The masks with the edge positions they use squeezed onto the lowest
     ones, in order. Inclusion among them is unchanged, so an interval of a
-    bridgeless set becomes input for ``down_sets_of`` next to the local
-    table of ``bridgeless_cores``, which covers only the lowest positions."""
+    bridgeless set on v = 7, whose edges may pass the 15 positions
+    ``down_sets_of`` takes, becomes input for it, and its masks match the
+    local table of ``bridgeless_cores``."""
     top = 0
     for mask in masks:
         top |= mask

@@ -1298,7 +1298,7 @@ def _main_term_oracle(edge_set, alpha_bar):
     # the interval-Mobius sum that main_term replaced
     members = bridgeless_subsets(edge_set.v, edge_set.bits)
     squeezed = low_positions(members)
-    mu_table = mobius_recursion(down_sets_of(squeezed, bridgeless_cores(edge_set.v, edge_set.bits)[1]))
+    mu_table = mobius_recursion(down_sets_of(squeezed))
     e_top = edge_set.edge_count
     acc = Fraction(0)
     for g_mask, mu_g in zip(members, mu_table):
@@ -1452,7 +1452,7 @@ def _chromatic_interval_oracle(edge_set):
     f = 1 << width
     ys, total = [], 0
     squeezed = low_positions(masks)
-    for mask, down in zip(masks, down_sets_of(squeezed, bridgeless_cores(v, edge_set.bits)[1])):
+    for mask, down in zip(masks, down_sets_of(squeezed)):
         size = mask.bit_count()
         y = (1 << width * (size + components(EdgeSet(v, mask)))) - sum(ys[h] for h in down[:-1])
         ys.append(y)

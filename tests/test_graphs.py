@@ -235,8 +235,7 @@ def test_down_sets_match_the_submask_walk(request, v):
 
 
 # members of P_6 whose edges leave gaps in the edge positions: down_sets_of
-# takes their intervals squeezed onto the lowest positions, where the local
-# cores table of bridgeless_cores lives, never as they are
+# takes their intervals as they are or squeezed onto the lowest positions
 V6_TOPS = {
     "K5": list(combinations(range(5), 2)),
     "wheel W5": [(0, k) for k in range(1, 6)] + [(k, k % 5 + 1) for k in range(1, 6)],
@@ -250,15 +249,20 @@ def test_down_sets_of_intervals_match_the_submask_walk(name):
     bits = EdgeSet.from_edges(6, V6_TOPS[name]).bits
     masks = low_positions(bridgeless_subsets(6, bits))
     index = {m: i for i, m in enumerate(masks)}
-    assert down_sets_of(masks, bridgeless_cores(6, bits)[1]) == _down_sets_oracle(index)
+    assert down_sets_of(masks) == _down_sets_oracle(index)
 
 
 @pytest.mark.parametrize("name", sorted(V6_TOPS))
 def test_down_sets_of_refuses_masks_off_the_lowest_positions(name):
+    # at their own positions the intervals give the same rows; shifted past
+    # the 15 positions of K_6 they are refused by the cap
     bits = EdgeSet.from_edges(6, V6_TOPS[name]).bits
     masks = bridgeless_subsets(6, bits)
-    with pytest.raises(ValueError, match="lowest edge positions"):
-        down_sets_of(masks, bridgeless_cores(6, bits)[1])
+    index = {m: i for i, m in enumerate(masks)}
+    assert down_sets_of(masks) == _down_sets_oracle(index)
+    past = [m << (16 - bits.bit_length()) for m in masks]
+    with pytest.raises(ValueError, match="past the 15 edge positions of K_6"):
+        down_sets_of(past)
 
 
 def _complete(v):
@@ -413,32 +417,50 @@ def test_packed_pass_keeps_its_input():
 
 
 def test_down_sets_in_plain_mask_order(p5):
-    # increasing mask value is another linear extension of inclusion
     masks = sorted(m.bits for m in p5.members)
-    rows = down_sets_of(masks, p5.cores[1])
+    rows = down_sets_of(masks)
     assert rows == _down_sets_oracle({m: i for i, m in enumerate(masks)})
     assert rows != p5.down_sets
-    # the empty family holds no largest member of the empty set
-    with pytest.raises(ValueError, match="not a member"):
-        down_sets_of([], array("I", [0]))
 
 
-def test_down_sets_of_refuses_a_family_not_closed_under_union():
-    # {01} and {02} are members, their union is not: the OR table that
-    # would name the largest member inside each mask points off the family
+def test_down_sets_of_takes_a_family_not_closed_under_union():
+    # {01} and {02} are members, their union is not
     family = [0, 0b01, 0b10]
-    or_table = array("I", range(4))
-    with pytest.raises(ValueError, match="core of 0b11 is 0b11, not a member"):
-        down_sets_of(family, or_table)
-    assert down_sets_of(family + [0b11], or_table) == ((0,), (0, 1), (0, 2), (0, 1, 2, 3))
+    assert down_sets_of(family) == ((0,), (0, 1), (0, 2))
+    assert down_sets_of(family + [0b11]) == ((0,), (0, 1), (0, 2), (0, 1, 2, 3))
     with pytest.raises(ValueError, match="repeated"):
-        down_sets_of(family + [0b01], or_table)
-    with pytest.raises(ValueError, match="2\\^n entries"):
-        down_sets_of(family, array("I", range(3)))
+        down_sets_of(family + [0b01])
+    with pytest.raises(ValueError, match="negative"):
+        down_sets_of(family + [-1])
+
+
+def test_down_sets_of_random_families_match_the_submask_walk():
+    # any order, gaps in the positions, no closure under union, any size
+    rng = random.Random(37)
+    for _ in range(200):
+        width = rng.randrange(16)
+        family = rng.sample(range(1 << width), rng.randrange(min(1 << width, 60) + 1))
+        if rng.random() < 0.5:  # leave a gap at each position not in a random mask
+            gaps = rng.getrandbits(15)
+            family = [m & gaps for m in family]
+            family = list(dict.fromkeys(family))
+        index = {m: i for i, m in enumerate(family)}
+        assert down_sets_of(family) == _down_sets_oracle(index)
+    assert down_sets_of([]) == ()
+
+
+def test_down_sets_refuse_p7():
+    # P_7's rows would hold 1,555,541,665 pairs: the cap refuses a poset on
+    # 7 vertices whose members pass position 14 before any table is built
+    bits = EdgeSet.from_edges(7, [(4, 5), (4, 6), (5, 6)]).bits
+    poset = SubgraphPoset(7, tuple(bridgeless_subsets(7, bits)), bridgeless_cores(7, bits))
+    with pytest.raises(ValueError, match="past the 15 edge positions of K_6"):
+        poset.down_sets
+    assert down_sets_of([0, 1 << 14]) == ((0,), (0, 1))
 
 
 def test_down_sets_read_no_mask_index(monkeypatch):
-    # the rows come from the masks and the cores table alone
+    # the rows come from the masks alone
     def refuse(poset):
         raise AssertionError("index_by_mask read")
 
@@ -462,9 +484,9 @@ print(len(set(map(id, (p for row in rows for p in row)))), (after - before) * 10
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_down_sets_of_p6_grow_the_peak_rss_by_about_their_own_size():
-    # in a fresh process, so the high-water mark is the build's own: rows
-    # in exact-size lists, one top-edge batch at a time, and one int object
-    # per position shared by every row
+    # in a fresh process, so the high-water mark is the build's own: the
+    # gathers of one low half at a time, and one int object per position
+    # shared by every row
     src = os.path.dirname(os.path.dirname(graphs_module.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
