@@ -246,7 +246,7 @@ def cmd_poset(ns: argparse.Namespace) -> int:
         "index": range(len(poset)),
         "mask": poset.masks,
         "edges": _edge_texts(poset),
-        "edge_count": map(int.bit_count, poset.masks),
+        "edge_count": poset.sizes,
         "components": counts,
         "girth": girths,
         "iso_class": labels,
@@ -338,10 +338,7 @@ def cmd_matrix(ns: argparse.Namespace) -> int:
         payload["blocks"] = _block_summary(poset, rows, ns.paper_order)
     if ns.errata:
         # one record per class block: the last mismatching cell of each
-        blocks = {
-            (m["row_class"], m["col_class"]): m
-            for m in example1_report(ns.budget)["v4"]["mismatches"]
-        }
+        blocks = {(m["row_class"], m["col_class"]): m for m in _v4_mismatches(poset, matrix)[1]}
         payload["errata"] = [
             {k: v for k, v in blocks[key].items() if k != "computed_matches_corrected"}
             for key in sorted(blocks)
@@ -354,17 +351,21 @@ def cmd_matrix(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gamma(ns: argparse.Namespace) -> int:
-    group = parse_group_spec(ns.group)
-    allowed = parse_allowed_spec(ns.allowed, group)
-    poset = enumerate_poset(ns.v)
-    values = gamma_vector(poset, allowed, ns.method, ns.budget).values
-    fields = {
+def _allowed_fields(ns: argparse.Namespace, allowed: AllowedSet) -> dict:
+    # the header that gamma and verify print before their rows
+    return {
         "v": ns.v,
-        "group": render_group_spec(group),
+        "group": render_group_spec(allowed.group),
         "allowed": render_allowed_spec(ns.allowed, allowed),
         "alpha": str(allowed.alpha),
     }
+
+
+def cmd_gamma(ns: argparse.Namespace) -> int:
+    allowed = parse_allowed_spec(ns.allowed, parse_group_spec(ns.group))
+    poset = enumerate_poset(ns.v)
+    values = gamma_vector(poset, allowed, ns.method, ns.budget).values
+    fields = _allowed_fields(ns, allowed)
     columns = {
         "mask": poset.masks,
         "edges": _edge_texts(poset),
@@ -379,8 +380,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     # v runs to VERIFY_CAP here; past POSET_CAP only the summary prints
     if not 2 <= ns.v <= VERIFY_CAP:
         raise ValueError(f"v must be in 2..{VERIFY_CAP}, got {ns.v}")
-    group = parse_group_spec(ns.group)
-    allowed = parse_allowed_spec(ns.allowed, group)
+    allowed = parse_allowed_spec(ns.allowed, parse_group_spec(ns.group))
     # the cores pass steps every edge bit over the half of the masks that holds it
     pairs = comb(ns.v, 2)
     if pairs << (pairs - 1) > ns.budget:
@@ -397,14 +397,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     if ns.format == "summary":
         print(summary)
         return 0 if report.ok else 1
-    fields = {
-        "v": ns.v,
-        "group": render_group_spec(group),
-        "allowed": render_allowed_spec(ns.allowed, allowed),
-        "alpha": str(report.alpha),
-        "alpha_bar": str(1 - report.alpha),
-        "ok": report.ok,
-    }
+    fields = {**_allowed_fields(ns, allowed), "alpha_bar": str(1 - report.alpha), "ok": report.ok}
     # a shared side is rendered once; each row reads its lhs text, then its rhs
     lhs = map(str, report.lhs)
     lhs, rhs = tee(lhs) if report.rhs is report.lhs else (lhs, map(str, report.rhs))
@@ -487,26 +480,7 @@ def example1_report(budget: int = DEFAULT_BUDGET) -> dict:
 
     p4 = enumerate_poset(4)
     cells = _check_dense_cells(p4, budget)
-    m4 = transfer_at(p4, VARIABLE)
-    label = class_rows(iso_class_blocks(p4), len(p4), lambda lbl, idxs: lbl)
-    mismatches = []
-    matches = 0
-    for h in range(len(p4)):
-        for e in range(len(p4)):
-            computed = m4.entry(h, e).render()
-            printed, corrected = _reference_final_entry(p4, label, h, e)
-            if computed == printed:
-                matches += 1
-            else:
-                mismatches.append(
-                    {
-                        "row_class": label[h],
-                        "col_class": label[e],
-                        "computed": computed,
-                        "reference_printed": printed,
-                        "computed_matches_corrected": computed == corrected,
-                    }
-                )
+    matches, mismatches = _v4_mismatches(p4, transfer_at(p4, VARIABLE))
     errata_blocks = sorted({(m["row_class"], m["col_class"]) for m in mismatches})
     ok = all(m["computed_matches_corrected"] for m in mismatches) and errata_blocks == [
         ("K4", "K3"),
@@ -562,6 +536,32 @@ _REFERENCE_V4 = {
     ("K3", "empty"): "1 - 3r + 3r^2",
     ("empty", "empty"): "1",
 }
+
+
+def _v4_mismatches(poset, matrix) -> tuple[int, list[dict]]:
+    """The cells of the symbolic v = 4 transfer matrix over P_4 that match
+    the reference display, counted, and a record of each cell that does
+    not, in row-major member order."""
+    label = class_rows(iso_class_blocks(poset), len(poset), lambda lbl, idxs: lbl)
+    mismatches = []
+    matches = 0
+    for h in range(len(poset)):
+        for e in range(len(poset)):
+            computed = matrix.entry(h, e).render()
+            printed, corrected = _reference_final_entry(poset, label, h, e)
+            if computed == printed:
+                matches += 1
+            else:
+                mismatches.append(
+                    {
+                        "row_class": label[h],
+                        "col_class": label[e],
+                        "computed": computed,
+                        "reference_printed": printed,
+                        "computed_matches_corrected": computed == corrected,
+                    }
+                )
+    return matches, mismatches
 
 
 def _reference_final_entry(poset, label, h, e) -> tuple[str, str]:

@@ -32,7 +32,6 @@ from .graphs import (
     _lane_steps,
     _lattice_pass,
     _pack_lanes,
-    _packed_pass,
     _spanning_forest,
     _unpack_lanes,
     canonical_bits,
@@ -70,18 +69,20 @@ class GammaVector(Frozen):
     integers at every edge mask M of K_v, bridged masks included:
     ``histogram[M]`` holds the colorings of the sweep whose allowed-difference
     pairs are exactly M, and ``counts[M]``, their superset sums, is
-    f^(v - 1) Gamma(M). Such a vector is made from its histogram alone:
-    ``counts`` and then ``values`` are computed when first read, and
-    verify_reciprocity, which solves from the histogram, reads neither.
-    Any other vector is given its values and has no counts. Equality and
-    hashing read poset, values and method.
+    f^(v - 1) Gamma(M). The superset sums are the reciprocity solve at
+    alpha = 0 (see "Lattice passes" below), so ``counts`` is in the solve's
+    container: an array for 4- and 8-byte lanes, a list past them. Such a
+    vector is made from its histogram alone: ``counts`` and then ``values``
+    are computed when first read, and verify_reciprocity, which solves from
+    the histogram, reads neither. Any other vector is given its values and
+    has no counts. Equality and hashing read poset, values and method.
     """
 
     _fields = ("poset", "values", "method")
     poset: SubgraphPoset
     values: tuple
     method: str
-    counts: list[int] | None
+    counts: array | list[int] | None
     histogram: list[int] | None
 
     def __init__(
@@ -89,19 +90,18 @@ class GammaVector(Frozen):
         poset: SubgraphPoset,
         values: tuple | None,
         method: str,
-        counts: list[int] | None = None,
         histogram: list[int] | None = None,
     ):
-        # values None, or counts None with a histogram, are read on demand
+        # values None, or counts with a histogram, are read on demand
         self._set(poset=poset, method=method, histogram=histogram)
         if values is not None:
             self._set(values=values)
-        if counts is not None or histogram is None:
-            self._set(counts=counts)
+        if histogram is None:
+            self._set(counts=None)
 
     @cached_property
-    def counts(self) -> list[int]:
-        return _superset_sums(self.histogram)
+    def counts(self) -> array | list[int]:
+        return _packed_solve(self.histogram, 0, 1)
 
     @cached_property
     def values(self) -> tuple:
@@ -271,28 +271,6 @@ METHOD_WORK = {
 }
 
 
-# Superset sums run in packed lanes (graphs._packed_pass): the histogram
-# becomes one int whose lane M, of 32 or 64 bits, holds entry M, and bit k's
-# step adds every lane M + 2^k into lane M with one shift, one AND and one
-# addition. No sum exceeds the histogram's total, so no lane carries into
-# the next while the total fits a lane. A sweep's total f^(v - 1) is below
-# 2^60 for every group up to MAX_GROUP_ORDER at every v up to POSET_CAP; at
-# v = 7 it is f^6, below 2^60 up to f = 1024, and a larger group needs a
-# budget past 2^60 for its sweep, whose sums raise OverflowError once the
-# total reaches 2^64.
-
-
-def _superset_sums(hist: list[int]) -> list[int]:
-    # a new list holding at M the sum of hist[N] over every N containing M
-    # (Yates' fast zeta transform), on the lattice of len(hist) masks; the
-    # entries are counts, so a negative one raises OverflowError
-    total = sum(hist)
-    if total >= 1 << 64:
-        raise OverflowError(f"superset sums up to {total} do not fit a 64-bit lane")
-    width = 4 if total < 1 << 32 else 8
-    return _packed_pass(hist, add, width, supersets=True).tolist()
-
-
 def _difference_histogram(v: int, allowed: AllowedSet, budget: int) -> list[int]:
     # hist[M]: colorings of vertices 1..v-1, vertex 0 fixed to the
     # identity, whose allowed-difference pairs are exactly the mask M; the
@@ -453,10 +431,13 @@ def gamma_vector(
 # sum, the factor q on the bit and the step hi - p*lo map the raw entries
 # (h0, h1) with the bit clear and set to (h0 + h1, (q - p) h1 - p h0), so
 # verify_reciprocity solves from the raw histogram and never builds X.
+# At alpha = 0 (p = 0, q = 1) J(0) is the identity and the step is
+# (h0, h1) -> (h0 + h1, h1), the superset sum alone: GammaVector.counts is
+# this solve at 0, in lanes sized from the total, so no sum is refused.
 # Each entry of the result is a sum over the raw entries of products of one
 # factor per bit, 1, q - p or -p, so with T the histogram's total no entry
 # at any step exceeds T max(p, q - p)^C(v, 2) in size. The solve then runs
-# in packed lanes as the superset sums do, one int with entry M in lane M,
+# in packed lanes (see graphs' "Packed lanes"), one int with entry M in lane M,
 # biased by o = 2^(w - 1) to hold its sign: w is 32 or 64 bits when that
 # bound is below o, else the least multiple of 64 bits that holds it with
 # its sign (v = 6 at f >= 12, past the default budget). At v = 7 the bound
@@ -478,8 +459,6 @@ def gamma_vector(
 # subset-sum pass (step hi + q*lo) over a signed bridge extension.
 # gamma_plus and apply_transfer stay on _lattice_pass: their inputs are
 # rationals over any common denominator, with no cheap bound for a lane.
-# Every other lattice pass, over non-negative integers, is a
-# graphs._packed_pass.
 
 
 def _bridge_extension(core: list[int], scaled: list[int], p: int) -> list[int]:

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations, permutations, repeat
 from math import comb
-from operator import is_not, itemgetter, mul, or_
+from operator import is_not, itemgetter, mul
 
 from ._frozen import Frozen
 from .posetlin import RationalPoly
@@ -285,8 +285,9 @@ def _lattice_pass(values: list, op, scale: int = 1) -> None:
     scale * values[M - k]) at every M holding bit k. It keeps the scaled
     rational passes, whose entries have no cheap bound for a packed lane:
     ``sub`` at scale p, the inverse weighted zeta of ``gamma_plus``, and
-    ``add`` at scale q, the transfer pass of ``apply_transfer``. Every pass
-    over non-negative integers runs in ``_packed_pass`` instead.
+    ``add`` at scale q, the transfer pass of ``apply_transfer``. The OR
+    passes run in ``_packed_pass`` and the histogram's in gamma's packed
+    solve instead.
 
     The masks holding bit k are updated from masks without it, so each step
     is a ``map`` over list slices: one slice per block of 2^(k+1) masks when
@@ -308,14 +309,12 @@ def _lattice_pass(values: list, op, scale: int = 1) -> None:
                 )
 
 
-# Packed lanes. Lattice passes over non-negative integers run in packed
-# lanes: the 2^n entries become one int whose lane M, of a fixed number of
-# bytes, holds entry M, and each bit's step moves every lane across the bit
-# with one shift and one AND and combines it with one OR or one addition
-# over the whole int. An OR never carries; an addition does not while every
-# sum fits its lane, which the caller's lane width must ensure. The passes:
-# the cores' OR, the spread of local masks onto edge positions and the
-# histogram's superset sums (gamma).
+# Packed lanes. The 2^n entries of a lattice pass become one int whose lane
+# M, of a fixed number of bytes, holds entry M, and each bit's step moves
+# every lane across the bit with one shift and one AND and combines it over
+# the whole int. _packed_pass ORs, which never carries: the cores' OR and
+# the spread of local masks onto edge positions. gamma's packed solve steps
+# biased lanes of the histogram the same way, its superset sums included.
 _LANE_CODES = {4: "I", 8: "Q"}  # array codes of the unsigned lanes by bytes
 
 
@@ -362,19 +361,14 @@ def _lane_steps(count: int, width: int):
         yield shift, keep
 
 
-def _packed_pass(values, op, width: int, supersets: bool = False):
-    """One Yates pass over the 2^n non-negative integers of ``values`` in
-    packed lanes of ``width`` bytes (see "Packed lanes" above): with
-    ``op`` ``or_`` or ``add``, at each bit k every mask M holding k takes
-    op(values[M], values[M - k]), the subset pass, or with ``supersets``
-    every mask M without k takes op(values[M], values[M + k]). Returns the
-    lanes read back, an array for 4- and 8-byte lanes."""
+def _packed_pass(values, width: int):
+    """One Yates OR pass over the 2^n non-negative integers of ``values``
+    in packed lanes of ``width`` bytes (see "Packed lanes" above): at each
+    bit k every mask M holding k takes values[M] | values[M - k]. Returns
+    the lanes read back, an array for 4- and 8-byte lanes."""
     packed = _pack_lanes(values, width)
     for shift, keep in _lane_steps(len(values), width):
-        if supersets:
-            packed = op(packed, (packed >> shift) & keep)
-        else:
-            packed = op(packed, (packed & keep) << shift)
+        packed |= (packed & keep) << shift
     return _unpack_lanes(packed, len(values), width, signed=False)
 
 
@@ -426,7 +420,7 @@ def bridgeless_cores(v: int, bits: int) -> tuple[list[int], array]:
             cycle ^= low
             mask |= local[low]
         core[mask] = mask
-    return places, _packed_pass(core, or_, 4)
+    return places, _packed_pass(core, 4)
 
 
 def _fixed_points(places: list[int], core: array) -> list[int]:
@@ -443,7 +437,7 @@ def _fixed_points(places: list[int], core: array) -> list[int]:
         spread = [0] * len(core)
         for k, n in enumerate(places):
             spread[1 << k] = 1 << n
-        found = list(map(_packed_pass(spread, or_, width).__getitem__, found))
+        found = list(map(_packed_pass(spread, width).__getitem__, found))
     found.sort(key=int.bit_count)  # stable, and spreading keeps mask order
     return found
 

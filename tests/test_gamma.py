@@ -29,7 +29,7 @@ from groupcolor.gamma import (
     _bridge_extension,
     _chord_flows,
     _forest_counts,
-    _superset_sums,
+    _packed_solve,
     apply_transfer,
     chromatic_via_transfer,
     gamma_bruteforce,
@@ -478,14 +478,15 @@ def test_difference_histogram_tallies_one_coloring_per_negation_pair(monkeypatch
 
 
 def test_superset_sums_match_the_direct_sum():
+    # the superset sums are the solve at alpha = 0, where J(0) is the identity
     rng = random.Random(9)
     for bits in range(7):
         hist = [rng.randrange(100) for _ in range(1 << bits)]
         kept = list(hist)
-        assert _superset_sums(hist) == [
+        assert list(_packed_solve(hist, 0, 1)) == [
             sum(hist[n] for n in range(len(hist)) if n & m == m) for m in range(len(hist))
         ]
-        assert hist == kept  # the sums are a new list
+        assert hist == kept  # the sums are a new sequence
 
 
 def test_superset_sums_match_a_list_pass_written_out():
@@ -499,24 +500,24 @@ def test_superset_sums_match_a_list_pass_written_out():
             for mask in range(len(want)):
                 if not (mask >> k) & 1:
                     want[mask] += want[mask | 1 << k]
-        assert _superset_sums(hist) == want
+        assert list(_packed_solve(hist, 0, 1)) == want
 
 
-# totals on both sides of 2^32, where the lanes widen from 32 to 64 bits,
-# each reached exactly at the empty mask
+# totals each reached exactly at the empty mask; the solve's lanes are
+# signed, so they take 4 bytes below 2^31, 8 below 2^63 and 16 past that
 LANE_TOTALS = [0, 100, (1 << 32) - 1, 1 << 32, (1 << 64) - 1]
 
 
 @pytest.mark.parametrize("total", LANE_TOTALS)
 def test_packed_superset_sums_match_the_lattice_pass(total, monkeypatch):
-    widths = set()
-    real = gamma_module._packed_pass
+    bounds = []
+    real = gamma_module._lane_bytes
 
-    def spy(values, op, width, supersets=False):
-        widths.add(width)
-        return real(values, op, width, supersets)
+    def spy(bound):
+        bounds.append(bound)
+        return real(bound)
 
-    monkeypatch.setattr(gamma_module, "_packed_pass", spy)
+    monkeypatch.setattr(gamma_module, "_lane_bytes", spy)
     rng = random.Random(total)
     for bits in range(16):
         size = 1 << bits
@@ -524,15 +525,21 @@ def test_packed_superset_sums_match_the_lattice_pass(total, monkeypatch):
         hist[rng.randrange(size)] += total - sum(hist)
         want = hist[::-1]
         graphs_module._lattice_pass(want, add)
-        assert _superset_sums(hist) == want[::-1]
-    assert widths == {4 if total < 1 << 32 else 8}  # lane bytes
+        bounds.clear()
+        assert list(_packed_solve(hist, 0, 1)) == want[::-1]
+        assert bounds == [total]  # at alpha = 0 the lanes hold the total
+    assert real(total) == (4 if total < 1 << 31 else 8 if total < 1 << 63 else 16)
 
 
 def test_packed_superset_sums_refuse_what_no_lane_holds():
-    with pytest.raises(OverflowError, match="64-bit lane"):
-        _superset_sums([1 << 63, 1 << 63])
+    # the entries are counts: a negative one has no unsigned lane
     with pytest.raises(OverflowError):
-        _superset_sums([2, -1])
+        _packed_solve([2, -1], 0, 1)
+
+
+def test_superset_sums_past_64_bits_are_exact():
+    vec = GammaVector(enumerate_poset(2), None, "histogram", histogram=[1 << 63, 1 << 63])
+    assert vec.counts == [2**64, 2**63]
 
 
 # (total, p, q) for the packed solve: each total is spread over a seeded
@@ -601,10 +608,11 @@ def test_lane_bytes_hold_the_bound_with_its_sign():
 
 def test_packed_solve_keeps_no_lane_masks():
     # at v = 6 each 64-bit mask is 256 KiB, 3.75 MiB for the 15 bits: the
-    # solve and the superset sums build each in its step and keep none
+    # solve, at alpha = 4/7 and at 0 (the superset sums), builds each in its
+    # step and keeps none
     allowed = allowed_interval(make_group([7]), 1)
     hist = gamma_module._difference_histogram(6, allowed, 10**5)
-    for run in (lambda: gamma_module._packed_solve(hist, 4, 7), lambda: _superset_sums(hist)):
+    for run in (lambda: _packed_solve(hist, 4, 7), lambda: _packed_solve(hist, 0, 1)):
         run()  # any first-call state
         tracemalloc.start()
         try:
@@ -644,7 +652,7 @@ def test_histogram_vectors_read_counts_and_values_on_demand(request, v, name):
     assert "counts" not in vars(vec) and "values" not in vars(vec)
     counts, values = _eager_build(poset, allowed)
     assert vec.values == values
-    assert vec.counts == counts
+    assert list(vec.counts) == counts
     for i in random.Random(v).sample(range(len(poset)), 2):
         assert vec[i] == gamma_bruteforce(poset.members[i], allowed)
 
@@ -661,17 +669,21 @@ def test_the_verdict_reads_no_superset_sums_and_no_fractions(p5, monkeypatch):
 
         return stand_in
 
-    for name in ("_superset_sums", "_fractions"):
+    # the superset sums are the solve at alpha = 0: the verdict runs one
+    # solve, at alpha, and reading a vector's values runs one more
+    for name in ("_packed_solve", "_fractions"):
         monkeypatch.setattr(gamma_module, name, counting(name))
     for allowed in (allowed_interval(make_group([7]), 1), allowed_hamming(3, 1)):
         calls.clear()
         report = verify_reciprocity(p5, allowed)
         assert report.ok and report.passed == len(p5)
-        assert dict(calls) == {}
+        assert dict(calls) == {"_packed_solve": 1}
         assert len(report.lhs) == len(p5)
-        assert dict(calls) == {"_fractions": 1}
+        assert dict(calls) == {"_packed_solve": 1, "_fractions": 1}
         assert report.rhs is report.lhs
-        assert dict(calls) == {"_fractions": 1}
+        assert dict(calls) == {"_packed_solve": 1, "_fractions": 1}
+        assert len(report.gamma.values) == len(p5)
+        assert dict(calls) == {"_packed_solve": 2, "_fractions": 2}
 
 
 def test_a_solve_past_64_bit_lanes_is_refused_by_name_above_the_poset_cap():
@@ -929,7 +941,7 @@ def test_a_complement_sweep_off_by_one_coloring_gets_its_own_solve(p4, monkeypat
             return vec
         hist = list(vec.histogram)
         hist[0] += 1
-        return GammaVector(vec.poset, vec.values, vec.method, _superset_sums(hist), hist)
+        return GammaVector(vec.poset, None, vec.method, histogram=hist)
 
     monkeypatch.setattr(gamma_module, "gamma_vector", off_by_one)
     calls = _spy_inverse(monkeypatch)
