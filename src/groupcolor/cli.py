@@ -623,35 +623,31 @@ def example3_report(budget: int = DEFAULT_BUDGET) -> dict:
     exactly 2/4^n at every n; this is reported as a documented erratum,
     while the complement form and the reciprocity-consistent form match.
     """
-    rows = []
+    rows, trend = [], []
     ok = True
-    for n in range(1, 11):
-        allowed = allowed_hamming(n, 1)
-        g_bar = gamma_cyclespace(_K3, allowed.complement(), budget)
-        g = gamma_cyclespace(_K3, allowed, budget)
-        bar_formula, published = hamming_k3_closed_form(n)
-        consistent = hamming_k3_from_reciprocity(n)
-        row_ok = g_bar == bar_formula and g == consistent
-        ok &= row_ok
-        rows.append(
-            {
-                "n": n,
-                "alpha_bar": str(allowed.alpha_bar),
-                "gamma_bar": str(g_bar),
-                "gamma_bar_formula": str(bar_formula),
-                "gamma_bar_match": g_bar == bar_formula,
-                "gamma": str(g),
-                "gamma_reference_formula": str(published),
-                "gamma_reference_match": g == published,
-                "gamma_consistent_formula": str(consistent),
-                "gamma_consistent_match": g == consistent,
-                "reference_discrepancy": str(g - published),
-            }
-        )
-    trend = []
     for n in range(1, 13):
         allowed = allowed_hamming(n, 1)
         g_bar = gamma_cyclespace(_K3, allowed.complement(), budget)
+        if n <= 10:
+            g = gamma_cyclespace(_K3, allowed, budget)
+            bar_formula, published = hamming_k3_closed_form(n)
+            consistent = hamming_k3_from_reciprocity(n)
+            ok &= g_bar == bar_formula and g == consistent
+            rows.append(
+                {
+                    "n": n,
+                    "alpha_bar": str(allowed.alpha_bar),
+                    "gamma_bar": str(g_bar),
+                    "gamma_bar_formula": str(bar_formula),
+                    "gamma_bar_match": g_bar == bar_formula,
+                    "gamma": str(g),
+                    "gamma_reference_formula": str(published),
+                    "gamma_reference_match": g == published,
+                    "gamma_consistent_formula": str(consistent),
+                    "gamma_consistent_match": g == consistent,
+                    "reference_discrepancy": str(g - published),
+                }
+            )
         # triangle transfer row applied to the complement value
         g = main_term(_K3, allowed.alpha_bar) - g_bar
         alpha_cubed = allowed.alpha**3

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import chain, compress, product, repeat
 from math import comb, lcm
 from numbers import Rational
-from operator import add, eq, itemgetter, mul, sub, xor
+from operator import add, eq, itemgetter, mul, xor
 
 from ._frozen import Frozen
 from .graphs import (
@@ -107,7 +107,7 @@ class GammaVector(Frozen):
     def values(self) -> tuple:
         # counts[0], the colorings with no edge required, is f^(v - 1)
         counts = self.counts
-        return _fractions(self.poset, list(map(counts.__getitem__, self.poset.masks)), counts[0])
+        return _fractions(self.poset, _at_members(self.poset, counts), counts[0])
 
     def __getitem__(self, i: int):
         return self.values[i]
@@ -455,18 +455,27 @@ def gamma_vector(
 # its solve at (q - p)/q, over the same q, gives (h0 + h1, p h0 - (q - p) h1).
 # Hence Y_Abar[M] = (-1)^|M| Y_A[M] at every mask: Abar's solve vanishes on
 # the bridged masks exactly where A's does, and its signed values are A's.
-# The transfer matrix needs no solve: apply_transfer is one weighted
-# subset-sum pass (step hi + q*lo) over a signed bridge extension.
-# gamma_plus and apply_transfer stay on _lattice_pass: their inputs are
+# The transfer matrix needs no solve: apply_transfer signs by (-1)^|H| one
+# pass with step hi - q*lo over the bridge extension that gamma_plus passes
+# with step hi - p*lo. Both stay on _lattice_pass: their inputs are
 # rationals over any common denominator, with no cheap bound for a lane.
 
 
-def _bridge_extension(core: list[int], scaled: list[int], p: int) -> list[int]:
-    # X from scaled[H] = n_H q^|H| at every bridgeless mask H
-    xs = map(scaled.__getitem__, core)
+def _bridge_extension(gamma: GammaVector, p: int, q: int) -> tuple[list[int], int]:
+    # X[M] = n_core q^|core| p^(|M| - |core|) at every edge mask M of K_v,
+    # with x_H = n_H / L over the common denominator L of the values, and L
+    for x in gamma.values:
+        if not isinstance(x, Rational):
+            raise TypeError(f"exact rational values needed, got {x!r}")
+    common = lcm(*(x.denominator for x in gamma.values))
+    poset = gamma.poset
+    core = poset.cores
+    scaled = [0] * len(core)
+    for mask, size, x in zip(poset.masks, poset.sizes, gamma.values):
+        scaled[mask] = x.numerator * (common // x.denominator) * q**size
     p_pow = [p**k for k in range(len(core).bit_length())]
     bridges = map(int.bit_count, map(xor, range(len(core)), core))
-    return list(map(mul, xs, map(p_pow.__getitem__, bridges)))
+    return list(map(mul, map(scaled.__getitem__, core), map(p_pow.__getitem__, bridges))), common
 
 
 def _refuse_bridged(v: int, ys: list[int], bridgeless) -> None:
@@ -476,25 +485,17 @@ def _refuse_bridged(v: int, ys: list[int], bridgeless) -> None:
             raise ArithmeticError(f"J(r)^-1 is nonzero on the bridged {EdgeSet(v, mask)!r}")
 
 
-def _scaled(gamma: GammaVector, q: int) -> tuple[list[int], int]:
-    # n_H q^|H| at every member mask H and 0 elsewhere, with x_H = n_H / L
-    # over the common denominator L of the values
-    for x in gamma.values:
-        if not isinstance(x, Rational):
-            raise TypeError(f"exact rational values needed, got {x!r}")
-    common = lcm(*(x.denominator for x in gamma.values))
-    poset = gamma.poset
-    scaled = [0] * len(poset.cores[1])
-    for mask, size, x in zip(poset.masks, poset.sizes, gamma.values):
-        scaled[mask] = x.numerator * (common // x.denominator) * q**size
-    return scaled, common
+def _at_members(poset: SubgraphPoset, table):
+    # table[H] at each member H in table's container, an array or a list: one
+    # C-level gather, or one index, which itemgetter would return bare
+    masks = poset.masks
+    got = itemgetter(*masks)(table) if len(masks) > 1 else (table[masks[0]],)
+    return array(table.typecode, got) if isinstance(table, array) else list(got)
 
 
-def _negate_odd_sizes(poset: SubgraphPoset, ys: list[int]) -> None:
-    # (-1)^|H| ys[H] in place at every member H; ys vanishes off them
-    for mask, size in zip(poset.masks, poset.sizes):
-        if size & 1:
-            ys[mask] = -ys[mask]
+def _signed(poset: SubgraphPoset, nums) -> list[int]:
+    # (-1)^|H| nums[i] at each member H = member i
+    return [-y if size & 1 else y for y, size in zip(nums, poset.sizes)]
 
 
 def _lane_bytes(bound: int) -> int:
@@ -536,12 +537,9 @@ def _histogram_inverse(gamma: GammaVector, alpha: Fraction):
     # lowest nonzero mask outside it
     poset = gamma.poset
     ys = _packed_solve(gamma.histogram, *alpha.as_integer_ratio())
-    masks = poset.masks
-    # one C-level gather; one index would make itemgetter return the entry
-    at_members = itemgetter(*masks)(ys) if len(masks) > 1 else [ys[mask] for mask in masks]
-    nums = array(ys.typecode, at_members) if isinstance(ys, array) else list(at_members)
+    nums = _at_members(poset, ys)
     if len(ys) - ys.count(0) != len(nums) - nums.count(0):
-        _refuse_bridged(poset.v, ys, set(masks).__contains__)
+        _refuse_bridged(poset.v, ys, set(poset.masks).__contains__)
     return nums
 
 
@@ -573,12 +571,10 @@ def gamma_plus(gamma: GammaVector, alpha: Fraction) -> GammaVector:
     """
     poset = gamma.poset
     p, q = Fraction(alpha).as_integer_ratio()
-    scaled, common = _scaled(gamma, q)
-    _, core = poset.cores
-    ys = _bridge_extension(core, scaled, p)
-    _lattice_pass(ys, sub, p)
-    _refuse_bridged(poset.v, ys, lambda mask: core[mask] == mask)
-    nums = list(map(ys.__getitem__, poset.masks))
+    ys, common = _bridge_extension(gamma, p, q)
+    _lattice_pass(ys, -p)
+    _refuse_bridged(poset.v, ys, lambda mask: poset.cores[mask] == mask)
+    nums = _at_members(poset, ys)
     return GammaVector(poset, _fractions(poset, nums, common, q), gamma.method + "+mobius")
 
 
@@ -705,42 +701,32 @@ def verify_reciprocity(
     g_bar = gamma_vector(poset, allowed.complement(), "auto", budget)
     ys_a = ys_bar = _histogram_inverse(g_a, allowed.alpha)
     if g_bar.histogram != g_a.histogram[::-1]:
-        ys_bar = _histogram_inverse(g_bar, allowed.alpha_bar)
-        ys_bar = [-y if size & 1 else y for y, size in zip(ys_bar, poset.sizes)]
+        ys_bar = _signed(poset, _histogram_inverse(g_bar, allowed.alpha_bar))
         if all(map(eq, ys_a, ys_bar)):
             ys_bar = ys_a
     return ReciprocityReport(poset, allowed.alpha, g_a, g_bar, ys_a, ys_bar, common)
 
 
-def apply_transfer(
-    poset: SubgraphPoset, alpha_bar: Fraction, gamma_bar: GammaVector
-) -> GammaVector:
+def apply_transfer(gamma_bar: GammaVector, alpha_bar: Fraction) -> GammaVector:
     """Map the complement vector to the allowed vector through the transfer
     matrix M(r) = J(1 - r) (-1)^e J(r)^-1 at r = alpha_bar, applied and
-    never built.
+    never built, over the poset the vector holds.
 
     Put the lattice form of J(r)^-1 (see "Lattice passes" above) into the
     sum over the middle member G: the sum over M <= G <= H is binomial and
     collapses to ((1 - r) + r)^(|H| - |M|) = 1, so
     M(r)(H, E) = sum over M <= H with core M = E of (-1)^|M| r^(|M| - |E|).
-    With r = p/q and x = n / L, L q^|H| (M(r) x)_H is then one weighted
-    subset-sum pass (step hi + q*lo) over
-    X[M] = (-1)^|M| n_core q^|core| p^(|M| - |core|), the bridge extension
-    at -p of (-1)^|E| n_E q^|E|. A gamma_bar over another poset raises
-    ValueError; an equal poset built apart is accepted.
+    With r = p/q and x = n / L, L q^|H| (M(r) x)_H is then the sum over
+    M <= H of (-1)^|M| q^(|H| - |M|) X[M], with X the bridge extension
+    X[M] = n_core q^|core| p^(|M| - |core|) that gamma_plus reads. As
+    (-1)^|M| = (-1)^|H| (-1)^(|H| - |M|), that is (-1)^|H| times one
+    weighted subset-sum pass over X with step hi - q*lo.
     """
-    if gamma_bar.poset != poset:
-        raise ValueError(
-            f"gamma_bar is over the poset of v={gamma_bar.poset.v}, "
-            f"not the given poset of v={poset.v}"
-        )
+    poset = gamma_bar.poset
     p, q = Fraction(alpha_bar).as_integer_ratio()
-    scaled, common = _scaled(gamma_bar, q)
-    _negate_odd_sizes(poset, scaled)
-    _, core = poset.cores
-    ys = _bridge_extension(core, scaled, -p)
-    _lattice_pass(ys, add, q)
-    nums = list(map(ys.__getitem__, poset.masks))
+    ys, common = _bridge_extension(gamma_bar, p, q)
+    _lattice_pass(ys, -q)
+    nums = _signed(poset, _at_members(poset, ys))
     return GammaVector(poset, _fractions(poset, nums, common, q), "transfer")
 
 

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations, permutations, repeat
 from math import comb
-from operator import is_not, itemgetter, mul
+from operator import add, is_not, itemgetter, mul
 
 from ._frozen import Frozen
 from .posetlin import RationalPoly
@@ -232,16 +232,17 @@ class SubgraphPoset(Frozen):
 
     The sort order is a linear extension of inclusion: if E is a subset of
     H then index(E) <= index(H). The empty graph is always member 0.
-    ``cores`` is the ``bridgeless_cores`` of K_v whose fixed points are the
-    ``masks``; equality and hashing read ``v`` and ``masks`` only.
+    ``cores`` is the core table of ``bridgeless_cores`` on K_v, whose local
+    bits are its edge positions and whose fixed points are the ``masks``;
+    equality and hashing read ``v`` and ``masks`` only.
     """
 
     _fields = ("v", "masks")
     v: int
     masks: tuple[int, ...]
-    cores: tuple[list[int], array]
+    cores: array
 
-    def __init__(self, v: int, masks: tuple[int, ...], cores: tuple[list[int], array]):
+    def __init__(self, v: int, masks: tuple[int, ...], cores: array):
         self._set(v=v, masks=masks, cores=cores)
 
     def __len__(self) -> int:
@@ -278,15 +279,14 @@ class SubgraphPoset(Frozen):
         return tuple(map(int.bit_count, self.masks))
 
 
-def _lattice_pass(values: list, op, scale: int = 1) -> None:
-    """One Yates pass over the Boolean lattice, in place, on a list of any
-    numbers. The list holds one value per mask of n bits, so its length 2^n
-    gives n. For each bit k below n in turn, values[M] = op(values[M],
-    scale * values[M - k]) at every M holding bit k. It keeps the scaled
-    rational passes, whose entries have no cheap bound for a packed lane:
-    ``sub`` at scale p, the inverse weighted zeta of ``gamma_plus``, and
-    ``add`` at scale q, the transfer pass of ``apply_transfer``. The OR
-    passes run in ``_packed_pass`` and the histogram's in gamma's packed
+def _lattice_pass(values: list, c: int) -> None:
+    """One weighted Yates pass over the Boolean lattice, in place, on a list
+    of numbers. The list holds one value per mask of n bits, so its length
+    2^n gives n. For each bit k below n in turn, values[M] += c values[M - k]
+    at every M holding bit k. It keeps the rational passes, whose entries
+    have no cheap bound for a packed lane: over one bridge extension,
+    ``gamma_plus`` runs it at c = -p and ``apply_transfer`` at c = -q. The
+    OR passes run in ``_packed_pass`` and the histogram's in gamma's packed
     solve instead.
 
     The masks holding bit k are updated from masks without it, so each step
@@ -295,18 +295,15 @@ def _lattice_pass(values: list, op, scale: int = 1) -> None:
     slice per offset.
     """
     size = len(values)
-    weigh = (lambda lower: lower) if scale == 1 else (lambda lower: map(mul, lower, repeat(scale)))
     for k in range(size.bit_length() - 1):
         step = 1 << k
         span = 2 * step
         if step <= size // span:
-            for j in range(step):
-                values[step + j :: span] = map(op, values[step + j :: span], weigh(values[j::span]))
+            slices = [(slice(step + j, None, span), slice(j, None, span)) for j in range(step)]
         else:
-            for block in range(step, size, span):
-                values[block : block + step] = map(
-                    op, values[block : block + step], weigh(values[block - step : block])
-                )
+            slices = [(slice(b, b + step), slice(b - step, b)) for b in range(step, size, span)]
+        for hi, lo in slices:
+            values[hi] = map(add, values[hi], map(mul, values[lo], repeat(c)))
 
 
 # Packed lanes. The 2^n entries of a lattice pass become one int whose lane
@@ -315,6 +312,8 @@ def _lattice_pass(values: list, op, scale: int = 1) -> None:
 # the whole int. _packed_pass ORs, which never carries: the cores' OR and
 # the spread of local masks onto edge positions. gamma's packed solve steps
 # biased lanes of the histogram the same way, its superset sums included.
+# Only _lattice_pass's weighted step, over numerators with no cheap bound,
+# stays on lists.
 _LANE_CODES = {4: "I", 8: "Q"}  # array codes of the unsigned lanes by bytes
 
 
@@ -510,7 +509,7 @@ def enumerate_poset(v: int, cap: int = POSET_CAP) -> SubgraphPoset:
     if not 2 <= v <= cap:
         raise ValueError(f"v must be in 2..{cap}, got {v}")
     places, core = bridgeless_cores(v, (1 << comb(v, 2)) - 1)
-    return SubgraphPoset(v, tuple(_fixed_points(places, core)), (places, core))
+    return SubgraphPoset(v, tuple(_fixed_points(places, core)), core)
 
 
 @lru_cache(maxsize=None)

@@ -242,7 +242,7 @@ class PolyMatrix(Frozen):
 def _tally(poset: "SubgraphPoset", h: int) -> dict[int, list[int]]:
     """T[d] for each member E <= H = member h, keyed by E: the sum of
     (-1)^|M| over the edge masks M <= H with core M = E and |M| - |E| = d."""
-    _, core = poset.cores
+    core = poset.cores
     index, sizes = poset.index_by_mask, poset.sizes
     top = poset.masks[h]
     tally: dict[int, list[int]] = {}

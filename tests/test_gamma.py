@@ -16,7 +16,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
-from operator import add, sub
 
 import pytest
 
@@ -70,6 +69,7 @@ from groupcolor.posetlin import (
     mobius_table,
     transfer_at,
     weighted_zeta_at,
+    weighted_zeta_inverse_at,
 )
 
 from conftest import apply, low_positions, mobius_recursion
@@ -524,7 +524,7 @@ def test_packed_superset_sums_match_the_lattice_pass(total, monkeypatch):
         hist = [rng.randrange(total // size + 1) for _ in range(size)]
         hist[rng.randrange(size)] += total - sum(hist)
         want = hist[::-1]
-        graphs_module._lattice_pass(want, add)
+        graphs_module._lattice_pass(want, 1)
         bounds.clear()
         assert list(_packed_solve(hist, 0, 1)) == want[::-1]
         assert bounds == [total]  # at alpha = 0 the lanes hold the total
@@ -558,11 +558,11 @@ SOLVE_CASES = [
 
 def _list_solve(hist, p, q):
     # the list route: superset sums by _lattice_pass, q^|M| at each mask,
-    # and the weighted subset-Mobius pass at p
+    # and the weighted subset-Mobius pass at -p
     counts = hist[::-1]
-    graphs_module._lattice_pass(counts, add)
+    graphs_module._lattice_pass(counts, 1)
     ys = [c * q ** m.bit_count() for m, c in enumerate(counts[::-1])]
-    graphs_module._lattice_pass(ys, sub, p)
+    graphs_module._lattice_pass(ys, -p)
     return ys
 
 
@@ -637,7 +637,7 @@ def _eager_build(poset, allowed):
     # on demand: superset sums by a list pass over the histogram, then one
     # Fraction per member over f^(v - 1)
     counts = gamma_module._difference_histogram(poset.v, allowed, 10**6)[::-1]
-    graphs_module._lattice_pass(counts, add)
+    graphs_module._lattice_pass(counts, 1)
     counts.reverse()
     total = allowed.group.order ** (poset.v - 1)
     return counts, tuple(Fraction(counts[mask], total) for mask in poset.masks)
@@ -991,7 +991,7 @@ def test_transfer_law_holds_exactly_at_v6(p6, name):
     # M(alpha_bar) maps the complement vector onto the allowed vector
     allowed = V6_SETS[name]()
     vec_bar = gamma_vector(p6, allowed.complement())
-    vec = apply_transfer(p6, allowed.alpha_bar, vec_bar)
+    vec = apply_transfer(vec_bar, allowed.alpha_bar)
     assert vec.values == gamma_vector(p6, allowed).values
 
 
@@ -1062,7 +1062,7 @@ def _assert_lattice_route_matches_substitution(poset, allowed, method):
         assert report.ok
         assert report.lhs == plus_a
         assert report.rhs == _verify_rhs_by_substitution(g_bar, allowed.alpha_bar)
-    image = apply_transfer(poset, allowed.alpha_bar, g_bar)
+    image = apply_transfer(g_bar, allowed.alpha_bar)
     assert image.values == _apply_transfer_by_substitution(poset, allowed.alpha_bar, g_bar)
     assert image.values == g_a.values
 
@@ -1109,7 +1109,7 @@ def test_apply_transfer_matches_forward_substitution_at_the_ends(p4):
     ints = GammaVector(p4, tuple(range(len(p4))), "test")
     for vec in (mixed, ints):
         for r in (Fraction(0), Fraction(2, 7), Fraction(1)):
-            assert apply_transfer(p4, r, vec).values == _apply_transfer_by_substitution(p4, r, vec)
+            assert apply_transfer(vec, r).values == _apply_transfer_by_substitution(p4, r, vec)
 
 
 # alpha != 1/2 on both sides, so every extension carries powers of p
@@ -1130,11 +1130,9 @@ def test_bridge_extension_matches_the_histogram_at_every_mask(request, v, name):
     for allowed in (BRIDGE_LAW_SETS[name](), BRIDGE_LAW_SETS[name]().complement()):
         vec = gamma_vector(poset, allowed, "auto")
         p, q = allowed.alpha.numerator, allowed.alpha.denominator
-        common = lcm(*(x.denominator for x in vec.values))
-        scaled = [0] * (1 << comb(v, 2))
-        for member, x in zip(poset.members, vec.values):
-            scaled[member.bits] = x.numerator * (common // x.denominator) * q**member.edge_count
-        extended = _bridge_extension(poset.cores[1], scaled, p)
+        extended, common = _bridge_extension(vec, p, q)
+        assert common == lcm(*(x.denominator for x in vec.values))
+        assert len(extended) == 1 << comb(v, 2)
         colorings = allowed.group.order ** (v - 1)
         assert [x * colorings for x in extended] == [
             n * common * q ** mask.bit_count() for mask, n in enumerate(vec.counts)
@@ -1144,10 +1142,9 @@ def test_bridge_extension_matches_the_histogram_at_every_mask(request, v, name):
 def test_gamma_plus_checks_the_bridged_masks_vanish(p4):
     # cores that call the member K4 bridged, its core K4 minus its top edge:
     # the extension drops K4's own value, and the inverse is nonzero there
-    places, core = p4.cores
-    broken = array("I", core)
-    broken[-1] ^= 1 << (len(places) - 1)
-    poset = graphs_module.SubgraphPoset(4, p4.masks, (places, broken))
+    broken = array("I", p4.cores)
+    broken[-1] ^= 1 << (comb(4, 2) - 1)
+    poset = graphs_module.SubgraphPoset(4, p4.masks, broken)
     values = gamma_vector(p4, allowed_interval(make_group([7]), 1)).values
     vec = GammaVector(poset, values, "histogram")
     with pytest.raises(ArithmeticError, match="bridged EdgeSet\\(v=4;edges=01,02,03,12,13,23\\)"):
@@ -1171,7 +1168,7 @@ def test_the_poset_keeps_the_one_cores_table_it_was_built_from(monkeypatch):
     transfer_at(poset, allowed.alpha_bar)
     mobius_table.__wrapped__(poset)  # past the cache, which P_4 may have filled
     gamma_plus(gamma_vector(poset, allowed), allowed.alpha)
-    apply_transfer(poset, allowed.alpha_bar, gamma_vector(poset, allowed.complement()))
+    apply_transfer(gamma_vector(poset, allowed.complement()), allowed.alpha_bar)
     verify_reciprocity(poset, allowed)
     assert len(calls) == 1
     assert "members" not in vars(poset)
@@ -1260,7 +1257,7 @@ def test_apply_transfer_triangle_relation(p3):
     allowed = allowed_interval(make_group([9]), 2)
     ab = allowed.alpha_bar
     vec_bar = gamma_vector(p3, allowed.complement())
-    vec = apply_transfer(p3, ab, vec_bar)
+    vec = apply_transfer(vec_bar, ab)
     assert vec.values == gamma_vector(p3, allowed).values
     assert vec.values[1] == (1 - 3 * ab + 3 * ab**2) - vec_bar.values[1]
 
@@ -1268,24 +1265,27 @@ def test_apply_transfer_triangle_relation(p3):
 def test_apply_transfer_involution(p4):
     allowed = allowed_hamming(3, 1)
     vec_bar = gamma_vector(p4, allowed.complement())
-    vec = apply_transfer(p4, allowed.alpha_bar, vec_bar)
-    back = apply_transfer(p4, allowed.alpha, vec)
+    vec = apply_transfer(vec_bar, allowed.alpha_bar)
+    back = apply_transfer(vec, allowed.alpha)
     assert back.values == vec_bar.values
 
 
-def test_apply_transfer_refuses_a_vector_over_another_poset(p4, p5):
-    # a P_5 vector read as a P_4 one gave 13/49 at K3 instead of 6/49, and
-    # a P_4 vector read as a P_5 one died with a bare IndexError
-    allowed = allowed_interval(make_group([7]), 1)
-    on_p4, on_p5 = (gamma_vector(p, allowed.complement()) for p in (p4, p5))
-    with pytest.raises(ValueError, match="v=5.*v=4"):
-        apply_transfer(p4, allowed.alpha_bar, on_p5)
-    with pytest.raises(ValueError, match="v=4.*v=5"):
-        apply_transfer(p5, allowed.alpha_bar, on_p4)
-    rebuilt = enumerate_poset(4)
-    assert rebuilt is not p4
-    k3 = p4.index_of(EdgeSet.from_edges(4, [(0, 1), (1, 2), (0, 2)]))
-    assert apply_transfer(rebuilt, allowed.alpha_bar, on_p4).values[k3] == Fraction(6, 49)
+@pytest.mark.parametrize("v", [4, 5])
+def test_both_passes_match_their_matrices_on_signed_vectors(request, v):
+    # gamma_plus against J(r)^-1 and apply_transfer against M(r), each
+    # applied as a matrix, on seeded values over unlike denominators with
+    # zeros and negative entries, which no coloring probability reaches
+    poset = request.getfixturevalue(f"p{v}")
+    rng = random.Random(v)
+    values = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 13)) for _ in range(len(poset))]
+    values[::4] = [Fraction(0)] * len(values[::4])
+    assert min(values) < 0 and len({x.denominator for x in values}) > 2
+    vec = GammaVector(poset, tuple(values), "test")
+    for r in (Fraction(0), Fraction(2, 7), Fraction(1, 2), Fraction(1)):
+        assert gamma_plus(vec, r).values == apply(weighted_zeta_inverse_at(poset, r), values)
+        image = apply_transfer(vec, r)
+        assert image.values == apply(transfer_at(poset, r), values)
+        assert apply_transfer(image, 1 - r).values == vec.values
 
 
 def test_apply_transfer_reproduces_chromatic_scaling(p3, p4, p5):
@@ -1295,7 +1295,7 @@ def test_apply_transfer_reproduces_chromatic_scaling(p3, p4, p5):
     f = 5
     allowed = allowed_complement_identity(make_group([f]))
     for poset in (p3, p4, p5):
-        vec = apply_transfer(poset, allowed.alpha_bar, gamma_vector(poset, allowed.complement()))
+        vec = apply_transfer(gamma_vector(poset, allowed.complement()), allowed.alpha_bar)
         for i, member in enumerate(poset.members):
             expected = Fraction(chromatic_oracle(member)(f), f**member.v)
             assert vec.values[i] == expected
